@@ -280,21 +280,12 @@ fn inprocess_probe(report: &mut BenchReport) {
         "inprocessing changed a verdict"
     );
     assert_eq!(
-        off_run.counter("solver.inprocess.eliminated")
-            + off_run.counter("solver.inprocess.subsumed")
-            + off_run.counter("solver.inprocess.vivified"),
+        off_run.counter("solver.inprocess.subsumed") + off_run.counter("solver.inprocess.vivified"),
         0,
         "--no-inprocess run must not inprocess"
     );
 
     let none = Direction::None;
-    report.push(
-        "inprocess_adder1_eliminated",
-        on_run.counter("solver.inprocess.eliminated") as f64,
-        "count",
-        none,
-        true,
-    );
     report.push(
         "inprocess_adder1_subsumed",
         on_run.counter("solver.inprocess.subsumed") as f64,

@@ -645,22 +645,6 @@ impl SharedBase {
         assumptions
     }
 
-    /// Every guard variable of the base encoding, across all three
-    /// resource families.
-    ///
-    /// A warm ladder descends by *growing* its assumption set rung by
-    /// rung, so the solver must be told up front that all of these
-    /// variables can become assumptions: callers freeze them before the
-    /// first solve to keep inprocessing's variable elimination away from
-    /// the whole family, not just the current rung's suffix.
-    pub fn guard_vars(&self) -> impl Iterator<Item = mm_sat::Var> + '_ {
-        self.d_rop
-            .iter()
-            .chain(self.d_leg.iter())
-            .chain(self.d_step.iter())
-            .map(|l| l.var())
-    }
-
     /// Restricts the base variable map to rung `spec`'s selector columns,
     /// yielding a map the ordinary decoder accepts for that rung.
     ///

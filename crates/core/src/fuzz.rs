@@ -97,8 +97,8 @@ pub struct FuzzScenario {
     pub campaign_trials: u32,
     /// Run the diagnose → avoid → resynthesize repair loop.
     pub repair: bool,
-    /// Run solves with solver inprocessing (variable elimination,
-    /// subsumption, vivification) enabled. Mirrors the `--no-inprocess`
+    /// Run solves with solver inprocessing (subsumption, self-subsuming
+    /// resolution, vivification) enabled. Mirrors the `--no-inprocess`
     /// CLI knob; verdicts must be identical either way, which unlimited
     /// scenarios check differentially.
     pub inprocess: bool,

@@ -202,10 +202,6 @@ impl<'a> RungEngine<'a> {
     /// portfolio clause bus, with a per-worker [`Diversity`] profile
     /// (serial ladders use [`Diversity::canonical`], which changes
     /// nothing).
-    ///
-    /// The base's guard variables are frozen up front: the ladder's
-    /// assumption set grows as it descends, and inprocessing must never
-    /// eliminate a variable a later rung will assume.
     fn warm(
         synth: &'a Synthesizer,
         base: Arc<SharedBase>,
@@ -218,7 +214,6 @@ impl<'a> RungEngine<'a> {
         if let Some(bus) = bus {
             solver = solver.with_clause_bus(bus.clone());
         }
-        solver.freeze_vars(base.guard_vars());
         Self::Warm {
             synth,
             base,

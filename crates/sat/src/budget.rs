@@ -225,8 +225,8 @@ impl Budget {
         self
     }
 
-    /// Enables or disables formula inprocessing (bounded variable
-    /// elimination, subsumption, vivification) for calls made under this
+    /// Enables or disables formula inprocessing (subsumption,
+    /// self-subsuming resolution, vivification) for calls made under this
     /// budget. On by default; the `--no-inprocess` CLI flag turns it off.
     ///
     /// Inprocessing never changes a verdict — it only rewrites the clause

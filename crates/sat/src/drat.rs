@@ -17,6 +17,11 @@
 //!    RUP-verified, lazily marking its own antecedents core. Deletion
 //!    steps are undone by re-activating the clause.
 //!
+//! Only active clauses sit in the watch lists: a clause is detached when a
+//! deletion (forward) or the peeling of its addition (backward) deactivates
+//! it, and re-attached when the backward pass undoes its deletion, so
+//! propagation never visits a clause it must ignore.
+//!
 //! Lazy core marking means redundant learnt clauses (ones no later
 //! derivation depends on) are never propagated over, which is the main
 //! cost saving of backward over forward checking.
@@ -27,10 +32,9 @@
 //! * every first-UIP learnt clause, minimized or not, is RUP with respect
 //!   to the clauses alive when it was learnt;
 //! * inprocessing (`solver/inprocess.rs`) stays inside the fragment too —
-//!   a vivified or self-subsumption-strengthened clause is exactly what
-//!   unit propagation proved, so it is RUP; a bounded-variable-elimination
-//!   resolvent is RUP against its two parents; and subsumption only emits
-//!   *deletions*. All rewrites log Add-before-Delete (with level-0 implied
+//!   a vivified clause is exactly what unit propagation proved, a
+//!   self-subsumption-strengthened clause is RUP against its two parents,
+//!   and subsumption only emits *deletions*. All rewrites log Add-before-Delete (with level-0 implied
 //!   units logged ahead of the first deletion that could depend on them),
 //!   so no step ever references a clause the checker has already dropped.
 //!
@@ -314,7 +318,8 @@ struct Checker {
     lits: Vec<Vec<Lit>>,
     active: Vec<bool>,
     core: Vec<bool>,
-    /// `watches[l.code()]` lists clauses (len ≥ 2) watching literal `l`.
+    /// `watches[l.code()]` lists the *active* clauses (len ≥ 2) watching
+    /// literal `l`, each on its first two literals.
     watches: Vec<Vec<usize>>,
     /// Ids of every unit clause ever created; activity is checked at use.
     units: Vec<usize>,
@@ -344,16 +349,40 @@ impl Checker {
     fn add_record(&mut self, lits: Vec<Lit>) -> usize {
         debug_assert!(!lits.is_empty());
         let id = self.lits.len();
-        if lits.len() >= 2 {
-            self.watches[lits[0].code() as usize].push(id);
-            self.watches[lits[1].code() as usize].push(id);
-        } else {
+        if lits.len() == 1 {
             self.units.push(id);
         }
         self.lits.push(lits);
-        self.active.push(true);
+        self.active.push(false);
         self.core.push(false);
+        self.activate(id);
         id
+    }
+
+    /// Marks `id` active and watches it on its first two literals.
+    fn activate(&mut self, id: usize) {
+        debug_assert!(!self.active[id]);
+        self.active[id] = true;
+        if self.lits[id].len() >= 2 {
+            self.watches[self.lits[id][0].code() as usize].push(id);
+            self.watches[self.lits[id][1].code() as usize].push(id);
+        }
+    }
+
+    /// Marks `id` inactive and removes its two watch entries.
+    fn deactivate(&mut self, id: usize) {
+        debug_assert!(self.active[id]);
+        self.active[id] = false;
+        if self.lits[id].len() >= 2 {
+            for k in 0..2 {
+                let ws = &mut self.watches[self.lits[id][k].code() as usize];
+                let p = ws
+                    .iter()
+                    .position(|&w| w == id)
+                    .expect("an active clause is watched on its first two literals");
+                ws.swap_remove(p);
+            }
+        }
     }
 
     #[inline]
@@ -386,10 +415,7 @@ impl Checker {
             let mut i = 0;
             'watches: while i < self.watches[fcode].len() {
                 let cid = self.watches[fcode][i];
-                if !self.active[cid] {
-                    i += 1;
-                    continue;
-                }
+                debug_assert!(self.active[cid], "inactive clauses are detached");
                 if self.lits[cid][0] == false_lit {
                     self.lits[cid].swap(0, 1);
                 }
@@ -552,7 +578,7 @@ pub fn check(cnf: &CnfFormula, proof: &DratProof) -> Result<CheckStats, DratErro
                     .get_mut(&sorted_key(lits))
                     .and_then(Vec::pop)
                     .ok_or(DratError::DeleteUnknownClause { step: s })?;
-                checker.active[id] = false;
+                checker.deactivate(id);
                 resolved.push(Resolved::Delete(id));
                 stats.deletions += 1;
             }
@@ -570,7 +596,7 @@ pub fn check(cnf: &CnfFormula, proof: &DratProof) -> Result<CheckStats, DratErro
     for s in (0..empty_at).rev() {
         match resolved[s] {
             Resolved::Add(id) => {
-                checker.active[id] = false;
+                checker.deactivate(id);
                 if checker.core[id] {
                     stats.core_additions += 1;
                     let clause = checker.lits[id].clone();
@@ -579,7 +605,7 @@ pub fn check(cnf: &CnfFormula, proof: &DratProof) -> Result<CheckStats, DratErro
                     }
                 }
             }
-            Resolved::Delete(id) => checker.active[id] = true,
+            Resolved::Delete(id) => checker.activate(id),
         }
     }
 
@@ -686,6 +712,23 @@ mod tests {
             check(&cnf, &proof),
             Err(DratError::NotRup { step: 3 })
         ));
+    }
+
+    #[test]
+    fn clause_deleted_after_its_use_is_reattached_for_the_earlier_lemma() {
+        // (1) is RUP only through (1 2) and (1 ¬2); the proof then deletes
+        // (1 2), which the empty clause no longer needs. Backward, undoing
+        // that deletion must put (1 2) back into the watch lists before
+        // the core lemma (1) is re-verified, or its RUP check fails.
+        let cnf = crate::dimacs::parse("p cnf 3 4\n1 2 0\n1 -2 0\n-1 3 0\n-1 -3 0\n").unwrap();
+        let proof = DratProof::from_steps(vec![
+            ProofStep::Add(vec![lit(1)]),
+            ProofStep::Delete(vec![lit(2), lit(1)]),
+            ProofStep::Add(Vec::new()),
+        ]);
+        let stats = check(&cnf, &proof).expect("the deleted clause is restored");
+        assert_eq!(stats.deletions, 1);
+        assert_eq!(stats.core_additions, 1);
     }
 
     #[test]

@@ -243,21 +243,19 @@ pub struct Solver {
     /// Share-counter values already emitted to telemetry (imported, exported).
     tel_shared: (u64, u64),
     /// Inprocess-counter values already emitted to telemetry
-    /// (eliminated, subsumed+strengthened, vivified).
+    /// (subsumed+strengthened, vivified, visits).
     tel_inprocess: (u64, u64, u64),
     /// Failed-assumption set of the last UNSAT-under-assumptions call.
     failed: Vec<Lit>,
-    /// Variables that bounded variable elimination must never touch:
-    /// assumption/guard variables whose semantics outlive any single call.
-    frozen: Vec<bool>,
-    /// Variables removed by bounded variable elimination. Never decided,
-    /// never imported; their model values are reconstructed from
-    /// `elim_stack` in `extract_model`.
-    eliminated: Vec<bool>,
-    /// Elimination records, in elimination order: the pivot literal and
-    /// every clause (both polarities) that mentioned it at the time.
-    /// Replayed in reverse to extend a model over eliminated variables.
-    elim_stack: Vec<(Lit, Vec<Vec<Lit>>)>,
+    /// Long clauses at indices from here on were learnt or added since the
+    /// previous inprocessing pass: the next pass's subsumption candidates.
+    subsume_from: usize,
+    /// `bin_mark[l.code()]` is the length `bin_implications[l.code()]` had
+    /// at the end of the previous pass; entries past it are new binaries.
+    bin_mark: Vec<u32>,
+    /// `stats.propagations` at the end of the previous pass: the search
+    /// work that funds the next pass's subsumption effort.
+    props_at_last_pass: u64,
     /// Cumulative-conflict threshold for the next inprocessing pass.
     next_inprocess: u64,
     /// Current gap between passes; grows geometrically so inprocessing
@@ -307,9 +305,9 @@ impl Solver {
             tel_shared: (0, 0),
             tel_inprocess: (0, 0, 0),
             failed: Vec::new(),
-            frozen: vec![false; n],
-            eliminated: vec![false; n],
-            elim_stack: Vec::new(),
+            subsume_from: 0,
+            bin_mark: vec![0; 2 * n],
+            props_at_last_pass: 0,
             next_inprocess: INPROCESS_FIRST_AT,
             inprocess_interval: INPROCESS_FIRST_AT,
             l0_units_logged: 0,
@@ -409,35 +407,6 @@ impl Solver {
         self
     }
 
-    /// Marks variables that inprocessing must never eliminate.
-    ///
-    /// Call this before the first solve for every variable whose meaning
-    /// outlives a single call: assumption/guard variables of an incremental
-    /// ladder, variables a caller will inject clauses over later. The
-    /// current call's assumptions are frozen automatically as a backstop,
-    /// but a *later* call's assumptions are not — freeze them up front.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a listed variable has already been eliminated (freezing
-    /// would come too late to be honoured).
-    pub fn freeze_vars<I: IntoIterator<Item = Var>>(&mut self, vars: I) {
-        for v in vars {
-            let i = v.index() as usize;
-            assert!(
-                !self.eliminated[i],
-                "freeze_vars: variable {i} was already eliminated; freeze before solving"
-            );
-            self.frozen[i] = true;
-        }
-    }
-
-    /// Whether inprocessing has eliminated `v` (its model value is
-    /// reconstructed rather than searched).
-    pub fn is_eliminated(&self, v: Var) -> bool {
-        self.eliminated[v.index() as usize]
-    }
-
     /// Cumulative statistics across every call made on this solver.
     pub fn stats(&self) -> SolverStats {
         self.stats
@@ -475,15 +444,6 @@ impl Solver {
             self.proof.is_none(),
             "post-solve add_clause would poison the DRAT log"
         );
-        // Hard assert (like the assumptions path): in release builds a
-        // clause over an eliminated variable would be silently unsound —
-        // the variable is never decided and extract_model reconstructs it
-        // from stale elimination records, so SAT could violate the clause.
-        assert!(
-            lits.iter()
-                .all(|l| !self.eliminated[l.var().index() as usize]),
-            "post-solve add_clause over an eliminated variable; freeze it first"
-        );
         self.backtrack_to(0);
         self.add_simplified_clause(lits, false);
     }
@@ -513,17 +473,6 @@ impl Solver {
         self.stats.cancelled = false;
         self.stats.deadline_expired = false;
         self.failed.clear();
-        // Backstop freeze: this call's assumptions must survive elimination.
-        // (Future calls may assume *other* variables — long-lived callers
-        // freeze their full guard set up front via `freeze_vars`.)
-        for &a in assumptions {
-            let v = a.var().index() as usize;
-            assert!(
-                !self.eliminated[v],
-                "assumption over eliminated variable {v}; freeze_vars before the first solve"
-            );
-            self.frozen[v] = true;
-        }
         self.backtrack_to(0);
         self.import_from_bus();
         self.maybe_inprocess(&budget);
@@ -622,22 +571,22 @@ impl Solver {
         // so runs that never inprocess produce the exact old event stream.
         // `subsumed` folds in self-subsumption strengthenings: both are
         // products of the same occurrence-list machinery.
-        let ie = s.eliminated_vars - self.tel_inprocess.0;
-        let is = s.subsumed_clauses + s.strengthened_clauses - self.tel_inprocess.1;
-        let iv = s.vivified_clauses - self.tel_inprocess.2;
-        if ie > 0 {
-            self.telemetry.counter("solver.inprocess.eliminated", ie);
-        }
+        let is = s.subsumed_clauses + s.strengthened_clauses - self.tel_inprocess.0;
+        let iv = s.vivified_clauses - self.tel_inprocess.1;
+        let ix = s.inprocess_visits - self.tel_inprocess.2;
         if is > 0 {
             self.telemetry.counter("solver.inprocess.subsumed", is);
         }
         if iv > 0 {
             self.telemetry.counter("solver.inprocess.vivified", iv);
         }
+        if ix > 0 {
+            self.telemetry.counter("solver.inprocess.visits", ix);
+        }
         self.tel_inprocess = (
-            s.eliminated_vars,
             s.subsumed_clauses + s.strengthened_clauses,
             s.vivified_clauses,
+            s.inprocess_visits,
         );
     }
 
@@ -669,31 +618,33 @@ impl Solver {
                 -1 => self.ok = false,
                 _ => {}
             },
-            2 => {
-                // Indexed by the falsified literal: when lits[0] becomes
-                // false, lits[1] is implied (and vice versa).
-                self.bin_implications[lits[0].code() as usize].push(lits[1]);
-                self.bin_implications[lits[1].code() as usize].push(lits[0]);
-            }
+            2 => self.add_binary(lits[0], lits[1]),
             _ => {
-                let idx = self.clauses.len() as u32;
-                self.watches[lits[0].code() as usize].push(Watch {
-                    clause: idx,
-                    blocker: lits[1],
-                });
-                self.watches[lits[1].code() as usize].push(Watch {
-                    clause: idx,
-                    blocker: lits[0],
-                });
-                self.clauses.push(Clause {
-                    lits: lits.to_vec(),
-                    learnt: false,
-                    deleted: false,
-                    activity: 0.0,
-                    lbd: 0,
-                });
+                self.push_clause(lits.to_vec(), false, 0.0, 0);
             }
         }
+    }
+
+    /// Records the binary clause `(a ∨ b)`: each literal's list gets the
+    /// partner that becomes implied when it is falsified.
+    fn add_binary(&mut self, a: Lit, b: Lit) {
+        self.bin_implications[a.code() as usize].push(b);
+        self.bin_implications[b.code() as usize].push(a);
+    }
+
+    /// Appends a long clause watched on its first two literals; returns
+    /// its index.
+    fn push_clause(&mut self, lits: Vec<Lit>, learnt: bool, activity: f32, lbd: u32) -> u32 {
+        let idx = self.clauses.len() as u32;
+        self.clauses.push(Clause {
+            lits,
+            learnt,
+            deleted: false,
+            activity,
+            lbd,
+        });
+        self.attach_watches(idx as usize);
+        idx
     }
 
     /// Adds a clause at decision level 0, simplifying it against the
@@ -716,6 +667,9 @@ impl Solver {
                 1 => return, // satisfied at level 0
                 -1 => {}     // falsified at level 0: drop
                 _ => {
+                    if reduced.contains(&!l) {
+                        return; // tautology
+                    }
                     if !reduced.contains(&l) {
                         reduced.push(l);
                     }
@@ -725,28 +679,10 @@ impl Solver {
         match reduced.len() {
             0 => self.ok = false,
             1 => self.enqueue(reduced[0], Reason::Decision),
-            2 => {
-                self.bin_implications[reduced[0].code() as usize].push(reduced[1]);
-                self.bin_implications[reduced[1].code() as usize].push(reduced[0]);
-            }
+            2 => self.add_binary(reduced[0], reduced[1]),
             _ => {
-                let idx = self.clauses.len() as u32;
-                self.watches[reduced[0].code() as usize].push(Watch {
-                    clause: idx,
-                    blocker: reduced[1],
-                });
-                self.watches[reduced[1].code() as usize].push(Watch {
-                    clause: idx,
-                    blocker: reduced[0],
-                });
                 let lbd = reduced.len() as u32;
-                self.clauses.push(Clause {
-                    lits: reduced,
-                    learnt,
-                    deleted: false,
-                    activity: self.cla_inc,
-                    lbd,
-                });
+                self.push_clause(reduced, learnt, self.cla_inc, lbd);
                 if learnt {
                     self.stats.learnt_clauses += 1;
                 }
@@ -775,15 +711,6 @@ impl Solver {
         for lits in &fresh {
             if !self.ok {
                 break;
-            }
-            // A clause over a variable this solver already eliminated
-            // cannot be attached (the variable no longer exists here);
-            // skipping it is sound — imports are redundant by definition.
-            if lits
-                .iter()
-                .any(|l| self.eliminated[l.var().index() as usize])
-            {
-                continue;
             }
             // Imported clauses are marked learnt so reduce_db may drop
             // them again if they turn out not to pull their weight.
@@ -1132,28 +1059,12 @@ impl Solver {
                 self.enqueue(learnt[0], Reason::Decision);
             }
             2 => {
-                self.bin_implications[learnt[0].code() as usize].push(learnt[1]);
-                self.bin_implications[learnt[1].code() as usize].push(learnt[0]);
+                self.add_binary(learnt[0], learnt[1]);
                 self.enqueue(learnt[0], Reason::Binary(learnt[1]));
             }
             _ => {
-                let idx = self.clauses.len() as u32;
-                self.watches[learnt[0].code() as usize].push(Watch {
-                    clause: idx,
-                    blocker: learnt[1],
-                });
-                self.watches[learnt[1].code() as usize].push(Watch {
-                    clause: idx,
-                    blocker: learnt[0],
-                });
                 let first = learnt[0];
-                self.clauses.push(Clause {
-                    lits: learnt,
-                    learnt: true,
-                    deleted: false,
-                    activity: self.cla_inc,
-                    lbd,
-                });
+                let idx = self.push_clause(learnt, true, self.cla_inc, lbd);
                 self.stats.learnt_clauses += 1;
                 self.enqueue(first, Reason::Clause(idx));
             }
@@ -1228,20 +1139,24 @@ impl Solver {
         });
         let delete_count = candidates.len() / 2;
         for &idx in &candidates[..delete_count] {
-            // Take the literals so the deletion can be logged after the
-            // storage is reclaimed.
-            let lits = std::mem::take(&mut self.clauses[idx as usize].lits);
-            self.proof_delete(&lits);
-            self.clauses[idx as usize].deleted = true;
+            self.delete_clause(idx as usize);
             self.stats.deleted_clauses += 1;
         }
-        // Stale watch entries are dropped lazily during propagation.
+    }
+
+    /// Marks a long clause deleted and logs the deletion; its storage is
+    /// reclaimed at once and its watch entries are dropped lazily during
+    /// propagation.
+    fn delete_clause(&mut self, idx: usize) {
+        let lits = std::mem::take(&mut self.clauses[idx].lits);
+        self.proof_delete(&lits);
+        self.clauses[idx].deleted = true;
     }
 
     fn decide(&mut self) -> Option<Lit> {
         while let Some(v) = self.heap.pop(&self.activity) {
             let i = v.index() as usize;
-            if self.assign[i] == UNASSIGNED && !self.eliminated[i] {
+            if self.assign[i] == UNASSIGNED {
                 let phase = self.saved_phase[i];
                 return Some(v.lit(phase));
             }
@@ -1250,27 +1165,7 @@ impl Solver {
     }
 
     fn extract_model(&self) -> Model {
-        let mut values: Vec<bool> = (0..self.n_vars).map(|v| self.assign[v] == 1).collect();
-        // Extend the assignment over eliminated variables by replaying the
-        // elimination records newest-first. For each pivot, keeping the
-        // default value or flipping it must satisfy every clause the
-        // elimination removed (the standard BVE reconstruction lemma: a
-        // model of the resolvents extends to the pivot).
-        for (pivot, removed) in self.elim_stack.iter().rev() {
-            let pv = pivot.var().index() as usize;
-            let sat = |values: &[bool], c: &[Lit]| {
-                c.iter()
-                    .any(|l| values[l.var().index() as usize] == l.is_positive())
-            };
-            if !removed.iter().all(|c| sat(&values, c)) {
-                values[pv] = !values[pv];
-                debug_assert!(
-                    removed.iter().all(|c| sat(&values, c)),
-                    "BVE reconstruction failed to satisfy a removed clause"
-                );
-            }
-        }
-        Model::new(values)
+        Model::new((0..self.n_vars).map(|v| self.assign[v] == 1).collect())
     }
 
     fn search(&mut self, assumptions: &[Lit], budget: Budget, start: Instant) -> SatResult {

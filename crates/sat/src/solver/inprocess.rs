@@ -1,21 +1,37 @@
 //! Inprocessing: clause-database simplification at restart boundaries.
 //!
-//! A pass runs in three phases, all at decision level 0:
+//! A pass runs in two phases, both at decision level 0 and both in place
+//! on the solver's own clause indices:
 //!
 //! 1. **Vivification** — each candidate clause is temporarily detached and
 //!    its literals' negations are asserted one by one with real unit
 //!    propagation. A conflict, an implied literal, or a falsified literal
 //!    shrinks the clause in place.
-//! 2. **Subsumption / self-subsuming resolution and bounded variable
-//!    elimination** — the live database (long clauses *and* the binary
-//!    implication layer) is snapshotted into a working set with occurrence
-//!    lists; subsumed clauses are dropped, self-subsuming resolutions
-//!    strengthen clauses, and variables whose resolvent set does not grow
-//!    the database are eliminated (SatELite-style), recording the removed
-//!    clauses for model reconstruction.
-//! 3. **Rebuild** — watches and binary lists are reconstructed from the
-//!    surviving set and the whole trail is re-propagated from scratch,
-//!    restoring every solver invariant.
+//! 2. **Subsumption / self-subsuming resolution** — occurrence lists are
+//!    rebuilt over the live long clauses (dropping clauses satisfied at
+//!    level 0 and stripping literals falsified there). The clauses learnt,
+//!    added or rewritten since the previous pass — the whole database on
+//!    the first pass — then serve as subsumers, long clauses and binaries
+//!    alike. Each candidate is checked in both directions: against the
+//!    older clauses that could subsume or strengthen it (found through a
+//!    one-watch index on every clause's rarest literal), and against the
+//!    clauses it could subsume or strengthen itself (the full occurrence
+//!    lists of its rarest variable). A subsumed clause is marked `deleted`
+//!    and its watches are dropped lazily by propagation, exactly as
+//!    `reduce_db` does; a strengthened clause is rewritten in place
+//!    through `detach_watches`/`attach_watches` and becomes a candidate
+//!    itself.
+//!
+//! # Effort
+//!
+//! Subsumption may examine one occurrence entry or clause literal per
+//! propagation the search made since the previous pass, so it stays a
+//! bounded share of solve time by construction; the work done is counted
+//! in `SolverStats::inprocess_visits` together with vivification's probed
+//! literals. Candidates the budget does not reach are dropped, not carried
+//! over: the encoding's own clauses rarely subsume each other, the freshly
+//! learnt ones do. Candidates are popped newest first, so the learnt
+//! binaries and the latest learnt clauses go first.
 //!
 //! # DRAT coverage
 //!
@@ -29,8 +45,6 @@
 //!   propagation from the asserted negations — RUP by construction. The
 //!   candidate is detached during the probe precisely so the derivation
 //!   never passes through the clause being rewritten.
-//! - A BVE resolvent `(C ∖ {v}) ∪ (D ∖ {¬v})` is RUP while its parents
-//!   are present: negating it makes `C` propagate `v` and falsifies `D`.
 //! - Additions are always emitted before the deletions they justify, and
 //!   deletions are emitted for exact clauses previously in the database
 //!   (the checker matches sorted literal multisets).
@@ -39,46 +53,25 @@
 //! never invalidate a later RUP derivation recorded by the solver, because
 //! the solver's own database shrinks in lockstep with the proof's.
 //!
-//! # Safety invariants
+//! # Invariants
 //!
-//! - Frozen variables (assumptions, incremental guard literals) are never
-//!   eliminated; `solve_under_assumptions` freezes its current assumption
-//!   set as a backstop and long-lived callers freeze their full guard set
-//!   up front.
-//! - Eliminated variables are never decided, never imported from the
-//!   clause bus, and their model values are reconstructed in
-//!   `extract_model` from the recorded elimination stack.
+//! - Every live long clause is free of duplicate and complementary
+//!   literals (`CnfFormula` and `add_simplified_clause` normalize them),
+//!   which lets the subset test count literal hits against one mark array.
+//! - A rewritten clause keeps only literals unassigned at level 0, so its
+//!   new watches satisfy the two-watched-literal invariant without a
+//!   re-propagation of the trail.
 
-use super::{Clause, Reason, Solver, Watch, UNASSIGNED};
-use crate::{Budget, Lit, Var};
+use super::{Reason, Solver, Watch, UNASSIGNED};
+use crate::Lit;
 
 /// Max candidate clauses probed by vivification per pass.
 const VIVIFY_MAX_CLAUSES: usize = 256;
 /// Max trail pushes vivification may spend per pass.
 const VIVIFY_PROP_BUDGET: usize = 20_000;
-/// Max subsumption candidate comparisons per pass.
-const SUBSUME_CHECK_BUDGET: usize = 200_000;
-/// A variable with more occurrences than this per polarity is never an
-/// elimination candidate.
-const BVE_MAX_OCC: usize = 16;
-/// Max `pos × neg` occurrence product considered for elimination.
-const BVE_MAX_PRODUCT: usize = 64;
-/// Resolvents longer than this veto the elimination.
-const BVE_MAX_RESOLVENT_LEN: usize = 16;
-/// Max resolvent constructions per pass.
-const BVE_CHECK_BUDGET: usize = 100_000;
-
-/// A snapshotted clause in the phase-2 working set. Literals are sorted
-/// by code and deduplicated, which makes subset tests and resolution
-/// linear-time.
-struct WorkClause {
-    lits: Vec<Lit>,
-    learnt: bool,
-    activity: f32,
-    lbd: u32,
-    removed: bool,
-    sig: u64,
-}
+/// Subsumption visits every pass may spend regardless of the search work
+/// behind it, so an explicit pass on a fresh solver still simplifies.
+const SUBSUME_MIN_EFFORT: u64 = 10_000;
 
 /// 64-bit variable-set signature: `sig(a) & !sig(b) != 0` proves `a ⊄ b`
 /// over variables, pruning most subset tests in one AND.
@@ -87,59 +80,53 @@ fn var_sig(lits: &[Lit]) -> u64 {
         .fold(0u64, |s, l| s | 1u64 << (l.var().index() % 64))
 }
 
-/// Binary-search membership in a code-sorted literal slice.
-fn contains(sorted: &[Lit], l: Lit) -> bool {
-    sorted.binary_search_by_key(&l.code(), |x| x.code()).is_ok()
+/// A subsumption candidate: a long clause by index, or a binary clause.
+#[derive(Clone, Copy)]
+enum Candidate {
+    Long(usize),
+    Binary(Lit, Lit),
 }
 
-enum Check {
-    /// `base` subsumes the candidate outright.
-    Subsumed,
-    /// Self-subsuming resolution: the candidate can drop this literal.
-    Strengthen(Lit),
-    None,
+/// Per-pass subsumption state: occurrence lists and signatures over the
+/// live long clauses, the candidate stack, and the remaining effort.
+struct Subsumption {
+    /// Full occurrence lists: every live long clause under each literal.
+    occ: Vec<Vec<u32>>,
+    /// One-watch lists: every live long clause under its literal with the
+    /// shortest occurrence list only (the forward-direction index).
+    rarest: Vec<Vec<u32>>,
+    sig: Vec<u64>,
+    /// `marked[l.code()]`: `l` belongs to the current candidate.
+    marked: Vec<bool>,
+    queue: Vec<Candidate>,
+    effort: u64,
 }
 
-/// Does `base` subsume `other`, or strengthen it by one literal?
-fn subsume_check(base: &[Lit], other: &[Lit]) -> Check {
-    let mut strengthen: Option<Lit> = None;
-    for &l in base {
-        if contains(other, l) {
-            continue;
-        }
-        if strengthen.is_none() && contains(other, !l) {
-            strengthen = Some(!l);
-            continue;
-        }
-        return Check::None;
+impl Subsumption {
+    /// Indexes clause `idx` under its literal with the shortest
+    /// occurrence list.
+    fn index_rarest(&mut self, idx: usize, lits: &[Lit]) {
+        let rarest = lits
+            .iter()
+            .min_by_key(|l| self.occ[l.code() as usize].len())
+            .expect("long clauses are non-empty");
+        self.rarest[rarest.code() as usize].push(idx as u32);
     }
-    match strengthen {
-        Some(l) => Check::Strengthen(l),
-        None => Check::Subsumed,
-    }
-}
 
-/// The resolvent of `c` and `d` on `pivot` (`pivot ∈ c`, `¬pivot ∈ d`),
-/// sorted and deduplicated; `None` if tautological.
-fn resolve(c: &[Lit], d: &[Lit], pivot: Lit) -> Option<Vec<Lit>> {
-    let mut r: Vec<Lit> = c.iter().copied().filter(|&l| l != pivot).collect();
-    for &l in d {
-        if l != !pivot && !r.contains(&l) {
-            r.push(l);
-        }
+    /// Spends `n` visits of the effort budget and records them in
+    /// `stats`; returns whether any budget is left.
+    fn charge(&mut self, stats: &mut crate::SolverStats, n: u64) -> bool {
+        stats.inprocess_visits += n;
+        self.effort = self.effort.saturating_sub(n);
+        self.effort > 0
     }
-    if r.iter().any(|&l| r.contains(&!l)) {
-        return None;
-    }
-    r.sort_by_key(|l| l.code());
-    Some(r)
 }
 
 impl Solver {
     /// Runs an inprocessing pass if the budget allows it and enough
     /// conflicts have accumulated since the last one. Called at call entry
     /// and at every restart, always at decision level 0.
-    pub(super) fn maybe_inprocess(&mut self, budget: &Budget) {
+    pub(super) fn maybe_inprocess(&mut self, budget: &crate::Budget) {
         if !budget.inprocess() || !self.ok {
             return;
         }
@@ -172,14 +159,19 @@ impl Solver {
             return;
         }
         self.log_level0_units();
-        self.vivify();
+        let vivified = self.vivify();
         if self.ok {
             // Vivification's trailing propagate can derive further level-0
             // facts; log them while their reason clauses are still alive,
-            // before phase 2 deletes any clause that derives them.
+            // before subsumption deletes any clause that derives them.
             self.log_level0_units();
-            self.subsume_and_eliminate();
+            self.subsume(vivified);
         }
+        self.subsume_from = self.clauses.len();
+        for (mark, bins) in self.bin_mark.iter_mut().zip(&self.bin_implications) {
+            *mark = bins.len() as u32;
+        }
+        self.props_at_last_pass = self.stats.propagations;
     }
 
     /// Emits unit additions for implied level-0 literals not yet logged.
@@ -215,7 +207,7 @@ impl Solver {
     }
 
     /// Re-adds watch entries on the clause's first two literals.
-    fn attach_watches(&mut self, idx: usize) {
+    pub(super) fn attach_watches(&mut self, idx: usize) {
         let (l0, l1) = (self.clauses[idx].lits[0], self.clauses[idx].lits[1]);
         self.watches[l0.code() as usize].push(Watch {
             clause: idx as u32,
@@ -227,11 +219,58 @@ impl Solver {
         });
     }
 
+    /// Asserts a derived unit at level 0 and propagates it, logging the
+    /// cascade's facts while their deriving clauses are alive.
+    fn assert_unit(&mut self, unit: Lit) {
+        match self.value(unit) {
+            -1 => self.ok = false,
+            UNASSIGNED => {
+                self.enqueue(unit, Reason::Decision);
+                if self.propagate().is_some() {
+                    self.ok = false;
+                } else {
+                    self.log_level0_units();
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Replaces long clause `idx` by `lits`, a proper subset of it that is
+    /// logged as an addition before the old clause's deletion. A unit is
+    /// asserted, a binary moves to the binary layer, and a long clause is
+    /// rewritten in place. Returns the index when it stays a long clause.
+    fn shrink_clause(&mut self, idx: usize, lits: Vec<Lit>) -> Option<usize> {
+        self.proof_add(&lits);
+        match lits.len() {
+            1 => {
+                self.delete_clause(idx);
+                self.assert_unit(lits[0]);
+                None
+            }
+            2 => {
+                self.delete_clause(idx);
+                self.add_binary(lits[0], lits[1]);
+                None
+            }
+            n => {
+                self.detach_watches(idx);
+                let old = std::mem::replace(&mut self.clauses[idx].lits, lits);
+                self.proof_delete(&old);
+                self.clauses[idx].lbd = self.clauses[idx].lbd.min(n as u32);
+                self.attach_watches(idx);
+                Some(idx)
+            }
+        }
+    }
+
     /// Phase 1: clause vivification with the solver's own propagation.
-    fn vivify(&mut self) {
+    /// Returns the clauses it shrank in place (subsumption candidates).
+    fn vivify(&mut self) -> Vec<usize> {
+        let mut shrunk = Vec::new();
         let n = self.clauses.len();
         if n == 0 {
-            return;
+            return shrunk;
         }
         let mut prop_budget = VIVIFY_PROP_BUDGET;
         let mut examined = 0usize;
@@ -247,17 +286,19 @@ impl Solver {
                 continue;
             }
             examined += 1;
-            self.vivify_one(idx, &mut prop_budget);
+            if self.vivify_one(idx, &mut prop_budget) {
+                shrunk.push(idx);
+            }
         }
         if self.ok && self.propagate().is_some() {
             self.ok = false;
         }
+        shrunk
     }
 
-    /// Probes one clause. On a successful shrink the old clause is deleted
-    /// and the shortened one installed (as a unit, binary, or new long
-    /// clause).
-    fn vivify_one(&mut self, idx: usize, prop_budget: &mut usize) {
+    /// Probes one clause and shrinks it on success. Returns whether it is
+    /// still a long clause that was shrunk in place.
+    fn vivify_one(&mut self, idx: usize, prop_budget: &mut usize) -> bool {
         let lits = self.clauses[idx].lits.clone();
         // Detach for the probe: the clause must not propagate in its own
         // test, and the shrunk clause must be RUP without it.
@@ -270,6 +311,7 @@ impl Solver {
         let mut exhausted = false;
         self.trail_lim.push(self.trail.len()); // one probe level
         for &l in &lits {
+            self.stats.inprocess_visits += 1;
             match self.value(l) {
                 1 => {
                     if self.level[l.var().index() as usize] == 0 {
@@ -307,10 +349,8 @@ impl Solver {
         self.backtrack_to(0);
 
         if satisfied_at_top {
-            let old = std::mem::take(&mut self.clauses[idx].lits);
-            self.proof_delete(&old);
-            self.clauses[idx].deleted = true;
-            return;
+            self.delete_clause(idx);
+            return false;
         }
         // A shrink is only valid when the probe finished its case
         // analysis: a conflict / implied literal is conclusive on its own,
@@ -318,474 +358,285 @@ impl Solver {
         let valid = (conclusive || (dropped && !exhausted)) && kept.len() < lits.len();
         if !valid || kept.is_empty() {
             self.attach_watches(idx);
-            return;
+            return false;
         }
-
         self.stats.vivified_clauses += 1;
-        self.proof_add(&kept);
-        let old = std::mem::take(&mut self.clauses[idx].lits);
-        self.proof_delete(&old);
-        self.clauses[idx].deleted = true;
-        match kept.len() {
-            1 => match self.value(kept[0]) {
-                -1 => self.ok = false,
-                UNASSIGNED => {
-                    self.enqueue(kept[0], Reason::Decision);
-                    if self.propagate().is_some() {
-                        self.ok = false;
-                    } else {
-                        // The cascade's facts must enter the proof before a
-                        // later probe deletes a deriving clause as
-                        // satisfied-at-top; reasons are intact right here.
-                        self.log_level0_units();
-                    }
-                }
-                _ => {}
-            },
-            2 => {
-                self.bin_implications[kept[0].code() as usize].push(kept[1]);
-                self.bin_implications[kept[1].code() as usize].push(kept[0]);
-            }
-            _ => {
-                let learnt = self.clauses[idx].learnt;
-                let activity = self.clauses[idx].activity;
-                let lbd = self.clauses[idx].lbd.min(kept.len() as u32);
-                let new_idx = self.clauses.len() as u32;
-                self.watches[kept[0].code() as usize].push(Watch {
-                    clause: new_idx,
-                    blocker: kept[1],
-                });
-                self.watches[kept[1].code() as usize].push(Watch {
-                    clause: new_idx,
-                    blocker: kept[0],
-                });
-                self.clauses.push(Clause {
-                    lits: kept,
-                    learnt,
-                    deleted: false,
-                    activity,
-                    lbd,
-                });
-            }
-        }
+        // Still detached: re-watch the original literals so the in-place
+        // rewrite finds the watches it replaces.
+        self.attach_watches(idx);
+        self.shrink_clause(idx, kept).is_some()
     }
 
-    /// Phase 2 + 3: snapshot, subsume/strengthen/eliminate, rebuild.
-    fn subsume_and_eliminate(&mut self) {
+    /// Phase 2: subsumption and self-subsuming resolution with the clauses
+    /// new since the previous pass (plus `rewritten`) as candidates, in
+    /// place on the clause indices.
+    fn subsume(&mut self, rewritten: Vec<usize>) {
         debug_assert_eq!(self.current_level(), 0);
-        let mut work: Vec<WorkClause> = Vec::with_capacity(self.clauses.len());
+        // One visit per propagation the search made since the last pass.
+        let funded = self.stats.propagations - self.props_at_last_pass;
+        let mut pass = Subsumption {
+            occ: vec![Vec::new(); 2 * self.n_vars],
+            rarest: vec![Vec::new(); 2 * self.n_vars],
+            sig: vec![0; self.clauses.len()],
+            marked: vec![false; 2 * self.n_vars],
+            queue: rewritten.into_iter().map(Candidate::Long).collect(),
+            effort: funded.max(SUBSUME_MIN_EFFORT),
+        };
 
-        // ---- snapshot long clauses, simplified against the trail ----
+        // ---- occurrence lists over the live long clauses ----
         for idx in 0..self.clauses.len() {
-            if self.clauses[idx].deleted {
+            if self.clauses[idx].deleted || !self.simplify_at_top(idx, &mut pass.queue) {
                 continue;
             }
-            let lits = self.clauses[idx].lits.clone();
-            let mut satisfied = false;
-            let mut reduced: Vec<Lit> = Vec::with_capacity(lits.len());
-            for &l in &lits {
-                match self.value(l) {
-                    1 => {
-                        satisfied = true;
-                        break;
-                    }
-                    -1 => {}
-                    _ => reduced.push(l),
-                }
+            for &l in &self.clauses[idx].lits {
+                pass.occ[l.code() as usize].push(idx as u32);
             }
-            if satisfied {
-                self.proof_delete(&lits);
-                continue;
+            pass.sig[idx] = var_sig(&self.clauses[idx].lits);
+        }
+        for idx in 0..self.clauses.len() {
+            if !self.clauses[idx].deleted {
+                pass.index_rarest(idx, &self.clauses[idx].lits);
             }
-            reduced.sort_by_key(|l| l.code());
-            reduced.dedup();
-            // Same-variable neighbours after sort+dedup = tautology.
-            if reduced.windows(2).any(|w| w[0].var() == w[1].var()) {
-                self.proof_delete(&lits);
-                continue;
-            }
-            debug_assert!(reduced.len() >= 2, "watch invariant: ≥2 unassigned lits");
-            if reduced.len() < lits.len() {
-                self.proof_add(&reduced);
-                self.proof_delete(&lits);
-            }
-            let sig = var_sig(&reduced);
-            work.push(WorkClause {
-                lits: reduced,
-                learnt: self.clauses[idx].learnt,
-                activity: self.clauses[idx].activity,
-                lbd: self.clauses[idx].lbd,
-                removed: false,
-                sig,
-            });
         }
 
-        // ---- snapshot the binary layer (deduplicated) ----
-        let mut bins: Vec<(Lit, Lit)> = Vec::new();
+        // ---- candidates: popped newest first, binaries before clauses ----
+        pass.queue
+            .extend((self.subsume_from..self.clauses.len()).map(Candidate::Long));
         for code in 0..self.bin_implications.len() {
             let l = Lit::from_code(code as u32);
-            for &p in &self.bin_implications[code] {
+            for k in self.bin_mark[code] as usize..self.bin_implications[code].len() {
+                let p = self.bin_implications[code][k];
                 if l.code() < p.code() {
-                    bins.push((l, p));
+                    pass.queue.push(Candidate::Binary(l, p));
                 }
             }
         }
-        bins.sort_by_key(|&(a, b)| (a.code(), b.code()));
-        let mut prev: Option<(Lit, Lit)> = None;
-        for (a, b) in bins {
-            if prev == Some((a, b)) {
-                // Duplicate copy of the same binary: delete the extra.
-                self.proof_delete(&[a, b]);
-                continue;
-            }
-            prev = Some((a, b));
-            if self.value(a) == 1 || self.value(b) == 1 || a.var() == b.var() {
-                // Satisfied at level 0, or the tautology (x ∨ ¬x).
-                self.proof_delete(&[a, b]);
-                continue;
-            }
-            work.push(WorkClause {
-                lits: vec![a, b],
-                learnt: false,
-                activity: 0.0,
-                lbd: 2,
-                removed: false,
-                sig: var_sig(&[a, b]),
-            });
-        }
 
-        // ---- occurrence lists ----
-        let mut occ: Vec<Vec<usize>> = vec![Vec::new(); 2 * self.n_vars];
-        for (i, wc) in work.iter().enumerate() {
-            for &l in &wc.lits {
-                occ[l.code() as usize].push(i);
-            }
-        }
-
-        // ---- forward subsumption + self-subsuming resolution ----
-        let mut steps = SUBSUME_CHECK_BUDGET;
-        let initial = work.len();
-        let mut queue: std::collections::VecDeque<usize> = (0..initial).collect();
-        let mut queued: Vec<bool> = vec![true; initial];
-        'queue: while let Some(i) = queue.pop_front() {
-            if steps == 0 || !self.ok {
+        while let Some(candidate) = pass.queue.pop() {
+            if pass.effort == 0 || !self.ok {
                 break;
             }
-            queued[i] = false;
-            if work[i].removed {
-                continue;
+            let (own, base) = match candidate {
+                Candidate::Long(i) if self.clauses[i].deleted => continue,
+                Candidate::Long(i) => (Some(i), self.clauses[i].lits.clone()),
+                Candidate::Binary(a, b) => (None, vec![a, b]),
+            };
+            if base.iter().any(|&l| self.value(l) == 1) {
+                continue; // satisfied at level 0: subsumes nothing useful
             }
-            let base = work[i].lits.clone();
-            let base_sig = work[i].sig;
-            // Scan the sparsest variable's occurrence lists, both
-            // polarities: that covers every subsumption and every
-            // self-subsuming resolution `base` can justify.
-            let best = base
-                .iter()
-                .copied()
-                .min_by_key(|l| occ[l.code() as usize].len() + occ[(!*l).code() as usize].len())
-                .expect("work clauses are non-empty");
-            for polarity in [best, !best] {
-                for k in 0..occ[polarity.code() as usize].len() {
-                    let j = occ[polarity.code() as usize][k];
-                    if j == i || work[j].removed {
+            self.subsume_with(own, &base, &mut pass);
+        }
+    }
+
+    /// Drops long clause `idx` if satisfied at level 0 and strips the
+    /// literals falsified there, queueing a stripped clause as a
+    /// candidate. Returns whether it is still a live long clause.
+    ///
+    /// After a full level-0 propagation a clause that is not satisfied
+    /// watches two unassigned literals, so stripping in place keeps the
+    /// watches valid.
+    fn simplify_at_top(&mut self, idx: usize, queue: &mut Vec<Candidate>) -> bool {
+        let lits = &self.clauses[idx].lits;
+        if lits.iter().any(|&l| self.value(l) == 1) {
+            self.delete_clause(idx);
+            return false;
+        }
+        if lits.iter().all(|&l| self.value(l) == UNASSIGNED) {
+            return true;
+        }
+        let reduced: Vec<Lit> = lits
+            .iter()
+            .copied()
+            .filter(|&l| self.value(l) == UNASSIGNED)
+            .collect();
+        debug_assert!(reduced.len() >= 2, "watch invariant: ≥2 unassigned lits");
+        self.shrink_and_queue(idx, reduced, queue).is_some()
+    }
+
+    /// Tries one candidate in both directions: first whether an older
+    /// clause subsumes or strengthens it (long candidates only), then
+    /// which clauses it subsumes or strengthens itself.
+    fn subsume_with(&mut self, own: Option<usize>, base: &[Lit], pass: &mut Subsumption) {
+        let base_sig = var_sig(base);
+        for &l in base {
+            pass.marked[l.code() as usize] = true;
+        }
+        let rewritten = match own {
+            Some(i) => self.subsumed_by_older(i, base, base_sig, pass),
+            None => false,
+        };
+        if !rewritten {
+            self.subsume_newer(own, base, base_sig, pass);
+        }
+        for &l in base {
+            pass.marked[l.code() as usize] = false;
+        }
+    }
+
+    /// Forward direction: looks for a clause that subsumes candidate `i` or
+    /// strengthens it by one literal, and applies the first found. Returns
+    /// whether `i` changed.
+    ///
+    /// Such a clause has all its literals in `i` except at most one, whose
+    /// negation is in `i`; so it is found under its rarest literal by
+    /// scanning the one-watch lists of `i`'s literals in both polarities.
+    fn subsumed_by_older(
+        &mut self,
+        i: usize,
+        base: &[Lit],
+        base_sig: u64,
+        pass: &mut Subsumption,
+    ) -> bool {
+        for &l in base {
+            for polarity in [l, !l] {
+                let code = polarity.code() as usize;
+                for k in 0..pass.rarest[code].len() {
+                    if !pass.charge(&mut self.stats, 1) {
+                        return false;
+                    }
+                    let c = pass.rarest[code][k] as usize;
+                    let other = &self.clauses[c];
+                    if c == i
+                        || other.deleted
+                        || other.lits.len() > base.len()
+                        || pass.sig[c] & !base_sig != 0
+                    {
                         continue;
                     }
-                    if work[j].lits.len() < base.len() || base_sig & !work[j].sig != 0 {
+                    pass.charge(&mut self.stats, other.lits.len() as u64);
+                    // `other` fits when each literal is in the candidate,
+                    // except at most one whose negation is.
+                    let mut drop = None;
+                    let fits = other.lits.iter().all(|&x| {
+                        if pass.marked[x.code() as usize] {
+                            true
+                        } else if drop.is_none() && pass.marked[(!x).code() as usize] {
+                            drop = Some(!x);
+                            true
+                        } else {
+                            false
+                        }
+                    });
+                    if !fits {
                         continue;
                     }
-                    steps = steps.saturating_sub(1);
-                    if steps == 0 {
-                        break 'queue;
-                    }
-                    match subsume_check(&base, &work[j].lits) {
-                        Check::Subsumed => {
-                            // Subsuming an irredundant clause makes the
-                            // subsumer irredundant: it now carries the
-                            // constraint alone.
-                            if !work[j].learnt {
-                                work[i].learnt = false;
+                    match drop {
+                        None => {
+                            if !self.clauses[i].learnt {
+                                self.clauses[c].learnt = false;
                             }
-                            let old = std::mem::take(&mut work[j].lits);
-                            work[j].removed = true;
-                            self.proof_delete(&old);
+                            self.delete_clause(i);
                             self.stats.subsumed_clauses += 1;
                         }
-                        Check::Strengthen(drop_lit) => {
-                            let mut new_lits = work[j].lits.clone();
-                            new_lits.retain(|&x| x != drop_lit);
-                            if !new_lits.is_empty() {
-                                self.proof_add(&new_lits);
-                            }
-                            self.proof_delete(&work[j].lits);
-                            self.stats.strengthened_clauses += 1;
-                            match new_lits.len() {
-                                0 => {
-                                    work[j].removed = true;
-                                    self.ok = false;
-                                    break 'queue;
-                                }
-                                1 => {
-                                    work[j].removed = true;
-                                    self.work_assign_unit(new_lits[0], &mut work, &mut occ);
-                                    // The cascade may have rewritten
-                                    // anything, including `base`; start
-                                    // over from the queue.
-                                    if !queued[i] && !work[i].removed {
-                                        queued[i] = true;
-                                        queue.push_back(i);
-                                    }
-                                    continue 'queue;
-                                }
-                                _ => {
-                                    work[j].lits = new_lits;
-                                    work[j].sig = var_sig(&work[j].lits);
-                                    if !queued[j] {
-                                        queued[j] = true;
-                                        queue.push_back(j);
-                                    }
-                                }
-                            }
-                        }
-                        Check::None => {}
+                        Some(drop) => self.strengthen(i, drop, pass),
                     }
+                    return true;
                 }
             }
         }
-
-        // ---- bounded variable elimination ----
-        if self.ok {
-            self.eliminate_vars(&mut work, &mut occ);
-        }
-        if !self.ok {
-            // UNSAT was derived mid-phase: the emitted proof is complete
-            // and consistent, and no further search will read the
-            // database, so skip the rebuild.
-            return;
-        }
-
-        // ---- rebuild watches and binary lists from the survivors ----
-        self.clauses.clear();
-        for ws in &mut self.watches {
-            ws.clear();
-        }
-        for bs in &mut self.bin_implications {
-            bs.clear();
-        }
-        for wc in work.into_iter().filter(|w| !w.removed) {
-            debug_assert!(wc.lits.len() >= 2);
-            debug_assert!(
-                wc.lits.iter().all(|&l| self.value(l) == UNASSIGNED),
-                "survivors are fully simplified against the trail"
-            );
-            if wc.lits.len() == 2 {
-                self.bin_implications[wc.lits[0].code() as usize].push(wc.lits[1]);
-                self.bin_implications[wc.lits[1].code() as usize].push(wc.lits[0]);
-            } else {
-                let idx = self.clauses.len() as u32;
-                self.watches[wc.lits[0].code() as usize].push(Watch {
-                    clause: idx,
-                    blocker: wc.lits[1],
-                });
-                self.watches[wc.lits[1].code() as usize].push(Watch {
-                    clause: idx,
-                    blocker: wc.lits[0],
-                });
-                self.clauses.push(Clause {
-                    lits: wc.lits,
-                    learnt: wc.learnt,
-                    deleted: false,
-                    activity: wc.activity,
-                    lbd: wc.lbd,
-                });
-            }
-        }
-        // Old clause indices are gone; level-0 facts need no live reason
-        // (conflict analysis never dereferences level-0 reasons).
-        for k in 0..self.trail.len() {
-            let v = self.trail[k].var().index() as usize;
-            self.reason[v] = Reason::Decision;
-        }
-        // Re-propagate the whole trail to restore the watch invariant and
-        // surface any conflict the rewrite made explicit.
-        self.qhead = 0;
-        if self.propagate().is_some() {
-            self.ok = false;
-        }
+        false
     }
 
-    /// Assigns a derived unit at level 0 and simplifies the working set
-    /// against it (and any units that cascade from that).
-    ///
-    /// The caller has already emitted the unit's addition to the proof.
-    fn work_assign_unit(&mut self, unit: Lit, work: &mut [WorkClause], occ: &mut [Vec<usize>]) {
-        let mut pending = vec![unit];
-        while let Some(l) = pending.pop() {
-            match self.value(l) {
-                1 => continue,
-                -1 => {
-                    self.ok = false;
+    /// Backward direction: scans the occurrence lists of `base`'s sparsest
+    /// variable (both polarities, which covers every clause `base` can
+    /// subsume or strengthen) and applies each subsumption and
+    /// strengthening found.
+    fn subsume_newer(
+        &mut self,
+        own: Option<usize>,
+        base: &[Lit],
+        base_sig: u64,
+        pass: &mut Subsumption,
+    ) {
+        let best = base
+            .iter()
+            .copied()
+            .min_by_key(|l| {
+                pass.occ[l.code() as usize].len() + pass.occ[(!*l).code() as usize].len()
+            })
+            .expect("candidates are non-empty");
+        for polarity in [best, !best] {
+            let code = polarity.code() as usize;
+            for k in 0..pass.occ[code].len() {
+                if !self.ok || !pass.charge(&mut self.stats, 1) {
                     return;
                 }
-                _ => self.enqueue(l, Reason::Decision),
-            }
-            // Clauses containing `l` are satisfied.
-            for k in 0..occ[l.code() as usize].len() {
-                let j = occ[l.code() as usize][k];
-                if work[j].removed || !contains(&work[j].lits, l) {
+                let j = pass.occ[code][k] as usize;
+                let target = &self.clauses[j];
+                if Some(j) == own
+                    || target.deleted
+                    || target.lits.len() < base.len()
+                    || base_sig & !pass.sig[j] != 0
+                {
                     continue;
                 }
-                let old = std::mem::take(&mut work[j].lits);
-                work[j].removed = true;
-                self.proof_delete(&old);
-            }
-            // Clauses containing `¬l` lose that literal.
-            let neg = !l;
-            for k in 0..occ[neg.code() as usize].len() {
-                let j = occ[neg.code() as usize][k];
-                if work[j].removed || !contains(&work[j].lits, neg) {
-                    continue;
+                pass.charge(&mut self.stats, target.lits.len() as u64);
+                // Targets are duplicate- and tautology-free, so counting
+                // hits decides the subset relation.
+                let mut hits = 0usize;
+                let mut flipped = None;
+                for &l in &target.lits {
+                    if pass.marked[l.code() as usize] {
+                        hits += 1;
+                    } else if pass.marked[(!l).code() as usize] {
+                        flipped = Some(l);
+                    }
                 }
-                let mut new_lits = work[j].lits.clone();
-                new_lits.retain(|&x| x != neg);
-                if !new_lits.is_empty() {
-                    self.proof_add(&new_lits);
-                }
-                self.proof_delete(&work[j].lits);
-                match new_lits.len() {
-                    0 => {
-                        work[j].removed = true;
-                        self.ok = false;
-                        return;
+                if hits == base.len() {
+                    // Subsuming an irredundant clause makes the subsumer
+                    // irredundant: it now carries the constraint alone.
+                    if let (Some(i), false) = (own, target.learnt) {
+                        self.clauses[i].learnt = false;
                     }
-                    1 => {
-                        work[j].removed = true;
-                        pending.push(new_lits[0]);
-                    }
-                    _ => {
-                        work[j].lits = new_lits;
-                        work[j].sig = var_sig(&work[j].lits);
-                    }
+                    self.delete_clause(j);
+                    self.stats.subsumed_clauses += 1;
+                } else if let (true, Some(drop)) = (hits + 1 == base.len(), flipped) {
+                    self.strengthen(j, drop, pass);
                 }
             }
         }
     }
 
-    /// SatELite-style bounded variable elimination over the working set.
-    fn eliminate_vars(&mut self, work: &mut Vec<WorkClause>, occ: &mut Vec<Vec<usize>>) {
-        let mut bve_budget = BVE_CHECK_BUDGET;
-        // Cheapest-first: variables with the smallest occurrence footprint
-        // are the most likely to eliminate without growth.
-        let mut vars: Vec<u32> = (0..self.n_vars as u32).collect();
-        vars.sort_by_key(|&v| {
-            let p = Var::from_index(v).lit(true);
-            occ[p.code() as usize].len() + occ[(!p).code() as usize].len()
-        });
-        for v in vars {
-            if !self.ok || bve_budget == 0 {
-                break;
-            }
-            let i = v as usize;
-            if self.frozen[i] || self.eliminated[i] || self.assign[i] != UNASSIGNED {
-                continue;
-            }
-            let pl = Var::from_index(v).lit(true);
-            let live = |work: &Vec<WorkClause>, occ: &Vec<Vec<usize>>, l: Lit| -> Vec<usize> {
-                occ[l.code() as usize]
-                    .iter()
-                    .copied()
-                    .filter(|&j| !work[j].removed && contains(&work[j].lits, l))
-                    .collect()
-            };
-            let pos = live(work, occ, pl);
-            let neg = live(work, occ, !pl);
-            if pos.is_empty() && neg.is_empty() {
-                // Pure in neither polarity nor constrained: the variable
-                // occurs nowhere — nothing to record, decide() may still
-                // pick it freely.
-                continue;
-            }
-            if pos.len() > BVE_MAX_OCC
-                || neg.len() > BVE_MAX_OCC
-                || pos.len() * neg.len() > BVE_MAX_PRODUCT
-            {
-                continue;
-            }
-            bve_budget = bve_budget.saturating_sub(pos.len() * neg.len() + 1);
-
-            let mut resolvents: Vec<Vec<Lit>> = Vec::new();
-            let mut too_big = false;
-            'pairs: for &c in &pos {
-                for &d in &neg {
-                    if let Some(r) = resolve(&work[c].lits, &work[d].lits, pl) {
-                        if r.len() > BVE_MAX_RESOLVENT_LEN {
-                            too_big = true;
-                            break 'pairs;
-                        }
-                        resolvents.push(r);
-                    }
-                }
-            }
-            // No-growth rule: eliminating must not enlarge the database.
-            if too_big || resolvents.len() > pos.len() + neg.len() {
-                continue;
-            }
-
-            // Commit. Resolvent additions precede parent deletions so
-            // every resolvent is RUP while its parents are present.
-            for r in &resolvents {
-                let lits = r.clone();
-                if !lits.is_empty() {
-                    self.proof_add(&lits);
-                }
-            }
-            let removed_clauses: Vec<Vec<Lit>> = pos
-                .iter()
-                .chain(neg.iter())
-                .map(|&j| work[j].lits.clone())
-                .collect();
-            for &j in pos.iter().chain(neg.iter()) {
-                let old = std::mem::take(&mut work[j].lits);
-                work[j].removed = true;
-                self.proof_delete(&old);
-            }
-            self.elim_stack.push((pl, removed_clauses));
-            self.eliminated[i] = true;
-            self.stats.eliminated_vars += 1;
-
-            // Resolvents are irredundant: their parents are gone, so they
-            // alone carry the constraint (never give them to reduce_db).
-            let mut units: Vec<Lit> = Vec::new();
-            for r in resolvents {
-                match r.len() {
-                    0 => {
-                        self.ok = false;
-                        break;
-                    }
-                    1 => units.push(r[0]),
-                    _ => {
-                        let sig = var_sig(&r);
-                        let j = work.len();
-                        for &l in &r {
-                            occ[l.code() as usize].push(j);
-                        }
-                        work.push(WorkClause {
-                            lbd: r.len() as u32,
-                            lits: r,
-                            learnt: false,
-                            activity: 0.0,
-                            removed: false,
-                            sig,
-                        });
-                    }
-                }
-            }
-            for u in units {
-                if self.ok {
-                    self.work_assign_unit(u, work, occ);
-                }
-            }
+    /// Self-subsuming resolution: removes `drop` from clause `j` (and the
+    /// literals level-0 units have falsified since the occurrence build).
+    fn strengthen(&mut self, j: usize, drop: Lit, pass: &mut Subsumption) {
+        let lits = &self.clauses[j].lits;
+        if lits.iter().any(|&l| self.value(l) == 1) {
+            // Satisfied by a unit derived earlier in this pass.
+            self.delete_clause(j);
+            return;
         }
+        let reduced: Vec<Lit> = lits
+            .iter()
+            .copied()
+            .filter(|&l| l != drop && self.value(l) == UNASSIGNED)
+            .collect();
+        self.stats.strengthened_clauses += 1;
+        if reduced.is_empty() {
+            // Every literal is falsified: the resolvent is the empty
+            // clause, RUP while both parents stay in the database.
+            self.ok = false;
+            return;
+        }
+        if let Some(i) = self.shrink_and_queue(j, reduced, &mut pass.queue) {
+            // Re-index the shrunk clause: its rarest literal may be gone.
+            pass.sig[i] = var_sig(&self.clauses[i].lits);
+            pass.index_rarest(i, &self.clauses[i].lits);
+        }
+    }
+
+    /// [`shrink_clause`](Self::shrink_clause), then queues what remains of
+    /// the clause (long or binary) as a subsumption candidate.
+    fn shrink_and_queue(
+        &mut self,
+        idx: usize,
+        lits: Vec<Lit>,
+        queue: &mut Vec<Candidate>,
+    ) -> Option<usize> {
+        let pair = (lits.len() == 2).then(|| Candidate::Binary(lits[0], lits[1]));
+        let kept = self.shrink_clause(idx, lits);
+        queue.extend(kept.map(Candidate::Long).or(pair));
+        kept
     }
 }
 
@@ -851,24 +702,28 @@ mod tests {
     }
 
     #[test]
-    fn bve_eliminates_and_reconstructs_the_model() {
+    fn binary_strengthens_a_long_clause_in_place() {
         let mut cnf = CnfFormula::new();
-        let v = cnf.new_lits(3);
-        let (x, a, b) = (v[0], v[1], v[2]);
-        cnf.add_clause([x, a]);
-        cnf.add_clause([!x, b]);
-        cnf.add_clause([!a, !b, x]);
-        let originals = [vec![x, a], vec![!x, b], vec![!a, !b, x]];
+        let v = cnf.new_lits(5);
+        let (a, b, c, d, e) = (v[0], v[1], v[2], v[3], v[4]);
+        // The binary (¬a b) resolves a out of (a b c d), which shrinks in
+        // place to (b c d) and must keep answering like the original.
+        cnf.add_clause([!a, b]);
+        cnf.add_clause([a, b, c, d]);
+        cnf.add_clause([!b, !c, e]);
+        cnf.add_clause([!b, !d, !e]);
+        let originals = cnf.clauses().to_vec();
         let mut solver = Solver::new(cnf);
         solver.inprocess_now();
-        assert!(solver.stats().eliminated_vars >= 1, "{}", solver.stats());
-        match solver.solve() {
+        assert!(
+            solver.stats().strengthened_clauses >= 1,
+            "{}",
+            solver.stats()
+        );
+        match solver.solve_under_assumptions(&[!b], crate::Budget::new()) {
             SatResult::Sat(m) => {
-                for c in &originals {
-                    assert!(
-                        c.iter().any(|&l| m.value(l)),
-                        "reconstructed model violates {c:?}"
-                    );
+                for clause in &originals {
+                    assert!(clause.iter().any(|&l| m.value(l)), "{clause:?}");
                 }
             }
             other => panic!("expected SAT, got {other:?}"),
@@ -876,18 +731,33 @@ mod tests {
     }
 
     #[test]
-    fn frozen_vars_are_never_eliminated() {
+    fn later_passes_only_try_new_clauses() {
+        // Two passes back to back with no search in between: the second
+        // has no new candidates, so it examines no occurrence lists and
+        // only pays for its occurrence build.
         let mut cnf = CnfFormula::new();
-        let v = cnf.new_lits(3);
-        let (x, a, b) = (v[0], v[1], v[2]);
-        cnf.add_clause([x, a]);
-        cnf.add_clause([!x, b]);
-        cnf.add_clause([!a, !b, x]);
+        let v = cnf.new_lits(8);
+        for w in v.windows(4) {
+            cnf.add_clause([w[0], w[1], w[2], w[3]]);
+            cnf.add_clause([!w[0], w[1], !w[2], w[3]]);
+        }
         let mut solver = Solver::new(cnf);
-        solver.freeze_vars([x.var(), a.var(), b.var()]);
         solver.inprocess_now();
-        assert_eq!(solver.stats().eliminated_vars, 0);
-        assert!(!solver.is_eliminated(x.var()));
+        let first = solver.stats().inprocess_visits;
+        let live: u64 = solver
+            .clauses
+            .iter()
+            .filter(|c| !c.deleted)
+            .map(|c| c.lits.len() as u64)
+            .sum();
+        solver.inprocess_now();
+        let second = solver.stats().inprocess_visits - first;
+        assert!(first > live, "the first pass tries every clause");
+        // Vivification probes at most the live literals once more.
+        assert!(
+            second <= 2 * live,
+            "second pass visited {second} > 2×{live}"
+        );
     }
 
     #[test]
@@ -966,7 +836,7 @@ mod tests {
         let (r1, s1) = mk();
         let (r2, s2) = mk();
         assert_eq!(r1, r2);
-        assert_eq!(s1.eliminated_vars, s2.eliminated_vars);
+        assert_eq!(s1.inprocess_visits, s2.inprocess_visits);
         assert_eq!(s1.subsumed_clauses, s2.subsumed_clauses);
         assert_eq!(s1.strengthened_clauses, s2.strengthened_clauses);
         assert_eq!(s1.vivified_clauses, s2.vivified_clauses);

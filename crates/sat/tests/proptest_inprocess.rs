@@ -1,14 +1,14 @@
 //! Property-based validation of the inprocessing layer: simplification
-//! preserves satisfiability, models restrict correctly onto eliminated
-//! variables, every certified verdict stays checkable, and diversified
-//! solvers agree on every verdict.
+//! preserves satisfiability, models satisfy every original clause, every
+//! certified verdict stays checkable, verdicts under assumptions survive a
+//! pass, and diversified solvers agree on every verdict.
 
 use mm_sat::{drat, Budget, CnfFormula, Diversity, DratProof, Lit, SatResult, Solver, Var};
 use proptest::prelude::*;
 
 /// A random clause set over `n_vars` variables, as (var, polarity) pairs.
-/// Length-1 clauses are included deliberately: they drive the unit-cascade
-/// paths of subsumption and variable elimination.
+/// Length-1 clauses are included deliberately: they drive the level-0
+/// stripping and unit-cascade paths of subsumption.
 fn clauses_strategy(n_vars: u32) -> impl Strategy<Value = Vec<Vec<(u32, bool)>>> {
     let clause = prop::collection::vec((0..n_vars, any::<bool>()), 1..=4);
     prop::collection::vec(clause, 1..60)
@@ -42,13 +42,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn inprocessing_preserves_satisfiability_and_models_restrict(
+    fn inprocessing_preserves_satisfiability_and_models(
         raw in clauses_strategy(10)
     ) {
         // An explicit inprocessing pass before search must not change the
-        // verdict, and a SAT model — after reconstruction of eliminated
-        // variables — must satisfy every ORIGINAL clause, not just the
-        // rewritten database.
+        // verdict, and a SAT model must satisfy every ORIGINAL clause, not
+        // just the rewritten database.
         let (cnf, clauses) = build(10, &raw);
         let expected = brute_force_sat(10, &clauses);
         let mut solver = Solver::new(cnf);
@@ -59,7 +58,7 @@ proptest! {
                 for c in &clauses {
                     prop_assert!(
                         c.iter().any(|&l| model.value(l)),
-                        "reconstructed model violates an original clause {:?}",
+                        "model violates an original clause {:?}",
                         c
                     );
                 }
@@ -87,8 +86,8 @@ proptest! {
     #[test]
     fn inprocessed_unsat_proofs_always_check(raw in clauses_strategy(10)) {
         // With the proof log attached BEFORE the pass, every inprocessing
-        // step (unit additions, strengthened/vivified clauses, resolvents,
-        // deletions) lands in the proof, and the backward checker accepts
+        // step (unit additions, strengthened/vivified clauses, deletions)
+        // lands in the proof, and the backward checker accepts
         // the refutation built on the rewritten database.
         let (cnf, clauses) = build(10, &raw);
         let mut solver =
@@ -118,29 +117,42 @@ proptest! {
     }
 
     #[test]
-    fn frozen_assumptions_survive_inprocessing(
+    fn assumption_verdicts_survive_inprocessing(
         raw in clauses_strategy(9),
         a0 in 0u32..9,
         p0 in any::<bool>(),
+        a1 in 0u32..9,
+        p1 in any::<bool>(),
     ) {
-        // Freezing an assumption variable up front keeps it out of BVE, so
-        // a later solve under that assumption answers exactly like adding
-        // the unit to the formula.
+        // Solves under assumptions answer exactly like adding the units to
+        // the formula, both before and after an explicit pass: a pass may
+        // rewrite clauses over any variable, never the set of models.
         let (cnf, clauses) = build(9, &raw);
-        let assumption = Var::from_index(a0).lit(p0);
-        let mut with_unit = clauses.clone();
-        with_unit.push(vec![assumption]);
-        let expected = brute_force_sat(9, &with_unit);
-
+        let sets = [
+            vec![Var::from_index(a0).lit(p0)],
+            vec![Var::from_index(a0).lit(p0), Var::from_index(a1).lit(p1)],
+        ];
         let mut solver = Solver::new(cnf);
-        solver.freeze_vars([assumption.var()]);
-        solver.inprocess_now();
-        prop_assert!(!solver.is_eliminated(assumption.var()));
-        let result = solver.solve_under_assumptions(&[assumption], Budget::new());
-        match result {
-            SatResult::Sat(_) => prop_assert!(expected),
-            SatResult::Unsat => prop_assert!(!expected),
-            SatResult::Unknown => prop_assert!(false, "no budget was set"),
+        for round in 0..2 {
+            for assumptions in &sets {
+                let mut with_units = clauses.clone();
+                with_units.extend(assumptions.iter().map(|&l| vec![l]));
+                let expected = brute_force_sat(9, &with_units);
+                match solver.solve_under_assumptions(assumptions, Budget::new()) {
+                    SatResult::Sat(model) => {
+                        prop_assert!(expected, "round {}: SAT under {:?}", round, assumptions);
+                        prop_assert!(assumptions.iter().all(|&l| model.value(l)));
+                        for c in &clauses {
+                            prop_assert!(c.iter().any(|&l| model.value(l)));
+                        }
+                    }
+                    SatResult::Unsat => {
+                        prop_assert!(!expected, "round {}: UNSAT under {:?}", round, assumptions)
+                    }
+                    SatResult::Unknown => prop_assert!(false, "no budget was set"),
+                }
+            }
+            solver.inprocess_now();
         }
     }
 

@@ -176,7 +176,6 @@ pub struct MetricsBridgeSink {
     restarts: Counter,
     clauses_exported: Counter,
     clauses_imported: Counter,
-    inprocess_eliminated: Counter,
     inprocess_subsumed: Counter,
     inprocess_vivified: Counter,
 }
@@ -209,10 +208,6 @@ impl MetricsBridgeSink {
                 "mmsynth_ladder_clauses_imported_total",
                 "Learnt clauses imported from the portfolio sharing bus.",
             ),
-            inprocess_eliminated: registry.counter(
-                "mmsynth_solver_inprocess_eliminated_total",
-                "Variables removed by bounded variable elimination.",
-            ),
             inprocess_subsumed: registry.counter(
                 "mmsynth_solver_inprocess_subsumed_total",
                 "Clauses subsumed or strengthened during inprocessing.",
@@ -236,7 +231,6 @@ impl TelemetrySink for MetricsBridgeSink {
                 "solver.restarts" => self.restarts.add(*delta),
                 "ladder.clauses_exported" => self.clauses_exported.add(*delta),
                 "ladder.clauses_imported" => self.clauses_imported.add(*delta),
-                "solver.inprocess.eliminated" => self.inprocess_eliminated.add(*delta),
                 "solver.inprocess.subsumed" => self.inprocess_subsumed.add(*delta),
                 "solver.inprocess.vivified" => self.inprocess_vivified.add(*delta),
                 _ => {}
@@ -299,7 +293,6 @@ mod tests {
         telemetry.counter("solver.conflicts", 2);
         telemetry.counter("solver.propagations", 100);
         telemetry.counter("ladder.clauses_exported", 7);
-        telemetry.counter("solver.inprocess.eliminated", 3);
         telemetry.counter("solver.inprocess.subsumed", 8);
         telemetry.counter("solver.inprocess.subsumed", 1);
         telemetry.counter("solver.inprocess.vivified", 4);
@@ -312,7 +305,6 @@ mod tests {
         assert!(text.contains("mmsynth_solver_conflicts_total 42"));
         assert!(text.contains("mmsynth_solver_propagations_total 100"));
         assert!(text.contains("mmsynth_ladder_clauses_exported_total 7"));
-        assert!(text.contains("mmsynth_solver_inprocess_eliminated_total 3"));
         assert!(text.contains("mmsynth_solver_inprocess_subsumed_total 9"));
         assert!(text.contains("mmsynth_solver_inprocess_vivified_total 4"));
         assert!(text.contains(r#"mmsynth_rungs_total{outcome="sat"} 2"#));

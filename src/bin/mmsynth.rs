@@ -275,6 +275,10 @@ impl TelemetrySetup {
     }
 }
 
+/// Version of the `--stats-json` sidecar schema. Version 2 dropped
+/// `solver_stats.eliminated_vars` and added `solver_stats.inprocess_visits`.
+const STATS_SCHEMA_VERSION: u64 = 2;
+
 /// `--stats-json` with no value prints to stdout; with a value, writes to
 /// that path.
 fn write_stats_json(dest: &str, value: &Value) -> Result<(), String> {
@@ -374,7 +378,7 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
                     SynthResult::Unknown => "unknown",
                 };
                 let stats = Value::Object(vec![
-                    ("schema_version".into(), Value::UInt(1)),
+                    ("schema_version".into(), Value::UInt(STATS_SCHEMA_VERSION)),
                     ("command".into(), Value::Str("synth".into())),
                     ("function".into(), Value::Str(f.name().to_string())),
                     ("result".into(), Value::Str(result.into())),
@@ -517,7 +521,7 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
             }
             if let Some(dest) = args.get("stats-json") {
                 let stats = Value::Object(vec![
-                    ("schema_version".into(), Value::UInt(1)),
+                    ("schema_version".into(), Value::UInt(STATS_SCHEMA_VERSION)),
                     ("command".into(), Value::Str("minimize".into())),
                     ("function".into(), Value::Str(f.name().to_string())),
                     ("proven_optimal".into(), Value::Bool(report.proven_optimal)),
@@ -626,9 +630,10 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
                  \x20      long-lived solver per worker, shared learned clauses);\n\
                  \x20      --no-incremental restores cold per-rung solves, and\n\
                  \x20      --certify implies them (proofs refute each rung's formula)\n\
-                 \x20      the solver inprocesses (variable elimination, subsumption,\n\
-                 \x20      vivification) at restart boundaries; --no-inprocess turns\n\
-                 \x20      that off — verdicts and proofs are identical either way\n\
+                 \x20      the solver inprocesses (subsumption, self-subsuming\n\
+                 \x20      resolution, vivification) at restart boundaries;\n\
+                 \x20      --no-inprocess turns that off — verdicts are identical\n\
+                 \x20      either way\n\
                  \x20      telemetry (all subcommands): --trace-out FILE.jsonl streams\n\
                  \x20      raw events, --report-json FILE writes the aggregated phase\n\
                  \x20      timing report, --progress renders a stderr ticker;\n\
@@ -990,7 +995,7 @@ fn fuzz(args: &Args) -> Result<ExitCode, String> {
     );
     if let Some(dest) = args.get("stats-json") {
         let stats = Value::Object(vec![
-            ("schema_version".into(), Value::UInt(1)),
+            ("schema_version".into(), Value::UInt(STATS_SCHEMA_VERSION)),
             ("command".into(), Value::Str("fuzz".into())),
             ("seed".into(), Value::UInt(seed)),
             ("budget".into(), Value::UInt(budget as u64)),

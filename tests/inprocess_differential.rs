@@ -1,21 +1,23 @@
 //! Differential lockdown of the inprocessing layer and the diversified
 //! portfolio.
 //!
-//! Inprocessing (bounded variable elimination, subsumption with
-//! self-subsuming resolution, vivification) and portfolio diversification
+//! Inprocessing (subsumption with self-subsuming resolution,
+//! vivification) and portfolio diversification
 //! (per-worker seed / phase / restart policy) are pure *performance*
 //! features: for every function, engine, and worker count the verdict —
 //! `proven_optimal`, presence of a best circuit, its optimal metrics —
 //! must be identical with the features on and off, and decoded circuits
 //! must survive device-model replay. Any divergence is a soundness bug in
-//! the clause-database rewriting or the model reconstruction, never an
-//! acceptable trade-off.
+//! the clause-database rewriting, never an acceptable trade-off.
 
 use memristive_mm::boolfn::{generators, MultiOutputFn, TruthTable};
 use memristive_mm::circuit::{CircuitError, MmCircuit, Schedule};
 use memristive_mm::sat::Budget;
-use memristive_mm::synth::optimize::{parallel, OptimizeReport};
+use std::sync::Arc;
+
+use memristive_mm::synth::optimize::{self, parallel, OptimizeReport};
 use memristive_mm::synth::{EncodeOptions, Synthesizer};
+use memristive_mm::telemetry::{MemorySink, RunReport, Telemetry};
 
 /// Worker counts every case runs under (mirrors ISSUE 5/10 acceptance).
 const JOBS: [usize; 3] = [1, 2, 8];
@@ -89,9 +91,9 @@ fn device_verify(label: &str, circuit: &MmCircuit, f: &MultiOutputFn) {
 }
 
 /// Every 2-input NPN class through the pure V-op step ladder, all four
-/// engine configurations, all worker counts: the `d_step` guard family
-/// must survive inprocessing's variable elimination (the guards are
-/// frozen) in both SAT and UNSAT-everywhere (XOR-class) ladders.
+/// engine configurations, all worker counts: clauses over the `d_step`
+/// guard family are rewritten mid-ladder while later rungs still assume
+/// those guards, in both SAT and UNSAT-everywhere (XOR-class) ladders.
 #[test]
 fn npn_census_vsteps_ladders_are_inprocess_invariant() {
     let opts = EncodeOptions::recommended();
@@ -139,6 +141,32 @@ fn adder_mixed_mode_ladder_is_inprocess_invariant() {
             device_verify(&label, best, &f);
         }
     }
+}
+
+/// The effort bound of the subsumption pass, as a deterministic counter:
+/// on the adder's serial warm ladder (the `inprocess_adder1_*` probe of
+/// `bench_report`), the occurrence entries and clause literals examined by
+/// inprocessing stay within the search's own propagations. Conflict counts
+/// cannot show a pass that re-scans the whole encoding every time; this
+/// does.
+#[test]
+fn inprocessing_effort_stays_within_search_propagations() {
+    let sink = Arc::new(MemorySink::new());
+    let synth = Synthesizer::new()
+        .with_incremental(true)
+        .with_telemetry(Telemetry::new(sink.clone()));
+    let f = generators::ripple_adder(1);
+    let report = optimize::minimize_mixed_mode(&synth, &f, 4, 4, true, &EncodeOptions::default())
+        .expect("adder1 ladder runs");
+    assert!(report.proven_optimal);
+    let run = RunReport::from_events(&sink.snapshot());
+    let visits = run.counter("solver.inprocess.visits");
+    let propagations = run.counter("solver.propagations");
+    assert!(visits > 0, "the ladder must inprocess");
+    assert!(
+        visits <= propagations,
+        "inprocessing examined {visits} entries against {propagations} propagations"
+    );
 }
 
 /// The GF(2^2) multiplier's inner step ladder at the paper's optimal

@@ -12,7 +12,7 @@ use std::process::Command;
 
 use serde::Value;
 
-const STATS_SCHEMA_VERSION: u64 = 1;
+const STATS_SCHEMA_VERSION: u64 = 2;
 
 fn run_with_stats(args: &[&str], name: &str) -> (std::process::Output, Value) {
     let path: PathBuf =
