@@ -253,9 +253,6 @@ pub struct Solver {
     /// `bin_mark[l.code()]` is the length `bin_implications[l.code()]` had
     /// at the end of the previous pass; entries past it are new binaries.
     bin_mark: Vec<u32>,
-    /// `stats.propagations` at the end of the previous pass: the search
-    /// work that funds the next pass's subsumption effort.
-    props_at_last_pass: u64,
     /// Cumulative-conflict threshold for the next inprocessing pass.
     next_inprocess: u64,
     /// Current gap between passes; grows geometrically so inprocessing
@@ -307,7 +304,6 @@ impl Solver {
             failed: Vec::new(),
             subsume_from: 0,
             bin_mark: vec![0; 2 * n],
-            props_at_last_pass: 0,
             next_inprocess: INPROCESS_FIRST_AT,
             inprocess_interval: INPROCESS_FIRST_AT,
             l0_units_logged: 0,

@@ -12,22 +12,26 @@
 //!    level 0 and stripping literals falsified there). The clauses learnt,
 //!    added or rewritten since the previous pass — the whole database on
 //!    the first pass — then serve as subsumers, long clauses and binaries
-//!    alike. Each candidate is checked in both directions: against the
-//!    older clauses that could subsume or strengthen it (found through a
-//!    one-watch index on every clause's rarest literal), and against the
-//!    clauses it could subsume or strengthen itself (the full occurrence
-//!    lists of its rarest variable). A subsumed clause is marked `deleted`
-//!    and its watches are dropped lazily by propagation, exactly as
-//!    `reduce_db` does; a strengthened clause is rewritten in place
-//!    through `detach_watches`/`attach_watches` and becomes a candidate
-//!    itself.
+//!    alike: each is tried against the full occurrence lists of its
+//!    rarest variable, which hold every clause it can subsume or
+//!    strengthen. A long candidate is first checked against the binary
+//!    layer, which may subsume or strengthen it in turn. A subsumed clause
+//!    is marked `deleted` and its watches are dropped lazily by
+//!    propagation, exactly as `reduce_db` does; a strengthened clause is
+//!    rewritten in place through `detach_watches`/`attach_watches` and
+//!    becomes a candidate itself.
+//!
+//! Each pass starts by compacting the database: deleted long-clause slots
+//! are dropped and the binaries satisfied at level 0 or duplicated (bus
+//! imports do not deduplicate) are deleted.
 //!
 //! # Effort
 //!
-//! Subsumption may examine one occurrence entry or clause literal per
-//! propagation the search made since the previous pass, so it stays a
-//! bounded share of solve time by construction; the work done is counted
-//! in `SolverStats::inprocess_visits` together with vivification's probed
+//! Subsumption may spend one visit — an occurrence entry or clause literal
+//! examined — per propagation the search has made, minus the visits
+//! inprocessing has already spent, so inprocessing stays a bounded share
+//! of solve time by construction; the work done is counted in
+//! `SolverStats::inprocess_visits` together with vivification's probed
 //! literals. Candidates the budget does not reach are dropped, not carried
 //! over: the encoding's own clauses rarely subsume each other, the freshly
 //! learnt ones do. Candidates are popped newest first, so the learnt
@@ -90,11 +94,8 @@ enum Candidate {
 /// Per-pass subsumption state: occurrence lists and signatures over the
 /// live long clauses, the candidate stack, and the remaining effort.
 struct Subsumption {
-    /// Full occurrence lists: every live long clause under each literal.
+    /// Every live long clause under each of its literals.
     occ: Vec<Vec<u32>>,
-    /// One-watch lists: every live long clause under its literal with the
-    /// shortest occurrence list only (the forward-direction index).
-    rarest: Vec<Vec<u32>>,
     sig: Vec<u64>,
     /// `marked[l.code()]`: `l` belongs to the current candidate.
     marked: Vec<bool>,
@@ -103,16 +104,6 @@ struct Subsumption {
 }
 
 impl Subsumption {
-    /// Indexes clause `idx` under its literal with the shortest
-    /// occurrence list.
-    fn index_rarest(&mut self, idx: usize, lits: &[Lit]) {
-        let rarest = lits
-            .iter()
-            .min_by_key(|l| self.occ[l.code() as usize].len())
-            .expect("long clauses are non-empty");
-        self.rarest[rarest.code() as usize].push(idx as u32);
-    }
-
     /// Spends `n` visits of the effort budget and records them in
     /// `stats`; returns whether any budget is left.
     fn charge(&mut self, stats: &mut crate::SolverStats, n: u64) -> bool {
@@ -159,6 +150,7 @@ impl Solver {
             return;
         }
         self.log_level0_units();
+        self.collect_garbage();
         let vivified = self.vivify();
         if self.ok {
             // Vivification's trailing propagate can derive further level-0
@@ -171,7 +163,6 @@ impl Solver {
         for (mark, bins) in self.bin_mark.iter_mut().zip(&self.bin_implications) {
             *mark = bins.len() as u32;
         }
-        self.props_at_last_pass = self.stats.propagations;
     }
 
     /// Emits unit additions for implied level-0 literals not yet logged.
@@ -193,6 +184,70 @@ impl Solver {
             }
         }
         self.l0_units_logged = self.trail.len();
+    }
+
+    /// Compacts the database at level 0: drops the deleted long-clause
+    /// slots (renumbering the survivors and their watches in place) and
+    /// deletes the binaries that are satisfied at level 0 or duplicated.
+    ///
+    /// Runs after `log_level0_units`, so no level-0 fact needs its reason
+    /// clause any more, in the proof or in conflict analysis.
+    fn collect_garbage(&mut self) {
+        let mut renumber = vec![u32::MAX; self.clauses.len()];
+        let mut live = 0u32;
+        for (idx, c) in self.clauses.iter().enumerate() {
+            if !c.deleted {
+                renumber[idx] = live;
+                live += 1;
+            }
+        }
+        self.subsume_from = renumber[..self.subsume_from]
+            .iter()
+            .filter(|&&n| n != u32::MAX)
+            .count();
+        self.clauses.retain(|c| !c.deleted);
+        for ws in &mut self.watches {
+            ws.retain_mut(|w| {
+                w.clause = renumber[w.clause as usize];
+                w.clause != u32::MAX
+            });
+        }
+        for &l in &self.trail {
+            self.reason[l.var().index() as usize] = Reason::Decision;
+        }
+
+        // Each binary sits in both its literals' lists and is dropped from
+        // both; the deletion is logged from the smaller literal's side.
+        let mut listed = vec![false; self.bin_implications.len()];
+        for code in 0..self.bin_implications.len() {
+            let l = Lit::from_code(code as u32);
+            let mut partners = std::mem::take(&mut self.bin_implications[code]);
+            let (mut kept, mut mark) = (0, 0);
+            for k in 0..partners.len() {
+                let p = partners[k];
+                if self.value(l) != UNASSIGNED
+                    || self.value(p) != UNASSIGNED
+                    || listed[p.code() as usize]
+                {
+                    if l.code() < p.code() {
+                        self.proof_delete(&[l, p]);
+                    }
+                    continue;
+                }
+                listed[p.code() as usize] = true;
+                partners[kept] = p;
+                kept += 1;
+                if k < self.bin_mark[code] as usize {
+                    mark = kept;
+                }
+            }
+            partners.truncate(kept);
+            for p in &partners {
+                listed[p.code() as usize] = false;
+            }
+            self.bin_implications[code] = partners;
+            self.bin_mark[code] = mark as u32;
+        }
     }
 
     /// Removes this clause's two watch entries (positions 0 and 1).
@@ -372,11 +427,13 @@ impl Solver {
     /// place on the clause indices.
     fn subsume(&mut self, rewritten: Vec<usize>) {
         debug_assert_eq!(self.current_level(), 0);
-        // One visit per propagation the search made since the last pass.
-        let funded = self.stats.propagations - self.props_at_last_pass;
+        // One visit per propagation the search made, less those spent.
+        let funded = self
+            .stats
+            .propagations
+            .saturating_sub(self.stats.inprocess_visits);
         let mut pass = Subsumption {
             occ: vec![Vec::new(); 2 * self.n_vars],
-            rarest: vec![Vec::new(); 2 * self.n_vars],
             sig: vec![0; self.clauses.len()],
             marked: vec![false; 2 * self.n_vars],
             queue: rewritten.into_iter().map(Candidate::Long).collect(),
@@ -392,11 +449,6 @@ impl Solver {
                 pass.occ[l.code() as usize].push(idx as u32);
             }
             pass.sig[idx] = var_sig(&self.clauses[idx].lits);
-        }
-        for idx in 0..self.clauses.len() {
-            if !self.clauses[idx].deleted {
-                pass.index_rarest(idx, &self.clauses[idx].lits);
-            }
         }
 
         // ---- candidates: popped newest first, binaries before clauses ----
@@ -453,83 +505,44 @@ impl Solver {
         self.shrink_and_queue(idx, reduced, queue).is_some()
     }
 
-    /// Tries one candidate in both directions: first whether an older
-    /// clause subsumes or strengthens it (long candidates only), then
-    /// which clauses it subsumes or strengthens itself.
+    /// Tries one candidate: first whether a binary subsumes or
+    /// strengthens it (long candidates only), then which clauses it
+    /// subsumes or strengthens itself.
     fn subsume_with(&mut self, own: Option<usize>, base: &[Lit], pass: &mut Subsumption) {
-        let base_sig = var_sig(base);
         for &l in base {
             pass.marked[l.code() as usize] = true;
         }
         let rewritten = match own {
-            Some(i) => self.subsumed_by_older(i, base, base_sig, pass),
+            Some(i) => self.subsumed_by_binary(i, base, pass),
             None => false,
         };
         if !rewritten {
-            self.subsume_newer(own, base, base_sig, pass);
+            self.subsume_clauses(own, base, pass);
         }
         for &l in base {
             pass.marked[l.code() as usize] = false;
         }
     }
 
-    /// Forward direction: looks for a clause that subsumes candidate `i` or
-    /// strengthens it by one literal, and applies the first found. Returns
-    /// whether `i` changed.
-    ///
-    /// Such a clause has all its literals in `i` except at most one, whose
-    /// negation is in `i`; so it is found under its rarest literal by
-    /// scanning the one-watch lists of `i`'s literals in both polarities.
-    fn subsumed_by_older(
-        &mut self,
-        i: usize,
-        base: &[Lit],
-        base_sig: u64,
-        pass: &mut Subsumption,
-    ) -> bool {
+    /// Checks long candidate `i` against the binary layer: a binary
+    /// `(l ∨ p)` with `l` in `i` subsumes it when `p` is in `i` too, and
+    /// strengthens it by `¬p` when `¬p` is. Applies the first found and
+    /// returns whether `i` changed.
+    fn subsumed_by_binary(&mut self, i: usize, base: &[Lit], pass: &mut Subsumption) -> bool {
         for &l in base {
-            for polarity in [l, !l] {
-                let code = polarity.code() as usize;
-                for k in 0..pass.rarest[code].len() {
-                    if !pass.charge(&mut self.stats, 1) {
-                        return false;
-                    }
-                    let c = pass.rarest[code][k] as usize;
-                    let other = &self.clauses[c];
-                    if c == i
-                        || other.deleted
-                        || other.lits.len() > base.len()
-                        || pass.sig[c] & !base_sig != 0
-                    {
-                        continue;
-                    }
-                    pass.charge(&mut self.stats, other.lits.len() as u64);
-                    // `other` fits when each literal is in the candidate,
-                    // except at most one whose negation is.
-                    let mut drop = None;
-                    let fits = other.lits.iter().all(|&x| {
-                        if pass.marked[x.code() as usize] {
-                            true
-                        } else if drop.is_none() && pass.marked[(!x).code() as usize] {
-                            drop = Some(!x);
-                            true
-                        } else {
-                            false
-                        }
-                    });
-                    if !fits {
-                        continue;
-                    }
-                    match drop {
-                        None => {
-                            if !self.clauses[i].learnt {
-                                self.clauses[c].learnt = false;
-                            }
-                            self.delete_clause(i);
-                            self.stats.subsumed_clauses += 1;
-                        }
-                        Some(drop) => self.strengthen(i, drop, pass),
-                    }
+            let code = l.code() as usize;
+            for k in 0..self.bin_implications[code].len() {
+                if !pass.charge(&mut self.stats, 1) {
+                    return false;
+                }
+                let p = self.bin_implications[code][k];
+                if pass.marked[p.code() as usize] {
+                    self.delete_clause(i);
+                    self.stats.subsumed_clauses += 1;
+                    return true;
+                }
+                if pass.marked[(!p).code() as usize] {
+                    self.strengthen(i, !p, pass);
                     return true;
                 }
             }
@@ -537,17 +550,11 @@ impl Solver {
         false
     }
 
-    /// Backward direction: scans the occurrence lists of `base`'s sparsest
-    /// variable (both polarities, which covers every clause `base` can
-    /// subsume or strengthen) and applies each subsumption and
-    /// strengthening found.
-    fn subsume_newer(
-        &mut self,
-        own: Option<usize>,
-        base: &[Lit],
-        base_sig: u64,
-        pass: &mut Subsumption,
-    ) {
+    /// Scans the occurrence lists of `base`'s sparsest variable (both
+    /// polarities, which covers every clause `base` can subsume or
+    /// strengthen) and applies each subsumption and strengthening found.
+    fn subsume_clauses(&mut self, own: Option<usize>, base: &[Lit], pass: &mut Subsumption) {
+        let base_sig = var_sig(base);
         let best = base
             .iter()
             .copied()
@@ -619,9 +626,7 @@ impl Solver {
             return;
         }
         if let Some(i) = self.shrink_and_queue(j, reduced, &mut pass.queue) {
-            // Re-index the shrunk clause: its rarest literal may be gone.
             pass.sig[i] = var_sig(&self.clauses[i].lits);
-            pass.index_rarest(i, &self.clauses[i].lits);
         }
     }
 
@@ -642,6 +647,7 @@ impl Solver {
 
 #[cfg(test)]
 mod tests {
+    use super::VIVIFY_MAX_CLAUSES;
     use crate::{drat, Budget, CnfFormula, DratProof, SatResult, Solver};
 
     #[test]
@@ -728,6 +734,77 @@ mod tests {
             }
             other => panic!("expected SAT, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn an_old_binary_strengthens_a_new_clause() {
+        let mut cnf = CnfFormula::new();
+        let v = cnf.new_lits(4);
+        let (a, b, c, d) = (v[0], v[1], v[2], v[3]);
+        cnf.add_clause([!a, b]);
+        // More independent clauses than vivification probes per pass, so
+        // the clause added last lies outside its window.
+        for _ in 0..VIVIFY_MAX_CLAUSES {
+            let filler = cnf.new_lits(3);
+            cnf.add_clause(filler);
+        }
+        let mut solver = Solver::new(cnf);
+        solver.inprocess_now();
+        // The binary is no candidate any more; only the new clause is, and
+        // resolving it with (¬a b) on b drops ¬b.
+        solver.add_clause(&[!a, !b, c, d]);
+        let before = solver.stats();
+        solver.inprocess_now();
+        let after = solver.stats();
+        assert_eq!(after.vivified_clauses, before.vivified_clauses);
+        assert_eq!(after.strengthened_clauses, before.strengthened_clauses + 1);
+        let live: Vec<&[crate::Lit]> = solver
+            .clauses
+            .iter()
+            .filter(|c| !c.deleted)
+            .map(|c| &c.lits[..])
+            .collect();
+        assert!(
+            live.iter().any(|l| l.len() == 3 && !l.contains(&!b)),
+            "{live:?}"
+        );
+    }
+
+    #[test]
+    fn garbage_collection_drops_dead_slots_and_binaries_with_a_checked_proof() {
+        // php(3,2) plus a duplicated binary, a binary satisfied by the unit
+        // [u], and a long clause satisfied by it too. The pass must compact
+        // all of them away and log each binary deletion exactly once, so
+        // the refutation still checks against the original formula.
+        let mut cnf = CnfFormula::new();
+        let p: Vec<Vec<crate::Lit>> = (0..3).map(|_| cnf.new_lits(2)).collect();
+        let u = cnf.new_lit();
+        let w = cnf.new_lits(2);
+        for row in &p {
+            cnf.add_clause(row.clone());
+        }
+        for h in 0..2 {
+            for i in 0..3 {
+                for j in (i + 1)..3 {
+                    cnf.add_clause([!p[i][h], !p[j][h]]);
+                }
+            }
+        }
+        cnf.add_clause([!p[0][0], !p[1][0]]);
+        cnf.add_clause([u]);
+        cnf.add_clause([u, w[0]]);
+        cnf.add_clause([u, w[0], w[1]]);
+        let mut solver = Solver::new(cnf.clone()).with_proof_writer(Box::<DratProof>::default());
+        // The first pass deletes the satisfied long clause, the second
+        // drops its slot.
+        solver.inprocess_now();
+        solver.inprocess_now();
+        assert!(solver.clauses.iter().all(|c| !c.deleted));
+        let bins: usize = solver.bin_implications.iter().map(Vec::len).sum();
+        assert_eq!(bins, 2 * 9, "only php's nine binary clauses remain");
+        let (result, _, proof) = solver.solve_certified(Budget::new());
+        assert!(result.is_unsat());
+        drat::check(&cnf, &proof.expect("log present")).expect("collected proof must check");
     }
 
     #[test]

@@ -259,10 +259,10 @@ fn certified_inprocessed_php() -> (CnfFormula, DratProof) {
 #[test]
 fn corrupted_inprocessing_deletion_is_rejected() {
     let (cnf, proof) = certified_inprocessed_php();
-    // Mutate each deletion into one naming a clause that was never in the
-    // database (flip one literal). Every such corruption must surface as
-    // DeleteUnknownClause at exactly that step — deletions are matched
-    // against the live database, not taken on faith.
+    // Mutate each deletion by flipping one literal. A corruption that
+    // names no live clause must surface as DeleteUnknownClause at exactly
+    // that step — deletions are matched against the live database, not
+    // taken on faith.
     let mut tried = 0usize;
     let mut rejected_at_step = 0usize;
     for (s, step) in proof.steps().iter().enumerate() {
@@ -277,23 +277,14 @@ fn corrupted_inprocessing_deletion_is_rejected() {
         if let ProofStep::Delete(ref mut mutated) = steps[s] {
             mutated[0] = !mutated[0];
         }
-        match check(&cnf, &DratProof::from_steps(steps)) {
-            Err(DratError::DeleteUnknownClause { step }) if step == s => {
-                rejected_at_step += 1;
-            }
-            Err(DratError::DeleteUnknownClause { step }) => {
-                assert!(
-                    step > s,
-                    "rejection at {step} precedes the corruption at {s}"
-                );
-            }
-            // Flipping may accidentally name another live clause, in
-            // which case that clause vanishes instead: the proof may then
-            // fail later (a self-subsuming resolution's parents differ in
-            // exactly one sign, so the later deletion of the clause that
-            // vanished is the typical failure), or — for a non-core
-            // clause — legitimately pass.
-            _ => {}
+        // Flipping may accidentally name another live clause, in which
+        // case that clause vanishes instead: the proof may then fail
+        // later, or — for a non-core clause — legitimately pass.
+        if let Err(DratError::DeleteUnknownClause { step }) =
+            check(&cnf, &DratProof::from_steps(steps))
+        {
+            assert_eq!(step, s, "rejection must name the corrupted step");
+            rejected_at_step += 1;
         }
         if tried >= 25 {
             break; // bounded: the first deletions are the inprocessing ones
