@@ -15,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mm_bench::table4;
 use mm_sat::Budget;
-use mm_synth::optimize::parallel;
+use mm_synth::optimize;
 use mm_synth::{EncodeOptions, Synthesizer};
 
 fn parallel_speedup(c: &mut Criterion) {
@@ -26,7 +26,7 @@ fn parallel_speedup(c: &mut Criterion) {
     let synth = Synthesizer::new().with_budget(Budget::new().with_max_conflicts(20_000));
     let opts = EncodeOptions::recommended();
 
-    let mut job_counts = vec![1, 2, parallel::default_jobs()];
+    let mut job_counts = vec![1, 2, optimize::default_jobs()];
     job_counts.sort_unstable();
     job_counts.dedup();
 
@@ -37,7 +37,7 @@ fn parallel_speedup(c: &mut Criterion) {
     for jobs in job_counts {
         group.bench_with_input(BenchmarkId::from_parameter(jobs), &jobs, |b, &jobs| {
             b.iter(|| {
-                parallel::minimize_mixed_mode(&synth, &bench.function, 4, 5, true, &opts, jobs)
+                optimize::minimize_mixed_mode(&synth, &bench.function, 4, 5, true, &opts, jobs)
                     .expect("adder specs encode")
             })
         });

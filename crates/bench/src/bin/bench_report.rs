@@ -1,6 +1,6 @@
 //! Emits the performance-trajectory report (`BENCH_<n>.json`).
 //!
-//! Runs a fixed probe set — serial synthesis ladders with telemetry
+//! Runs a fixed probe set — single-worker synthesis ladders with telemetry
 //! attached, a seeded fuzz sweep, and a Monte-Carlo device sweep — and
 //! folds the results into a [`BenchReport`]: deterministic workload
 //! counters (solver conflicts, CNF sizes, synthesis-call and rung counts,
@@ -20,7 +20,7 @@ use mm_boolfn::{generators, MultiOutputFn};
 use mm_device::ElectricalParams;
 use mm_service::{Attempt, AttemptResult, Engine, JobRequest, ResultCache};
 use mm_synth::fuzz::{run_fuzz, FuzzConfig};
-use mm_synth::optimize::minimize_mixed_mode;
+use mm_synth::optimize::{minimize_mixed_mode, OptimizeReport};
 use mm_synth::{EncodeOptions, Synthesizer};
 use mm_telemetry::{MemorySink, RunReport, Telemetry};
 
@@ -33,11 +33,14 @@ const FUZZ_BUDGET: usize = 20;
 const MC_TRIALS: u32 = 256;
 const MC_SEED: u64 = 7;
 
+/// `(max_rops, max_vsteps)` budgets of the aggregate inprocessing probe.
+const INPROCESS_LADDER_BUDGETS: [(usize, usize); 5] = [(2, 2), (3, 3), (4, 4), (4, 3), (3, 4)];
+
 fn ladder_probe(report: &mut BenchReport, tag: &str, f: &MultiOutputFn, max_rops: usize) {
     let sink = Arc::new(MemorySink::new());
     let synth = Synthesizer::new().with_telemetry(Telemetry::new(sink.clone()));
     let started = Instant::now();
-    let out = minimize_mixed_mode(&synth, f, max_rops, 3, false, &EncodeOptions::default())
+    let out = minimize_mixed_mode(&synth, f, max_rops, 3, false, &EncodeOptions::default(), 1)
         .expect("probe ladder must synthesize");
     let elapsed = started.elapsed();
     assert!(out.proven_optimal, "probe ladder must prove optimality");
@@ -244,10 +247,10 @@ fn service_cache_probe(report: &mut BenchReport) {
     );
 }
 
-/// Inprocessing probe: the 1-bit adder's warm mixed-mode ladder run
-/// serially with inprocessing on and off. The inprocessing activity
-/// counters and per-run conflict totals are deterministic (serial warm
-/// ladder, canonical diversity); the on/off wall-clock ratio is the
+/// Inprocessing probe: the 1-bit adder's warm mixed-mode ladder run with
+/// one worker, inprocessing on and off. The inprocessing activity
+/// counters and per-run conflict totals are deterministic (one warm
+/// worker, canonical diversity); the on/off wall-clock ratio is the
 /// advisory speedup headline. Both runs must agree on the verdict — that
 /// is the same invariant `tests/inprocess_differential.rs` locks down,
 /// re-checked here on the exact workload the trajectory tracks.
@@ -262,7 +265,7 @@ fn inprocess_probe(report: &mut BenchReport) {
             .with_budget(Budget::new().with_inprocess(inprocess))
             .with_telemetry(Telemetry::new(sink.clone()));
         let started = Instant::now();
-        let out = minimize_mixed_mode(&synth, &f, 4, 4, true, &EncodeOptions::default())
+        let out = minimize_mixed_mode(&synth, &f, 4, 4, true, &EncodeOptions::default(), 1)
             .expect("probe ladder must synthesize");
         let elapsed = started.elapsed();
         assert!(out.proven_optimal, "probe ladder must prove optimality");
@@ -270,7 +273,7 @@ fn inprocess_probe(report: &mut BenchReport) {
     };
     let (on, on_run, on_t) = run(true);
     let (off, off_run, off_t) = run(false);
-    let metrics = |o: &mm_synth::optimize::OptimizeReport| {
+    let metrics = |o: &OptimizeReport| {
         let b = o.best.as_ref().expect("adder1 is MM-realizable");
         (b.metrics().n_rops, b.metrics().n_vsteps, b.metrics().n_legs)
     };
@@ -327,6 +330,41 @@ fn inprocess_probe(report: &mut BenchReport) {
         "ratio",
         Direction::Higher,
         false,
+    );
+}
+
+/// Aggregate inprocessing probe: summed solver conflicts over a fixed set
+/// of warm single-worker mixed-mode ladders — four functions crossed with
+/// several `(max_rops, max_vsteps)` budgets and both encoding-option sets.
+/// One search trajectory is chaotic (a small change to the search can
+/// swing `inprocess_adder1_conflicts` by ±50% without being better or
+/// worse); the sum over many ladders moves only when the search does.
+fn inprocess_ladders_probe(report: &mut BenchReport) {
+    let functions = [
+        (generators::ripple_adder(1), true),
+        (generators::xor_gate(3), false),
+        (generators::majority_gate(3), false),
+        (generators::mux21(), false),
+    ];
+    let sink = Arc::new(MemorySink::new());
+    let synth = Synthesizer::new()
+        .with_incremental(true)
+        .with_telemetry(Telemetry::new(sink.clone()));
+    for (f, is_adder) in &functions {
+        for (max_rops, max_vsteps) in INPROCESS_LADDER_BUDGETS {
+            for options in [EncodeOptions::default(), EncodeOptions::recommended()] {
+                minimize_mixed_mode(&synth, f, max_rops, max_vsteps, *is_adder, &options, 1)
+                    .expect("probe ladder must run");
+            }
+        }
+    }
+    let run = RunReport::from_events(&sink.snapshot());
+    report.push(
+        "inprocess_ladders_conflicts",
+        run.counter("solver.conflicts") as f64,
+        "count",
+        Direction::Lower,
+        true,
     );
 }
 
@@ -434,6 +472,7 @@ fn main() {
     ladder_probe(&mut report, "xor2", &generators::xor_gate(2), 3);
     ladder_probe(&mut report, "maj3", &generators::majority_gate(3), 4);
     inprocess_probe(&mut report);
+    inprocess_ladders_probe(&mut report);
     fuzz_probe(&mut report);
     device_probe(&mut report);
     service_cache_probe(&mut report);

@@ -11,7 +11,7 @@
 //!
 //! * **Jobs invariance** — the cold portfolio reports the same best circuit
 //!   and `proven_optimal` for every job count (the lattice argument in
-//!   `optimize::parallel`).
+//!   [`optimize`](crate::optimize)).
 //! * **Warm/cold verdict equality** — under an unlimited budget the
 //!   incremental engine must agree with the cold one rung for rung.
 //! * **Inprocessing invariance** — disabling solver inprocessing (the
@@ -46,8 +46,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::optimize::parallel;
-use crate::optimize::{OptimizeReport, OptimizeStatus, SynthResultKind};
+use crate::optimize::{self, OptimizeReport, OptimizeStatus, SynthResultKind};
 use crate::repair::{synthesize_with_repair, RepairConfig};
 use crate::{EncodeOptions, SynthResult, SynthSpec, Synthesizer};
 
@@ -370,9 +369,9 @@ pub fn run_scenario(sc: &FuzzScenario, cfg: &FuzzConfig) -> Result<ScenarioRepor
     };
     let run_ladder = |synth: &Synthesizer, jobs: usize| -> Result<OptimizeReport, String> {
         let report = if sc.max_vsteps == 0 {
-            parallel::minimize_r_only(synth, &f, sc.max_rops, &options, jobs)
+            optimize::minimize_r_only(synth, &f, sc.max_rops, &options, jobs)
         } else {
-            parallel::minimize_mixed_mode(
+            optimize::minimize_mixed_mode(
                 synth,
                 &f,
                 sc.max_rops,

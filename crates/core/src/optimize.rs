@@ -7,15 +7,71 @@
 //! circuit, whether its minimality was *proved* (UNSAT at the next smaller
 //! budget) or only *bounded* (the paper's "≤" rows, where the solver timed
 //! out).
+//!
+//! # Portfolio ladders
+//!
+//! Every loop is an ascending ladder of independent `(N_V, N_R)` decision
+//! problems, dispatched across `jobs` worker threads. Each in-flight solver
+//! call is wired to a [`CancellationToken`]:
+//!
+//! * a **SAT** answer at budget `k` cancels every call at a budget `> k`
+//!   (a smaller witness already exists, larger budgets are uninteresting);
+//! * an **UNSAT** answer at budget `k` cancels every call at a budget `< k`
+//!   (the budget lattice is monotone, so everything below is also UNSAT).
+//!
+//! With one worker the ladder is the sequential scan-up: every point after
+//! the first SAT is skipped before launch.
+//!
+//! # Determinism
+//!
+//! For fixed inputs and a conflict-limited (or unlimited) per-call budget,
+//! the reported optimum and `proven_optimal` are identical for every thread
+//! count; only the order and number of entries in
+//! [`OptimizeReport::calls`] may vary. The argument rests on the monotone
+//! budget lattice (realizable at `k` implies realizable at `k + 1`):
+//!
+//! * Let `k*` be the smallest ladder point the (deterministic) solver
+//!   answers SAT. Nothing can cancel `k*`: a completed SAT strictly below
+//!   it cannot exist (by minimality of `k*`), and a completed UNSAT
+//!   strictly above it would contradict monotone truth. So `k*` always
+//!   completes and `best` is always its (deterministic) witness.
+//! * Let `u*` be the largest ladder point the solver answers UNSAT
+//!   (`u* < k*`). By the same case analysis `u*` always completes, and
+//!   every point `≤ u*` is UNSAT by the lattice closure whether or not its
+//!   own call was cancelled.
+//! * Points in `(u*, k*)` — where the solver gives up with Unknown — can
+//!   never be cancelled (no SAT exists below them, no UNSAT above them),
+//!   so they always report Unknown.
+//!
+//! Hence `proven_optimal` — "`k* `is the ladder minimum, or every point
+//! below `k*` is conclusively UNSAT" — is schedule-independent. Wall-clock
+//! time limits break the first premise (the solver's answer at a point
+//! stops being a function of the formula), so determinism across thread
+//! counts is only guaranteed for conflict-limited or unlimited budgets.
+//!
+//! # Certified UNSAT
+//!
+//! Running the ladder with a
+//! [certifying](crate::Synthesizer::with_certification) synthesizer makes
+//! every UNSAT rung pass through the DRAT checker before it is allowed to
+//! contribute to `proven_optimal`: each `Unrealizable` point carries a
+//! checker-accepted refutation in its [`CallRecord`] (`certified`,
+//! `proof`), and a rejected proof aborts the whole run with
+//! [`SynthError::CertificationFailed`]. Cancellation composes soundly with
+//! certification by construction — a cancelled solve returns `Unknown`
+//! *before* the proof log is ever concluded with the empty clause, so an
+//! aborted rung can never present a proof that checks, let alone assert an
+//! UNSAT it did not finish.
 
-pub mod parallel;
-
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use mm_boolfn::MultiOutputFn;
 use mm_circuit::MmCircuit;
-use mm_sat::{Budget, ClauseBus, Diversity, DratProof, Solver};
+use mm_sat::{Budget, CancellationToken, ClauseBus, Diversity, DratProof, Solver};
+use mm_telemetry::{kv, AttrValue};
 
 use crate::encoder::{self, SharedBase};
 use crate::{EncodeOptions, SynthError, SynthOutcome, SynthResult, SynthSpec, Synthesizer};
@@ -129,7 +185,7 @@ pub struct OptimizeReport {
     pub proven_optimal: bool,
     /// Whether the run concluded or degraded (deadline, budget, panic).
     pub status: OptimizeStatus,
-    /// Every synthesis call, in execution order.
+    /// Every synthesis call, in completion order.
     pub calls: Vec<CallRecord>,
 }
 
@@ -140,21 +196,6 @@ impl OptimizeReport {
     }
 }
 
-/// The degradation reason implied by a set of undecided calls: a deadline
-/// expiry anywhere wins over plain budget exhaustion.
-fn degrade_reason_from<'a>(
-    mut unknowns: impl Iterator<Item = &'a CallRecord>,
-) -> Option<DegradeReason> {
-    let mut any = false;
-    if unknowns.any(|c| {
-        any = true;
-        c.deadline_expired
-    }) {
-        return Some(DegradeReason::DeadlineExpired);
-    }
-    any.then_some(DegradeReason::BudgetExhausted)
-}
-
 /// Falls back to the heuristic mapper as a best-known upper bound when a
 /// degraded run found no circuit at all. The seed is functionally verified
 /// by the mapper; failure to map (never expected) just leaves `best` empty.
@@ -162,19 +203,33 @@ fn seed_upper_bound(f: &MultiOutputFn) -> Option<MmCircuit> {
     crate::heuristic::map(f).ok()
 }
 
-/// The solving engine for one ladder: either the classic cold path (a fresh
+/// LBD threshold for clauses exported to the portfolio bus: only "glue"
+/// clauses (≤ 4 distinct decision levels) are worth the import traffic.
+const SHARE_MAX_LBD: u32 = 4;
+
+/// The shared state of a warm (incremental) portfolio: one base encoding
+/// every worker's solver loads, and the bus their learned clauses travel on.
+type WarmContext = (Arc<SharedBase>, ClauseBus);
+
+/// A sensible default worker count: the machine's available parallelism.
+pub fn default_jobs() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
+/// The solving engine of one worker: either the classic cold path (a fresh
 /// encode + solver per rung) or a warm path holding one long-lived solver
 /// over a [`SharedBase`], activating rungs via assumptions.
 ///
-/// Warm engines keep their learned clauses across rungs; attaching a
-/// [`ClauseBus`] additionally shares strong learned clauses between the
-/// engines of a parallel portfolio. The engine choice never changes
-/// verdicts — see the equisatisfiability argument on [`SharedBase`] and
-/// `tests/incremental_differential.rs`.
-pub(crate) enum RungEngine<'a> {
+/// Warm engines keep their learned clauses across rungs and share strong
+/// ones with the other workers over a [`ClauseBus`]. The engine choice
+/// never changes verdicts — see the equisatisfiability argument on
+/// [`SharedBase`] and `tests/incremental_differential.rs`.
+enum RungEngine<'a> {
     /// Cold per-rung solving via [`Synthesizer::run`].
     Cold(&'a Synthesizer),
-    /// One long-lived solver descending the ladder on a shared base.
+    /// One long-lived solver scanning the ladder on a shared base.
     /// Boxed: a `Solver` is hundreds of bytes of watch/heap state, far
     /// larger than the `Cold` variant.
     Warm {
@@ -185,53 +240,22 @@ pub(crate) enum RungEngine<'a> {
 }
 
 impl<'a> RungEngine<'a> {
-    /// The engine a serial ladder topped by `top` should use: warm when the
-    /// synthesizer [asks for it](Synthesizer::with_incremental) and the spec
-    /// is expressible in a shared base, cold otherwise.
-    fn for_ladder(synth: &'a Synthesizer, top: &SynthSpec) -> Result<Self, SynthError> {
-        if synth.incremental_for(top) {
-            let _encode_span = synth.telemetry().span("encode");
-            let base = Arc::new(encoder::encode_shared_base(top)?);
-            Ok(Self::warm(synth, base, None, Diversity::canonical()))
-        } else {
-            Ok(Self::Cold(synth))
-        }
-    }
-
-    /// A warm engine over an already-encoded base, optionally wired to a
-    /// portfolio clause bus, with a per-worker [`Diversity`] profile
-    /// (serial ladders use [`Diversity::canonical`], which changes
-    /// nothing).
-    fn warm(
-        synth: &'a Synthesizer,
-        base: Arc<SharedBase>,
-        bus: Option<&ClauseBus>,
-        diversity: Diversity,
-    ) -> Self {
-        let mut solver = Solver::new(base.cnf.clone())
+    /// A warm engine over the portfolio's already-encoded base, wired to
+    /// its clause bus, with a per-worker [`Diversity`] profile.
+    fn warm(synth: &'a Synthesizer, (base, bus): &WarmContext, diversity: Diversity) -> Self {
+        let solver = Solver::new(base.cnf.clone())
             .with_telemetry(synth.telemetry().clone())
-            .with_diversity(diversity);
-        if let Some(bus) = bus {
-            solver = solver.with_clause_bus(bus.clone());
-        }
+            .with_diversity(diversity)
+            .with_clause_bus(bus.clone());
         Self::Warm {
             synth,
-            base,
+            base: base.clone(),
             solver: Box::new(solver),
         }
     }
 
-    /// Solves one rung under the synthesizer's configured budget.
-    fn run(&mut self, spec: &SynthSpec) -> Result<SynthOutcome, SynthError> {
-        let budget = match self {
-            Self::Cold(synth) => synth.budget(),
-            Self::Warm { synth, .. } => synth.budget(),
-        };
-        self.run_with_budget(spec, budget)
-    }
-
-    /// Solves one rung under an explicit per-call budget (the parallel
-    /// portfolio threads its cancellation token through here).
+    /// Solves one rung under an explicit per-call budget (the worker
+    /// threads the rung's cancellation token through here).
     fn run_with_budget(
         &mut self,
         spec: &SynthSpec,
@@ -248,7 +272,7 @@ impl<'a> RungEngine<'a> {
     }
 }
 
-fn record(outcome: &crate::SynthOutcome, spec: &SynthSpec) -> CallRecord {
+fn record(outcome: &SynthOutcome, spec: &SynthSpec) -> CallRecord {
     CallRecord {
         n_rops: spec.n_rops(),
         n_legs: spec.n_legs(),
@@ -269,12 +293,385 @@ fn record(outcome: &crate::SynthOutcome, spec: &SynthSpec) -> CallRecord {
     }
 }
 
-/// Finds the minimal `N_VS` for fixed `N_R` and `N_L`, starting from
-/// `max_vsteps` and decreasing while satisfiable.
+/// The conclusive outcome of one ladder point after the portfolio run.
+#[derive(Debug)]
+enum PointOutcome {
+    /// The solver returned a verified circuit.
+    Sat(Box<MmCircuit>),
+    /// The solver proved the point infeasible.
+    Unsat,
+    /// The solver gave up (budget exhausted, deadline expired — possibly
+    /// before launch — or cancelled mid-run).
+    Unknown {
+        /// Whether the run's wall-clock deadline caused it.
+        deadline: bool,
+    },
+    /// The worker solving this point panicked. The point counts as
+    /// undecided; the rest of the run continued normally.
+    Panicked(String),
+    /// The point's token was already tripped before the call started
+    /// (its answer is implied by the lattice), so no solver was ever
+    /// launched and no [`CallRecord`] exists for it.
+    Skipped,
+}
+
+/// What one budget ladder run concluded.
+struct LadderOutcome {
+    /// Ladder index of the cheapest SAT point, with its circuit.
+    best: Option<(usize, MmCircuit)>,
+    /// Whether every point below the best is conclusively UNSAT (directly
+    /// or via the lattice closure under the largest completed UNSAT).
+    proven: bool,
+    /// Why the ladder degraded, when any point that mattered for the
+    /// optimality claim was left undecided (or any worker panicked).
+    degrade: Option<DegradeReason>,
+    /// Call records in completion order.
+    calls: Vec<CallRecord>,
+}
+
+/// The warm context a ladder topped by `top` should run under: a shared
+/// base encoding with disable guards plus a fresh clause bus, or `None`
+/// when the cold engine applies.
+fn warm_context_for(
+    synth: &Synthesizer,
+    top: Option<&SynthSpec>,
+) -> Result<Option<WarmContext>, SynthError> {
+    match top {
+        Some(top) if synth.incremental_for(top) => {
+            let _encode_span = synth.telemetry().span("encode");
+            Ok(Some((
+                Arc::new(encoder::encode_shared_base(top)?),
+                ClauseBus::new(SHARE_MAX_LBD),
+            )))
+        }
+        _ => Ok(None),
+    }
+}
+
+/// Solves an ascending budget ladder (`specs[i]` strictly weaker than
+/// `specs[i + 1]`) with `jobs` workers and lattice-driven cancellation,
+/// on the warm engine when `warm_ctx` is given. A two-phase run
+/// ([`minimize_mixed_mode`]) passes one context to both phases, so
+/// phase-2 workers import the strong clauses phase 1 learned.
+fn run_ladder(
+    synth: &Synthesizer,
+    specs: &[SynthSpec],
+    jobs: usize,
+    warm_ctx: Option<&WarmContext>,
+) -> Result<LadderOutcome, SynthError> {
+    let n = specs.len();
+    let jobs = jobs.max(1).min(n.max(1));
+    let tokens: Vec<CancellationToken> = (0..n).map(|_| CancellationToken::new()).collect();
+    let outcomes: Mutex<Vec<Option<PointOutcome>>> = Mutex::new((0..n).map(|_| None).collect());
+    let calls: Mutex<Vec<CallRecord>> = Mutex::new(Vec::new());
+    let first_error: Mutex<Option<SynthError>> = Mutex::new(None);
+    let cursor = AtomicUsize::new(0);
+
+    std::thread::scope(|scope| {
+        // Shadow with references so the `move` closures copy pointers, not
+        // the shared state itself.
+        let (tokens, cursor) = (&tokens, &cursor);
+        let (outcomes, calls, first_error) = (&outcomes, &calls, &first_error);
+        for worker_idx in 0..jobs {
+            scope.spawn(move || {
+                worker(
+                    synth,
+                    specs,
+                    warm_ctx,
+                    tokens,
+                    cursor,
+                    outcomes,
+                    calls,
+                    first_error,
+                    worker_idx,
+                );
+            });
+        }
+    });
+
+    if let Some(e) = first_error.into_inner().expect("no poisoned lock") {
+        return Err(e);
+    }
+    let outcomes = outcomes.into_inner().expect("no poisoned lock");
+    let calls = calls.into_inner().expect("no poisoned lock");
+
+    let mut best: Option<(usize, MmCircuit)> = None;
+    let mut u_max: Option<usize> = None;
+    let mut unknowns: Vec<(usize, bool)> = Vec::new();
+    let mut panic_message: Option<(usize, String)> = None;
+    for (idx, outcome) in outcomes.into_iter().enumerate() {
+        match outcome.expect("every ladder point is visited") {
+            PointOutcome::Sat(c) => {
+                if best.is_none() {
+                    best = Some((idx, *c));
+                }
+            }
+            PointOutcome::Unsat => u_max = Some(idx),
+            PointOutcome::Unknown { deadline } => unknowns.push((idx, deadline)),
+            PointOutcome::Panicked(message) => {
+                if panic_message.is_none() {
+                    panic_message = Some((idx, message));
+                }
+                unknowns.push((idx, false));
+            }
+            PointOutcome::Skipped => {}
+        }
+    }
+    let proven = match &best {
+        None => false,
+        Some((0, _)) => true,
+        Some((k, _)) => u_max.is_some_and(|u| u >= k - 1),
+    };
+    // A point degrades the run when its answer could still change the
+    // outcome: anything below the best witness (or anywhere, if no witness
+    // exists) that neither completed nor was closed by the lattice. A panic
+    // is always surfaced, wherever it happened.
+    let best_idx = best.as_ref().map(|(k, _)| *k);
+    let closed = |idx: usize| u_max.is_some_and(|u| idx <= u);
+    let relevant = |idx: usize| best_idx.is_none_or(|k| idx < k) && !closed(idx);
+    let degrade = if let Some((_, message)) = panic_message {
+        Some(DegradeReason::WorkerPanicked { message })
+    } else if unknowns
+        .iter()
+        .any(|&(idx, deadline)| deadline && relevant(idx))
+    {
+        Some(DegradeReason::DeadlineExpired)
+    } else if unknowns.iter().any(|&(idx, _)| relevant(idx)) {
+        Some(DegradeReason::BudgetExhausted)
+    } else {
+        None
+    };
+    // One ladder-summary event per run: the verdict the rung events roll
+    // up to, so a trace is self-contained.
+    synth.telemetry().point(
+        "ladder",
+        vec![
+            kv("points", n),
+            kv("proven", proven && degrade.is_none()),
+            kv("degraded", degrade.is_some()),
+            kv("incremental", warm_ctx.is_some()),
+            kv(
+                "reason",
+                degrade
+                    .as_ref()
+                    .map(ToString::to_string)
+                    .unwrap_or_default(),
+            ),
+        ],
+    );
+    Ok(LadderOutcome {
+        best,
+        proven: proven && degrade.is_none(),
+        degrade,
+        calls,
+    })
+}
+
+/// Shared attributes of every `rung` / `rung.spawned` event: the ladder
+/// index, the point's budgets, and the worker that handled it.
+fn rung_attrs(idx: usize, spec: &SynthSpec, worker_idx: usize) -> Vec<(String, AttrValue)> {
+    vec![
+        kv("idx", idx),
+        kv("n_rops", spec.n_rops()),
+        kv("n_legs", spec.n_legs()),
+        kv("n_vsteps", spec.n_vsteps()),
+        kv("worker", format!("w{worker_idx}")),
+    ]
+}
+
+#[allow(clippy::too_many_arguments)] // one call site; mirrors the shared state
+fn worker(
+    synth: &Synthesizer,
+    specs: &[SynthSpec],
+    warm_ctx: Option<&WarmContext>,
+    tokens: &[CancellationToken],
+    cursor: &AtomicUsize,
+    outcomes: &Mutex<Vec<Option<PointOutcome>>>,
+    calls: &Mutex<Vec<CallRecord>>,
+    first_error: &Mutex<Option<SynthError>>,
+    worker_idx: usize,
+) {
+    let telemetry = synth.telemetry().clone();
+    // Each worker owns one engine for its whole ladder share: warm workers
+    // keep a long-lived solver (learned clauses persist across rungs) wired
+    // to the portfolio bus, cold workers re-encode per rung as before.
+    // Warm workers are additionally diversified by seed, saved-phase
+    // polarity and restart policy, so the glue clauses they trade over the
+    // bus come from genuinely different trajectories (worker 0 stays
+    // canonical).
+    let make_engine = || match warm_ctx {
+        Some(ctx) => RungEngine::warm(synth, ctx, Diversity::for_worker(worker_idx)),
+        None => RungEngine::Cold(synth),
+    };
+    let mut engine = make_engine();
+    loop {
+        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+        if idx >= specs.len() {
+            return;
+        }
+        let rung = |outcome: &str| {
+            let mut attrs = rung_attrs(idx, &specs[idx], worker_idx);
+            attrs.push(kv("outcome", outcome));
+            attrs
+        };
+        if first_error.lock().expect("no poisoned lock").is_some() {
+            telemetry.point("rung", rung("skipped"));
+            set_outcome(outcomes, idx, PointOutcome::Skipped);
+            continue;
+        }
+        if tokens[idx].is_cancelled() {
+            // Lattice-closed before launch: the "cancelled" lifecycle case.
+            let mut attrs = rung("skipped");
+            attrs.push(kv("cancelled", true));
+            telemetry.point("rung", attrs);
+            set_outcome(outcomes, idx, PointOutcome::Skipped);
+            continue;
+        }
+        // An already-expired deadline means the solver could only return
+        // Unknown; skip the launch (and the encode) but record the point as
+        // undecided, not as lattice-closed.
+        if synth.budget().deadline().is_some_and(|d| d.expired()) {
+            let mut attrs = rung("unknown");
+            attrs.push(kv("deadline", true));
+            telemetry.point("rung", attrs);
+            set_outcome(outcomes, idx, PointOutcome::Unknown { deadline: true });
+            continue;
+        }
+        telemetry.point("rung.spawned", rung_attrs(idx, &specs[idx], worker_idx));
+        let budget = synth.budget().with_cancellation(tokens[idx].clone());
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            engine.run_with_budget(&specs[idx], budget)
+        }));
+        match run {
+            Err(payload) => {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                telemetry.point("rung", rung("panicked"));
+                set_outcome(outcomes, idx, PointOutcome::Panicked(message));
+                // A panic may have left the long-lived solver mid-search;
+                // rebuild from the shared base rather than trust its state.
+                engine = make_engine();
+            }
+            Ok(Ok(outcome)) => {
+                let record = record(&outcome, &specs[idx]);
+                let deadline = record.deadline_expired;
+                let mut attrs = rung(match outcome.result {
+                    SynthResult::Realizable(_) => "sat",
+                    SynthResult::Unrealizable => "unsat",
+                    SynthResult::Unknown => "unknown",
+                });
+                attrs.extend([
+                    kv("conflicts", outcome.solver_stats.conflicts),
+                    kv("vars", record.n_vars),
+                    kv("clauses", record.n_clauses),
+                    kv("time_us", record.time.as_micros() as u64),
+                    kv("certified", record.certified),
+                    kv("cancelled", outcome.solver_stats.cancelled),
+                    kv("deadline", deadline),
+                ]);
+                calls.lock().expect("no poisoned lock").push(record);
+                let point = match outcome.result {
+                    SynthResult::Realizable(c) => {
+                        // A witness at `idx` settles every larger budget.
+                        for token in &tokens[idx + 1..] {
+                            token.cancel();
+                        }
+                        attrs.push(kv("cancels_above", specs.len() - idx - 1));
+                        PointOutcome::Sat(Box::new(c))
+                    }
+                    SynthResult::Unrealizable => {
+                        // Lattice monotonicity: UNSAT here closes everything
+                        // below.
+                        for token in &tokens[..idx] {
+                            token.cancel();
+                        }
+                        attrs.push(kv("cancels_below", idx));
+                        PointOutcome::Unsat
+                    }
+                    SynthResult::Unknown => PointOutcome::Unknown { deadline },
+                };
+                telemetry.point("rung", attrs);
+                set_outcome(outcomes, idx, point);
+            }
+            Ok(Err(e)) => {
+                let mut slot = first_error.lock().expect("no poisoned lock");
+                if slot.is_none() {
+                    *slot = Some(e);
+                }
+                drop(slot);
+                for token in tokens {
+                    token.cancel();
+                }
+                telemetry.point("rung", rung("skipped"));
+                set_outcome(outcomes, idx, PointOutcome::Skipped);
+            }
+        }
+    }
+}
+
+fn set_outcome(outcomes: &Mutex<Vec<Option<PointOutcome>>>, idx: usize, outcome: PointOutcome) {
+    outcomes.lock().expect("no poisoned lock")[idx] = Some(outcome);
+}
+
+/// Lifts a ladder's degrade verdict into an [`OptimizeStatus`].
+fn status_of(degrade: Option<DegradeReason>) -> OptimizeStatus {
+    match degrade {
+        Some(reason) => OptimizeStatus::Degraded { reason },
+        None => OptimizeStatus::Complete,
+    }
+}
+
+/// Runs one single-phase ladder over `specs` (ascending; the warm engine,
+/// when it applies, is encoded at the last spec) and reports its verdict.
+fn minimize_ladder(
+    synth: &Synthesizer,
+    specs: &[SynthSpec],
+    jobs: usize,
+) -> Result<OptimizeReport, SynthError> {
+    let warm_ctx = warm_context_for(synth, specs.last())?;
+    let ladder = run_ladder(synth, specs, jobs, warm_ctx.as_ref())?;
+    Ok(OptimizeReport {
+        best: ladder.best.map(|(_, c)| c),
+        proven_optimal: ladder.proven,
+        status: status_of(ladder.degrade),
+        calls: ladder.calls,
+    })
+}
+
+/// Finds the minimal `N_R` for an R-only realization `Φ(f, 0, N_R)`,
+/// probing `N_R = 1..=max_rops` with `jobs` workers (the
+/// conventional-paradigm baseline of Table IV).
+///
+/// The reported optimum and `proven_optimal` are independent of `jobs` (see
+/// the module docs); `calls` ordering may differ. Degraded R-only runs have
+/// no heuristic fallback: the mapper emits mixed-mode circuits, which are
+/// not valid R-only upper bounds.
+///
+/// # Errors
+///
+/// Propagates [`SynthError`] from spec construction or synthesis.
+pub fn minimize_r_only(
+    synth: &Synthesizer,
+    f: &MultiOutputFn,
+    max_rops: usize,
+    options: &EncodeOptions,
+    jobs: usize,
+) -> Result<OptimizeReport, SynthError> {
+    let specs = (1..=max_rops)
+        .map(|n_rops| Ok(SynthSpec::r_only(f, n_rops)?.with_options(options.clone())))
+        .collect::<Result<Vec<_>, SynthError>>()?;
+    minimize_ladder(synth, &specs, jobs)
+}
+
+/// Finds the minimal `N_VS` for fixed `N_R` and `N_L`, probing
+/// `N_VS = 1..=max_vsteps` with `jobs` workers.
 ///
 /// Mirrors the paper's inner loop: "`N_VS` is the smallest value for that
-/// `N_R`". `proven_optimal` is true iff the first failing budget was a
-/// genuine UNSAT (not a timeout).
+/// `N_R`". `proven_optimal` is true iff the witness sits at one step or the
+/// budget just below it was a genuine UNSAT (not a timeout).
 ///
 /// # Errors
 ///
@@ -286,78 +683,23 @@ pub fn minimize_vsteps(
     n_legs: usize,
     max_vsteps: usize,
     options: &EncodeOptions,
+    jobs: usize,
 ) -> Result<OptimizeReport, SynthError> {
-    let top = SynthSpec::mixed_mode(f, n_rops, n_legs, max_vsteps)?.with_options(options.clone());
-    let mut engine = RungEngine::for_ladder(synth, &top)?;
-    minimize_vsteps_on(&mut engine, f, n_rops, n_legs, max_vsteps, options)
-}
-
-/// [`minimize_vsteps`] on a caller-supplied engine, so an enclosing ladder
-/// (e.g. [`minimize_mixed_mode`]'s outer loop) can keep one warm solver —
-/// and its learned clauses — across both phases.
-fn minimize_vsteps_on(
-    engine: &mut RungEngine<'_>,
-    f: &MultiOutputFn,
-    n_rops: usize,
-    n_legs: usize,
-    max_vsteps: usize,
-    options: &EncodeOptions,
-) -> Result<OptimizeReport, SynthError> {
-    let mut calls = Vec::new();
-    let mut best: Option<MmCircuit> = None;
-    let mut proven = false;
-    let mut degraded = false;
-    let mut vsteps = max_vsteps;
-    while vsteps >= 1 {
-        let spec = SynthSpec::mixed_mode(f, n_rops, n_legs, vsteps)?.with_options(options.clone());
-        let outcome = engine.run(&spec)?;
-        calls.push(record(&outcome, &spec));
-        match outcome.result {
-            SynthResult::Realizable(c) => {
-                best = Some(c);
-                vsteps -= 1;
-            }
-            SynthResult::Unrealizable => {
-                proven = best.is_some();
-                break;
-            }
-            SynthResult::Unknown => {
-                degraded = true;
-                break;
-            }
-        }
-    }
-    // Ran all the way down to 1 step satisfiable: optimal by construction.
-    if best.as_ref().is_some_and(|c| c.metrics().n_vsteps == 1) {
-        proven = true;
-    }
-    let status = if degraded {
-        OptimizeStatus::Degraded {
-            reason: degrade_reason_from(
-                calls
-                    .iter()
-                    .filter(|c| c.result == SynthResultKind::Unknown),
-            )
-            .unwrap_or(DegradeReason::BudgetExhausted),
-        }
-    } else {
-        OptimizeStatus::Complete
-    };
-    Ok(OptimizeReport {
-        best,
-        proven_optimal: proven && !status.is_degraded(),
-        status,
-        calls,
-    })
+    let specs = (1..=max_vsteps)
+        .map(|vs| Ok(SynthSpec::mixed_mode(f, n_rops, n_legs, vs)?.with_options(options.clone())))
+        .collect::<Result<Vec<_>, SynthError>>()?;
+    minimize_ladder(synth, &specs, jobs)
 }
 
 /// Finds the minimal `N_R` (with the paper's leg convention
 /// `N_L = N_R + N_O [− 1 for adders]`), minimizing `N_VS` for the smallest
 /// feasible `N_R`.
 ///
-/// Mirrors the paper's outer loop for the MM rows of Table IV: `N_R` is the
-/// smallest number for which `Φ(f, N_V, N_R)` is satisfiable within
-/// `max_vsteps`, and `N_VS` the smallest for that `N_R`.
+/// Mirrors the paper's outer loop for the MM rows of Table IV in two
+/// portfolio phases: an `N_R` ladder at `max_vsteps` (`N_R` is the smallest
+/// number for which `Φ(f, N_V, N_R)` is satisfiable), then an `N_VS` ladder
+/// at the smallest feasible `N_R`. Within each phase all points run
+/// concurrently under the cancellation protocol.
 ///
 /// # Errors
 ///
@@ -369,137 +711,53 @@ pub fn minimize_mixed_mode(
     max_vsteps: usize,
     is_adder: bool,
     options: &EncodeOptions,
+    jobs: usize,
 ) -> Result<OptimizeReport, SynthError> {
-    let mut calls = Vec::new();
-    // The outer ladder's top rung: maximal R-ops and (by the monotone leg
-    // convention) maximal legs, so every outer probe is a sub-budget of it.
-    let top_legs = SynthSpec::paper_legs(f, max_rops, is_adder);
-    let top =
-        SynthSpec::mixed_mode(f, max_rops, top_legs, max_vsteps)?.with_options(options.clone());
-    let mut engine = RungEngine::for_ladder(synth, &top)?;
-    for n_rops in 0..=max_rops {
-        let n_legs = SynthSpec::paper_legs(f, n_rops, is_adder);
-        let spec =
-            SynthSpec::mixed_mode(f, n_rops, n_legs, max_vsteps)?.with_options(options.clone());
-        let outcome = engine.run(&spec)?;
-        calls.push(record(&outcome, &spec));
-        if let SynthResult::Realizable(c) = outcome.result {
-            // Feasible at this N_R: shrink the V-step budget on the same
-            // engine, so a warm solver carries its outer-ladder clauses
-            // into the inner descent.
-            let mut inner =
-                minimize_vsteps_on(&mut engine, f, n_rops, n_legs, max_vsteps, options)?;
-            calls.append(&mut inner.calls);
-            // Outer-loop Unknowns below the found N_R also degrade the run.
-            let status = match (
-                inner.status,
-                degrade_reason_from(
-                    calls
-                        .iter()
-                        .filter(|r| r.n_vsteps == max_vsteps && r.n_rops < n_rops)
-                        .filter(|r| r.result == SynthResultKind::Unknown),
-                ),
-            ) {
-                (s @ OptimizeStatus::Degraded { .. }, _) => s,
-                (OptimizeStatus::Complete, Some(reason)) => OptimizeStatus::Degraded { reason },
-                (OptimizeStatus::Complete, None) => OptimizeStatus::Complete,
-            };
-            return Ok(OptimizeReport {
-                // The inner loop re-solves the SAT point, but under a
-                // deadline it may come back empty — the outer witness is
-                // then still a valid upper bound.
-                best: inner.best.or(Some(c)),
-                // N_R minimality is proven iff every smaller N_R was a real
-                // UNSAT; N_VS minimality comes from the inner loop.
-                proven_optimal: inner.proven_optimal
-                    && !status.is_degraded()
-                    && calls
-                        .iter()
-                        .filter(|c| c.n_rops < n_rops && c.n_vsteps == max_vsteps)
-                        .all(|c| c.result == SynthResultKind::Unrealizable),
-                status,
-                calls,
-            });
-        }
-    }
-    // No feasible N_R found. If every point was conclusively UNSAT the
-    // absence is a theorem; otherwise degrade with the heuristic mapper's
-    // circuit as the best-known upper bound.
-    let status = match degrade_reason_from(
-        calls
-            .iter()
-            .filter(|c| c.result == SynthResultKind::Unknown),
-    ) {
-        Some(reason) => OptimizeStatus::Degraded { reason },
-        None => OptimizeStatus::Complete,
+    // Phase 1: find the smallest feasible N_R at the full V-step budget.
+    let rop_specs = (0..=max_rops)
+        .map(|n_rops| {
+            let n_legs = SynthSpec::paper_legs(f, n_rops, is_adder);
+            Ok(SynthSpec::mixed_mode(f, n_rops, n_legs, max_vsteps)?.with_options(options.clone()))
+        })
+        .collect::<Result<Vec<_>, SynthError>>()?;
+    // One warm context for both phases: the outer top rung dominates every
+    // spec of either ladder (legs grow monotonically with N_R), and sharing
+    // the bus lets phase-2 solvers start from phase 1's learned clauses.
+    let warm_ctx = warm_context_for(synth, rop_specs.last())?;
+    let outer = run_ladder(synth, &rop_specs, jobs, warm_ctx.as_ref())?;
+    let mut calls = outer.calls;
+    let Some((rop_idx, outer_circuit)) = outer.best else {
+        // No witness at any N_R. If the ladder degraded (deadline, budget,
+        // panic) the search is inconclusive: fall back to the heuristic
+        // mapper's circuit as the best-known upper bound rather than
+        // returning nothing.
+        let status = status_of(outer.degrade);
+        return Ok(OptimizeReport {
+            best: status.is_degraded().then(|| seed_upper_bound(f)).flatten(),
+            proven_optimal: false,
+            status,
+            calls,
+        });
     };
-    Ok(OptimizeReport {
-        best: status.is_degraded().then(|| seed_upper_bound(f)).flatten(),
-        proven_optimal: false,
-        status,
-        calls,
-    })
-}
 
-/// Finds the minimal `N_R` for an R-only realization `Φ(f, 0, N_R)`,
-/// searching upward from 1 (the conventional-paradigm baseline of
-/// Table IV).
-///
-/// # Errors
-///
-/// Propagates [`SynthError`] from spec construction or synthesis.
-pub fn minimize_r_only(
-    synth: &Synthesizer,
-    f: &MultiOutputFn,
-    max_rops: usize,
-    options: &EncodeOptions,
-) -> Result<OptimizeReport, SynthError> {
-    let mut calls = Vec::new();
-    let mut unknown_below = false;
-    let mut engine = if max_rops >= 1 {
-        let top = SynthSpec::r_only(f, max_rops)?.with_options(options.clone());
-        RungEngine::for_ladder(synth, &top)?
-    } else {
-        RungEngine::Cold(synth)
-    };
-    for n_rops in 1..=max_rops {
-        let spec = SynthSpec::r_only(f, n_rops)?.with_options(options.clone());
-        let outcome = engine.run(&spec)?;
-        calls.push(record(&outcome, &spec));
-        match outcome.result {
-            SynthResult::Realizable(c) => {
-                let status = match degrade_reason_from(
-                    calls
-                        .iter()
-                        .filter(|c| c.result == SynthResultKind::Unknown),
-                ) {
-                    Some(reason) => OptimizeStatus::Degraded { reason },
-                    None => OptimizeStatus::Complete,
-                };
-                return Ok(OptimizeReport {
-                    best: Some(c),
-                    proven_optimal: !unknown_below && !status.is_degraded(),
-                    status,
-                    calls,
-                });
-            }
-            SynthResult::Unrealizable => {}
-            SynthResult::Unknown => unknown_below = true,
-        }
-    }
-    // Degraded R-only runs have no heuristic fallback: the mapper emits
-    // mixed-mode circuits, which are not valid R-only upper bounds.
-    let status = match degrade_reason_from(
-        calls
-            .iter()
-            .filter(|c| c.result == SynthResultKind::Unknown),
-    ) {
-        Some(reason) => OptimizeStatus::Degraded { reason },
-        None => OptimizeStatus::Complete,
-    };
+    // Phase 2: shrink the V-step budget at that N_R, on the same warm
+    // context (phase-2 solvers import the glue clauses phase 1 published).
+    let n_rops = rop_idx; // ladder index 0 is N_R = 0
+    let n_legs = SynthSpec::paper_legs(f, n_rops, is_adder);
+    let vs_specs = (1..=max_vsteps)
+        .map(|vs| Ok(SynthSpec::mixed_mode(f, n_rops, n_legs, vs)?.with_options(options.clone())))
+        .collect::<Result<Vec<_>, SynthError>>()?;
+    let inner = run_ladder(synth, &vs_specs, jobs, warm_ctx.as_ref())?;
+    calls.extend(inner.calls);
+    let status = status_of(outer.degrade.or(inner.degrade));
     Ok(OptimizeReport {
-        best: None,
-        proven_optimal: false,
+        // The inner ladder re-solves the outer witness's point; under a
+        // deadline it may come back empty, in which case the outer witness
+        // is still a valid upper bound.
+        best: inner.best.map(|(_, c)| c).or(Some(outer_circuit)),
+        // N_R minimality comes from the outer ladder's closure, N_VS
+        // minimality from the inner one.
+        proven_optimal: outer.proven && inner.proven && !status.is_degraded(),
         status,
         calls,
     })
@@ -511,75 +769,86 @@ mod tests {
 
     use super::*;
 
-    #[test]
-    fn minimize_vsteps_finds_and2_optimum() {
-        let f = generators::and_gate(2);
-        let report = minimize_vsteps(
-            &Synthesizer::new(),
-            &f,
-            0,
-            1,
-            4,
-            &EncodeOptions::recommended(),
-        )
-        .unwrap();
-        let best = report.best.expect("AND2 is V-realizable");
-        assert_eq!(
-            best.metrics().n_vsteps,
-            1,
-            "AND2 = V(0, x1, ~x2) in one step"
-        );
-        assert!(
-            report.proven_optimal,
-            "reaching 1 step is optimal by construction"
-        );
-        assert_eq!(report.calls.len(), 4);
+    fn reports_agree(a: &OptimizeReport, b: &OptimizeReport) {
+        assert_eq!(a.proven_optimal, b.proven_optimal);
+        match (&a.best, &b.best) {
+            (None, None) => {}
+            (Some(x), Some(y)) => {
+                assert_eq!(x.metrics().n_rops, y.metrics().n_rops);
+                assert_eq!(x.metrics().n_vsteps, y.metrics().n_vsteps);
+                assert_eq!(x.metrics().n_legs, y.metrics().n_legs);
+            }
+            other => panic!("best presence differs across thread counts: {other:?}"),
+        }
     }
 
     #[test]
-    fn minimize_r_only_nor_takes_one_gate() {
-        let f = generators::nor_gate(2);
-        let report =
-            minimize_r_only(&Synthesizer::new(), &f, 4, &EncodeOptions::recommended()).unwrap();
-        assert_eq!(report.best.expect("NOR2 is one R-op").metrics().n_rops, 1);
-        assert!(report.proven_optimal);
-    }
-
-    #[test]
-    fn minimize_r_only_xor_takes_three_gates() {
+    fn r_only_xor_takes_three_gates_at_every_width() {
         let f = generators::xor_gate(2);
-        let report =
-            minimize_r_only(&Synthesizer::new(), &f, 5, &EncodeOptions::recommended()).unwrap();
-        assert_eq!(report.best.expect("XOR2 from NORs").metrics().n_rops, 3);
-        assert!(report.proven_optimal);
-        assert_eq!(report.calls.len(), 3); // 1, 2 UNSAT; 3 SAT
+        let opts = EncodeOptions::recommended();
+        let synth = Synthesizer::new();
+        let baseline = minimize_r_only(&synth, &f, 5, &opts, 1).unwrap();
+        // One worker scans up: 1, 2 UNSAT; 3 SAT; 4, 5 skipped.
+        assert_eq!(baseline.calls.len(), 3);
+        for jobs in [1, 2, 8] {
+            let par = minimize_r_only(&synth, &f, 5, &opts, jobs).unwrap();
+            reports_agree(&baseline, &par);
+            assert_eq!(
+                par.best.as_ref().map(|c| c.metrics().n_rops),
+                Some(3),
+                "XOR2 needs 3 R-ops (Table IV)"
+            );
+            assert!(par.proven_optimal);
+        }
     }
 
     #[test]
-    fn budget_exhaustion_never_claims_optimality() {
-        use mm_sat::Budget;
-        // The budget is checked at solver restarts, so tiny calls may still
-        // complete under a 1-conflict budget; the invariants are that a
-        // missing circuit is never "optimal" and that any Unknown below the
-        // found budget forfeits the optimality claim.
-        let f = generators::gf22_multiplier();
-        let synth = Synthesizer::new().with_budget(Budget::new().with_max_conflicts(1));
-        let report = minimize_r_only(&synth, &f, 5, &EncodeOptions::recommended()).unwrap();
-        if report.best.is_none() {
-            assert!(!report.proven_optimal, "no circuit, no optimality claim");
-        }
-        let unknown_below_sat = report
-            .calls
-            .iter()
-            .take_while(|c| c.result != SynthResultKind::Realizable)
-            .any(|c| c.result == SynthResultKind::Unknown);
-        if unknown_below_sat {
-            assert!(
-                !report.proven_optimal,
-                "Unknown below the optimum forfeits the proof"
+    fn vsteps_ladder_proves_and2_optimum_at_any_width() {
+        let f = generators::and_gate(2);
+        let opts = EncodeOptions::recommended();
+        let synth = Synthesizer::new();
+        for jobs in [1, 3] {
+            let report = minimize_vsteps(&synth, &f, 0, 1, 4, &opts, jobs).unwrap();
+            let best = report.best.expect("AND2 is V-realizable");
+            assert_eq!(
+                best.metrics().n_vsteps,
+                1,
+                "AND2 = V(0, x1, ~x2) in one step"
             );
+            assert!(report.proven_optimal);
         }
-        assert!(report.total_time() > std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn mixed_mode_xor_is_jobs_invariant() {
+        let f = generators::xor_gate(2);
+        let opts = EncodeOptions::recommended();
+        let synth = Synthesizer::new();
+        let mut reports = Vec::new();
+        for jobs in [1, 2, 8] {
+            let report = minimize_mixed_mode(&synth, &f, 3, 3, false, &opts, jobs).unwrap();
+            let best = report.best.as_ref().expect("XOR2 is MM-realizable");
+            assert!(best.implements(&f));
+            // XOR needs at least one R-op (V-ops alone cannot do it).
+            assert!(best.metrics().n_rops >= 1);
+            reports.push(report);
+        }
+        for pair in reports.windows(2) {
+            reports_agree(&pair[0], &pair[1]);
+        }
+    }
+
+    #[test]
+    fn skipped_points_leave_no_call_records() {
+        // With one worker the ladder is the sequential scan-up: every point
+        // after the first SAT is skipped before launch.
+        let f = generators::nor_gate(2);
+        let opts = EncodeOptions::recommended();
+        let report = minimize_r_only(&Synthesizer::new(), &f, 4, &opts, 1).unwrap();
+        assert_eq!(report.calls.len(), 1, "NOR2 is SAT at N_R = 1");
+        assert_eq!(report.calls[0].result, SynthResultKind::Realizable);
+        assert_eq!(report.best.expect("NOR2 is one R-op").metrics().n_rops, 1);
+        assert!(report.proven_optimal, "the ladder floor is optimal");
     }
 
     /// Golden-JSON schema stability for [`CallRecord`]: `--stats-json`
@@ -619,10 +888,71 @@ mod tests {
     }
 
     #[test]
+    fn certified_ladder_agrees_and_backs_every_unsat_with_a_proof() {
+        let f = generators::xor_gate(2);
+        let opts = EncodeOptions::recommended();
+        let plain = Synthesizer::new();
+        let certifying = Synthesizer::new().with_certification(true);
+        let baseline = minimize_r_only(&plain, &f, 5, &opts, 2).unwrap();
+        for jobs in [1, 4] {
+            let report = minimize_r_only(&certifying, &f, 5, &opts, jobs).unwrap();
+            reports_agree(&baseline, &report);
+            let unsat_calls: Vec<_> = report
+                .calls
+                .iter()
+                .filter(|c| c.result == SynthResultKind::Unrealizable)
+                .collect();
+            assert!(
+                !unsat_calls.is_empty(),
+                "XOR2 R-only has UNSAT rungs at N_R = 1, 2"
+            );
+            for call in unsat_calls {
+                assert!(call.certified, "uncertified UNSAT at N_R = {}", call.n_rops);
+                let proof = call.proof.as_ref().expect("certified call keeps its proof");
+                assert!(proof.is_concluded());
+                assert!(call.proof_steps > 0);
+            }
+            // Non-UNSAT calls never carry a certificate.
+            for call in report
+                .calls
+                .iter()
+                .filter(|c| c.result != SynthResultKind::Unrealizable)
+            {
+                assert!(!call.certified);
+                assert!(call.proof.is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_portfolio_agrees_with_cold_at_every_width() {
+        let f = generators::xor_gate(2);
+        let opts = EncodeOptions::recommended();
+        let cold = Synthesizer::new();
+        let warm = Synthesizer::new().with_incremental(true);
+        let baseline = minimize_r_only(&cold, &f, 5, &opts, 1).unwrap();
+        for jobs in [1, 2, 8] {
+            let report = minimize_r_only(&warm, &f, 5, &opts, jobs).unwrap();
+            reports_agree(&baseline, &report);
+            assert!(report.proven_optimal);
+        }
+        let mm_baseline = minimize_mixed_mode(&cold, &f, 3, 3, false, &opts, 1).unwrap();
+        for jobs in [1, 2, 8] {
+            let report = minimize_mixed_mode(&warm, &f, 3, 3, false, &opts, jobs).unwrap();
+            reports_agree(&mm_baseline, &report);
+            assert!(report
+                .best
+                .as_ref()
+                .expect("XOR2 is MM-realizable")
+                .implements(&f));
+        }
+    }
+
+    #[test]
     fn incremental_vsteps_ladder_agrees_with_cold() {
         let f = generators::and_gate(2);
         let opts = EncodeOptions::recommended();
-        let cold = minimize_vsteps(&Synthesizer::new(), &f, 0, 1, 4, &opts).unwrap();
+        let cold = minimize_vsteps(&Synthesizer::new(), &f, 0, 1, 4, &opts, 1).unwrap();
         let warm = minimize_vsteps(
             &Synthesizer::new().with_incremental(true),
             &f,
@@ -630,13 +960,10 @@ mod tests {
             1,
             4,
             &opts,
+            1,
         )
         .unwrap();
-        assert_eq!(cold.proven_optimal, warm.proven_optimal);
-        assert_eq!(
-            cold.best.as_ref().map(|c| c.metrics().n_vsteps),
-            warm.best.as_ref().map(|c| c.metrics().n_vsteps),
-        );
+        reports_agree(&cold, &warm);
         assert!(warm.best.expect("AND2 is V-realizable").implements(&f));
         // The warm ladder re-encodes nothing: every rung reports the same
         // shared-base CNF size, strictly larger than any cold rung's.
@@ -646,68 +973,37 @@ mod tests {
     }
 
     #[test]
-    fn incremental_r_only_ladder_agrees_with_cold() {
-        let f = generators::xor_gate(2);
-        let opts = EncodeOptions::recommended();
-        let cold = minimize_r_only(&Synthesizer::new(), &f, 5, &opts).unwrap();
-        let warm =
-            minimize_r_only(&Synthesizer::new().with_incremental(true), &f, 5, &opts).unwrap();
-        assert_eq!(cold.proven_optimal, warm.proven_optimal);
-        assert!(warm.proven_optimal);
-        assert_eq!(
-            warm.best.expect("XOR2 from NORs").metrics().n_rops,
-            3,
-            "incremental engine must find the same optimum (Table IV)"
-        );
-    }
-
-    #[test]
-    fn incremental_mixed_mode_agrees_with_cold() {
-        let f = generators::xor_gate(2);
-        let opts = EncodeOptions::recommended();
-        let cold = minimize_mixed_mode(&Synthesizer::new(), &f, 3, 3, false, &opts).unwrap();
-        let warm = minimize_mixed_mode(
-            &Synthesizer::new().with_incremental(true),
-            &f,
-            3,
-            3,
-            false,
-            &opts,
-        )
-        .unwrap();
-        assert_eq!(cold.proven_optimal, warm.proven_optimal);
-        let (c, w) = (
-            cold.best.expect("XOR2 is MM-realizable"),
-            warm.best.expect("XOR2 is MM-realizable"),
-        );
-        assert!(w.implements(&f));
-        assert_eq!(c.metrics().n_rops, w.metrics().n_rops);
-        assert_eq!(c.metrics().n_vsteps, w.metrics().n_vsteps);
-    }
-
-    #[test]
-    fn certification_forces_the_cold_engine() {
-        // --certify --incremental must fall back to per-rung cold solves
-        // with a checkable DRAT proof on every UNSAT rung.
+    fn certified_incremental_ladder_falls_back_to_cold_drat_proofs() {
+        // The certification + incrementality interplay: `--certify` wins,
+        // every UNSAT rung carries its own checker-accepted refutation of
+        // the *rung's* formula, and the verdicts still match the plain run.
         let f = generators::xor_gate(2);
         let opts = EncodeOptions::recommended();
         let synth = Synthesizer::new()
             .with_incremental(true)
             .with_certification(true);
         assert!(!synth.incremental_for(&SynthSpec::r_only(&f, 3).unwrap()));
-        let report = minimize_r_only(&synth, &f, 4, &opts).unwrap();
-        assert_eq!(report.best.expect("XOR2 from NORs").metrics().n_rops, 3);
-        assert!(report.proven_optimal);
-        let unsat: Vec<_> = report
-            .calls
-            .iter()
-            .filter(|c| c.result == SynthResultKind::Unrealizable)
-            .collect();
-        assert_eq!(unsat.len(), 2, "N_R = 1, 2 are UNSAT");
-        for call in unsat {
-            assert!(call.certified, "uncertified UNSAT at N_R = {}", call.n_rops);
-            let proof = call.proof.as_ref().expect("certified call keeps its proof");
-            assert!(proof.is_concluded());
+        let baseline = minimize_r_only(&Synthesizer::new(), &f, 5, &opts, 2).unwrap();
+        for jobs in [1, 4] {
+            let report = minimize_r_only(&synth, &f, 5, &opts, jobs).unwrap();
+            reports_agree(&baseline, &report);
+            for call in report
+                .calls
+                .iter()
+                .filter(|c| c.result == SynthResultKind::Unrealizable)
+            {
+                assert!(call.certified, "uncertified UNSAT at N_R = {}", call.n_rops);
+                let proof = call.proof.as_ref().expect("certified call keeps its proof");
+                assert!(proof.is_concluded());
+                // Re-check the proof against the rung's own cold encoding:
+                // an incremental shared-base artifact could never pass this.
+                let spec = SynthSpec::r_only(&f, call.n_rops)
+                    .unwrap()
+                    .with_options(opts.clone());
+                let text = Synthesizer::new().export_dimacs(&spec).unwrap();
+                let cnf = mm_sat::dimacs::parse(&text).unwrap();
+                mm_sat::drat::check(&cnf, proof).expect("proof refutes the rung formula");
+            }
         }
     }
 
@@ -732,20 +1028,36 @@ mod tests {
     }
 
     #[test]
-    fn minimize_mixed_mode_xor() {
-        let f = generators::xor_gate(2);
-        let report = minimize_mixed_mode(
-            &Synthesizer::new(),
-            &f,
-            3,
-            3,
-            false,
-            &EncodeOptions::recommended(),
-        )
-        .unwrap();
-        let best = report.best.expect("XOR2 is MM-realizable");
-        assert!(best.implements(&f));
-        // XOR needs at least one R-op (V-ops alone cannot do it).
-        assert!(best.metrics().n_rops >= 1);
+    fn budget_exhaustion_never_claims_optimality() {
+        // The budget is checked at solver restarts, so tiny calls may still
+        // complete under a 1-conflict budget; the invariants are that a
+        // missing circuit is never "optimal" and that any Unknown below the
+        // found budget forfeits the optimality claim. (With more workers a
+        // rung below the optimum may also be Unknown because a larger UNSAT
+        // cancelled it mid-run, which the lattice closure already covers.)
+        let f = generators::gf22_multiplier();
+        let synth = Synthesizer::new().with_budget(Budget::new().with_max_conflicts(1));
+        for jobs in [1, 4] {
+            let report =
+                minimize_r_only(&synth, &f, 5, &EncodeOptions::recommended(), jobs).unwrap();
+            if report.best.is_none() {
+                assert!(!report.proven_optimal, "no circuit, no optimality claim");
+            }
+            let found = report
+                .best
+                .as_ref()
+                .map_or(usize::MAX, |c| c.metrics().n_rops);
+            let unknown_below = report
+                .calls
+                .iter()
+                .any(|c| c.result == SynthResultKind::Unknown && c.n_rops < found);
+            if jobs == 1 && unknown_below {
+                assert!(
+                    !report.proven_optimal,
+                    "Unknown below the optimum forfeits the proof"
+                );
+            }
+            assert!(report.total_time() > Duration::ZERO);
+        }
     }
 }

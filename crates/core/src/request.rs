@@ -27,7 +27,7 @@ use mm_boolfn::MultiOutputFn;
 use mm_circuit::{CircuitError, MmCircuit};
 use mm_sat::{Budget, Deadline};
 
-use crate::optimize::{parallel, OptimizeReport};
+use crate::optimize::{self, OptimizeReport};
 use crate::{EncodeOptions, SynthError, Synthesizer};
 
 /// Which minimization ladder a request runs.
@@ -143,13 +143,13 @@ impl MinimizeRequest {
         }
         match self.mode {
             MinimizeMode::ROnly { max_rops } => {
-                parallel::minimize_r_only(&synth, f, max_rops, options, jobs)
+                optimize::minimize_r_only(&synth, f, max_rops, options, jobs)
             }
             MinimizeMode::MixedMode {
                 max_rops,
                 max_vsteps,
                 is_adder,
-            } => parallel::minimize_mixed_mode(
+            } => optimize::minimize_mixed_mode(
                 &synth, f, max_rops, max_vsteps, is_adder, options, jobs,
             ),
         }
@@ -248,13 +248,13 @@ mod tests {
     }
 
     #[test]
-    fn run_matches_direct_parallel_dispatch() {
+    fn run_matches_direct_ladder_dispatch() {
         let f = generators::xor_gate(2);
         let opts = EncodeOptions::recommended();
         let synth = Synthesizer::new();
         let req = MinimizeRequest::r_only(5);
         let via_request = req.run(&synth, &f, &opts, 2).unwrap();
-        let direct = parallel::minimize_r_only(&synth, &f, 5, &opts, 2).unwrap();
+        let direct = optimize::minimize_r_only(&synth, &f, 5, &opts, 2).unwrap();
         assert_eq!(via_request.proven_optimal, direct.proven_optimal);
         assert_eq!(
             via_request.best.map(|c| c.metrics().n_rops),

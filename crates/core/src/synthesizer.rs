@@ -139,10 +139,10 @@ impl Synthesizer {
     /// With incrementality on, the minimality ladders in [`crate::optimize`]
     /// encode `Φ(f)` once at the top rung's budgets with *disable*
     /// assumption literals guarding every rung-varying constraint, and
-    /// descend on one long-lived solver per worker so learned clauses carry
-    /// from rung to rung (see [`encoder` docs][crate::encoder]). The flag is
-    /// a pure engine selector: verdicts and decoded circuits are unaffected
-    /// (locked down by `tests/incremental_differential.rs`).
+    /// scan them on one long-lived solver per worker so learned clauses
+    /// carry from rung to rung (see [`encoder` docs][crate::encoder]). The
+    /// flag is a pure engine selector: verdicts and decoded circuits are
+    /// unaffected (locked down by `tests/incremental_differential.rs`).
     ///
     /// Ladders fall back to cold per-rung solves — regardless of this flag —
     /// when certification is on (a DRAT proof must refute the *rung's*

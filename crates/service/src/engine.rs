@@ -10,7 +10,7 @@
 //! cache hit is therefore bit-identical (circuit, proof, verdict) to a
 //! cold solve of the same request — and since the portfolio's verdicts
 //! are worker-count-invariant for conflict-limited budgets (see
-//! `mm_synth::optimize::parallel`), that identity holds at any `--jobs`.
+//! `mm_synth::optimize`), that identity holds at any `--jobs`.
 //!
 //! # What gets cached
 //!

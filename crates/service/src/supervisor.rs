@@ -201,7 +201,14 @@ impl<R: Send + 'static> Supervisor<R> {
     }
 
     fn drain(&mut self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
+        // Set the flag under the queue lock: an idle worker checks it and
+        // parks while holding that lock, so a flag set (and notified)
+        // between its check and its wait would leave it parked forever.
+        // The guard is held even if the lock is poisoned; this runs in Drop.
+        {
+            let _queue = self.shared.queue.lock();
+            self.shared.draining.store(true, Ordering::SeqCst);
+        }
         self.shared.wake.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();

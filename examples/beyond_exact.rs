@@ -53,7 +53,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let h = heuristic::map(&f)?;
         let hm = h.metrics();
-        let report = minimize_mixed_mode(&synth, &f, 3, 3, false, &EncodeOptions::recommended())?;
+        let report =
+            minimize_mixed_mode(&synth, &f, 3, 3, false, &EncodeOptions::recommended(), 1)?;
         match report.best {
             Some(best) => {
                 let om = best.metrics();

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let options = EncodeOptions::recommended();
 
     // 1. Optimal mixed-mode: smallest N_R, then smallest N_VS.
-    let mm = minimize_mixed_mode(&synth, &f, 4, 4, false, &options)?;
+    let mm = minimize_mixed_mode(&synth, &f, 4, 4, false, &options, 1)?;
     let mm_best = mm.best.as_ref().expect("XOR3 is MM-realizable");
     let m = mm_best.metrics();
     println!(
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Conventional stateful-only baseline.
-    let r_only = minimize_r_only(&synth, &f, 8, &options)?;
+    let r_only = minimize_r_only(&synth, &f, 8, &options, 1)?;
     let r_best = r_only.best.as_ref().expect("NOR logic is universal");
     let rm = r_best.metrics();
     println!(

@@ -42,8 +42,6 @@ EAGER_FAMILIES = {
     "mmsynth_solver_propagations_total": "counter",
     "mmsynth_solver_decisions_total": "counter",
     "mmsynth_solver_restarts_total": "counter",
-    "mmsynth_ladder_clauses_exported_total": "counter",
-    "mmsynth_ladder_clauses_imported_total": "counter",
 }
 
 # Families registered lazily by the first resolved job.

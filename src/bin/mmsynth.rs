@@ -33,12 +33,13 @@
 //! `--proof`/`--proof-dir` additionally archive the accepted proofs as
 //! standard DRAT text for cross-checking with external tools (`drat-trim`).
 //!
-//! `minimize` descends its budget ladder *incrementally* by default: the
-//! formula is encoded once at the top rung and each worker keeps one
-//! long-lived solver, activating smaller rungs via assumptions and sharing
-//! strong learned clauses across the portfolio. `--no-incremental` restores
-//! cold per-rung solves; `--certify` implies them, so every archived proof
-//! refutes its own rung's formula.
+//! `minimize` scans its budget ladder upward with `--jobs` workers (one
+//! worker is the plain sequential scan) and solves it *incrementally* by
+//! default: the formula is encoded once at the top rung and each worker
+//! keeps one long-lived solver, activating smaller rungs via assumptions
+//! and sharing strong learned clauses across the portfolio.
+//! `--no-incremental` restores cold per-rung solves; `--certify` implies
+//! them, so every archived proof refutes its own rung's formula.
 //!
 //! Every subcommand also accepts the telemetry flags: `--trace-out F.jsonl`
 //! streams the raw span/counter/point event stream as JSON lines,
@@ -78,7 +79,7 @@ use memristive_mm::circuit::campaign::{run_campaign_traced, CampaignConfig, Camp
 use memristive_mm::circuit::{FaultPlan, Schedule};
 use memristive_mm::device::{DeviceState, ElectricalParams, LineArray};
 use memristive_mm::sat::{Budget, Deadline};
-use memristive_mm::synth::optimize::parallel;
+use memristive_mm::synth::optimize;
 use memristive_mm::synth::repair::{synthesize_with_repair, RepairConfig, RepairStatus};
 use memristive_mm::synth::universality::{census, CensusConfig};
 use memristive_mm::synth::{heuristic, EncodeOptions, SynthResult, SynthSpec, Synthesizer};
@@ -439,7 +440,7 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
         }
         "minimize" => {
             let f = parse_function(args.get("function").ok_or("--function required")?)?;
-            let jobs = args.get_usize("jobs", parallel::default_jobs()).max(1);
+            let jobs = args.get_usize("jobs", optimize::default_jobs()).max(1);
             let options = EncodeOptions::recommended();
             if let Some(dir) = args.get("cache-dir") {
                 return minimize_cached(args, tel, &f, jobs, &options, dir);
@@ -458,10 +459,10 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
                 synth = synth.with_budget(budget);
             }
             let report = if args.has("r-only") {
-                parallel::minimize_r_only(&synth, &f, args.get_usize("max-rops", 8), &options, jobs)
+                optimize::minimize_r_only(&synth, &f, args.get_usize("max-rops", 8), &options, jobs)
             } else {
                 let is_adder = args.has("adder") || f.name().starts_with("adder");
-                parallel::minimize_mixed_mode(
+                optimize::minimize_mixed_mode(
                     &synth,
                     &f,
                     args.get_usize("max-rops", 8),
@@ -626,7 +627,7 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
                  \x20      --certify checks every UNSAT answer against its DRAT proof\n\
                  \x20      before any optimality claim; --proof/--proof-dir archive the\n\
                  \x20      accepted proofs as DRAT text\n\
-                 \x20      minimize descends its budget ladder incrementally (one\n\
+                 \x20      minimize scans its budget ladder upward, incrementally (one\n\
                  \x20      long-lived solver per worker, shared learned clauses);\n\
                  \x20      --no-incremental restores cold per-rung solves, and\n\
                  \x20      --certify implies them (proofs refute each rung's formula)\n\

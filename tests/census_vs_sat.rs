@@ -4,7 +4,7 @@
 //! realizable.
 
 use memristive_mm::boolfn::{MultiOutputFn, TruthTable};
-use memristive_mm::synth::optimize::{parallel, SynthResultKind};
+use memristive_mm::synth::optimize::{self, SynthResultKind};
 use memristive_mm::synth::universality::{census_set, CensusConfig};
 use memristive_mm::synth::{EncodeOptions, SynthSpec, Synthesizer};
 
@@ -100,7 +100,7 @@ fn certified_ladder_agrees_with_census_on_all_npn_classes() {
         let f = MultiOutputFn::new(format!("npn{bits:x}"), vec![tt]).expect("one output");
         let census_realizable = reachable.contains(&bits);
         for jobs in job_counts() {
-            let report = parallel::minimize_vsteps(&synth, &f, 0, 1, 4, &opts, jobs)
+            let report = optimize::minimize_vsteps(&synth, &f, 0, 1, 4, &opts, jobs)
                 .expect("certified ladder runs");
             assert_eq!(
                 report.best.is_some(),

@@ -15,7 +15,7 @@
 use memristive_mm::boolfn::{generators, MultiOutputFn, TruthTable};
 use memristive_mm::sat::drat::{check, DratError};
 use memristive_mm::sat::DratProof;
-use memristive_mm::synth::optimize::{parallel, CallRecord, SynthResultKind};
+use memristive_mm::synth::optimize::{self, CallRecord, SynthResultKind};
 use memristive_mm::synth::{EncodeOptions, SynthSpec, Synthesizer};
 
 /// The 2-input example set: every Table-IV-style small spec the README
@@ -69,7 +69,7 @@ fn every_unsat_in_certified_minimization_is_proof_backed() {
     let mut certified_total = 0usize;
     for (name, f) in example_set() {
         // R-only ladder (the conventional-paradigm baseline).
-        let report = parallel::minimize_r_only(&synth, &f, 4, &opts, 2)
+        let report = optimize::minimize_r_only(&synth, &f, 4, &opts, 2)
             .unwrap_or_else(|e| panic!("{name} r-only ladder: {e}"));
         for call in &report.calls {
             if call.result == SynthResultKind::Unrealizable {
@@ -88,7 +88,7 @@ fn every_unsat_in_certified_minimization_is_proof_backed() {
 
         // Mixed-mode V-step ladder at N_R = 0 (the universality boundary —
         // XOR-likes produce UNSAT at every rung).
-        let report = parallel::minimize_vsteps(&synth, &f, 0, 1, 3, &opts, 2)
+        let report = optimize::minimize_vsteps(&synth, &f, 0, 1, 3, &opts, 2)
             .unwrap_or_else(|e| panic!("{name} vsteps ladder: {e}"));
         for call in &report.calls {
             if call.result == SynthResultKind::Unrealizable {

@@ -7,8 +7,7 @@ use std::time::Duration;
 
 use memristive_mm::boolfn::generators;
 use memristive_mm::sat::{Budget, Deadline};
-use memristive_mm::synth::optimize::parallel;
-use memristive_mm::synth::optimize::{DegradeReason, OptimizeStatus};
+use memristive_mm::synth::optimize::{self, DegradeReason, OptimizeStatus};
 use memristive_mm::synth::{EncodeOptions, Synthesizer};
 
 fn expired_synth() -> Synthesizer {
@@ -21,7 +20,7 @@ fn zero_deadline_minimize_mixed_mode_degrades_at_every_width() {
     let options = EncodeOptions::recommended();
     for jobs in [1, 2, 8] {
         let report =
-            parallel::minimize_mixed_mode(&expired_synth(), &f, 3, 3, false, &options, jobs)
+            optimize::minimize_mixed_mode(&expired_synth(), &f, 3, 3, false, &options, jobs)
                 .expect("deadline expiry is degradation, not an error");
         assert!(
             matches!(
@@ -52,7 +51,7 @@ fn zero_deadline_minimize_r_only_never_errors() {
     let f = generators::and_gate(2);
     let options = EncodeOptions::recommended();
     for jobs in [1, 2, 8] {
-        let report = parallel::minimize_r_only(&expired_synth(), &f, 4, &options, jobs)
+        let report = optimize::minimize_r_only(&expired_synth(), &f, 4, &options, jobs)
             .expect("deadline expiry is degradation, not an error");
         assert!(report.status.is_degraded(), "jobs={jobs}");
         assert!(!report.proven_optimal, "jobs={jobs}");
@@ -61,7 +60,7 @@ fn zero_deadline_minimize_r_only_never_errors() {
 
 #[test]
 fn sequential_minimize_degrades_too() {
-    use memristive_mm::synth::optimize;
+    // One worker: the plain sequential scan-up.
     let f = generators::xor_gate(2);
     let report = optimize::minimize_mixed_mode(
         &expired_synth(),
@@ -70,6 +69,7 @@ fn sequential_minimize_degrades_too() {
         3,
         false,
         &EncodeOptions::recommended(),
+        1,
     )
     .expect("deadline expiry is degradation, not an error");
     assert!(report.status.is_degraded());
@@ -86,7 +86,7 @@ fn generous_deadline_still_completes_and_proves() {
     let options = EncodeOptions::recommended();
     let synth = Synthesizer::new()
         .with_budget(Budget::new().with_deadline(Deadline::after(Duration::from_secs(600))));
-    let report = parallel::minimize_mixed_mode(&synth, &f, 3, 3, false, &options, 2)
+    let report = optimize::minimize_mixed_mode(&synth, &f, 3, 3, false, &options, 2)
         .expect("well-budgeted run");
     assert_eq!(report.status, OptimizeStatus::Complete);
     assert!(report.proven_optimal);
@@ -101,7 +101,7 @@ fn conflict_budget_exhaustion_degrades_with_best_known() {
     let f = generators::gf22_multiplier();
     let options = EncodeOptions::recommended();
     let synth = Synthesizer::new().with_budget(Budget::new().with_max_conflicts(1));
-    let report = parallel::minimize_mixed_mode(&synth, &f, 4, 3, false, &options, 2)
+    let report = optimize::minimize_mixed_mode(&synth, &f, 4, 3, false, &options, 2)
         .expect("budget exhaustion is degradation, not an error");
     if report.status.is_degraded() {
         assert!(!report.proven_optimal);

@@ -13,7 +13,7 @@
 use memristive_mm::boolfn::{generators, MultiOutputFn, TruthTable};
 use memristive_mm::circuit::{CircuitError, MmCircuit, Schedule};
 use memristive_mm::device::DeviceState;
-use memristive_mm::synth::optimize::{parallel, OptimizeReport};
+use memristive_mm::synth::optimize::{self, OptimizeReport};
 use memristive_mm::synth::repair::{synthesize_with_repair, RepairConfig};
 use memristive_mm::synth::{EncodeOptions, SynthSpec, Synthesizer};
 
@@ -93,9 +93,9 @@ fn npn_census_vsteps_ladders_match_cold_engine() {
         let tt = TruthTable::from_packed(2, u64::from(bits)).expect("2-input table");
         let f = MultiOutputFn::new(format!("npn{bits:x}"), vec![tt]).expect("one output");
         let baseline =
-            parallel::minimize_vsteps(&cold(), &f, 0, 1, 4, &opts, 1).expect("cold ladder runs");
+            optimize::minimize_vsteps(&cold(), &f, 0, 1, 4, &opts, 1).expect("cold ladder runs");
         for jobs in JOBS {
-            let report = parallel::minimize_vsteps(&warm(), &f, 0, 1, 4, &opts, jobs)
+            let report = optimize::minimize_vsteps(&warm(), &f, 0, 1, 4, &opts, jobs)
                 .expect("warm ladder runs");
             let label = format!("npn {bits:04b} vsteps jobs={jobs}");
             assert_same_verdict(&label, &baseline, &report);
@@ -117,10 +117,10 @@ fn mixed_mode_ladders_match_cold_engine() {
         generators::and_gate(3),
         generators::nor_gate(2),
     ] {
-        let baseline = parallel::minimize_mixed_mode(&cold(), &f, 3, 3, false, &opts, 1)
+        let baseline = optimize::minimize_mixed_mode(&cold(), &f, 3, 3, false, &opts, 1)
             .expect("cold ladder runs");
         for jobs in JOBS {
-            let report = parallel::minimize_mixed_mode(&warm(), &f, 3, 3, false, &opts, jobs)
+            let report = optimize::minimize_mixed_mode(&warm(), &f, 3, 3, false, &opts, jobs)
                 .expect("warm ladder runs");
             let label = format!("{} mixed-mode jobs={jobs}", f.name());
             assert_same_verdict(&label, &baseline, &report);
@@ -140,42 +140,15 @@ fn r_only_ladders_match_cold_engine() {
     let opts = EncodeOptions::recommended();
     for f in [generators::xor_gate(2), generators::nor_gate(2)] {
         let baseline =
-            parallel::minimize_r_only(&cold(), &f, 5, &opts, 1).expect("cold ladder runs");
+            optimize::minimize_r_only(&cold(), &f, 5, &opts, 1).expect("cold ladder runs");
         for jobs in JOBS {
             let report =
-                parallel::minimize_r_only(&warm(), &f, 5, &opts, jobs).expect("warm ladder runs");
+                optimize::minimize_r_only(&warm(), &f, 5, &opts, jobs).expect("warm ladder runs");
             let label = format!("{} r-only jobs={jobs}", f.name());
             assert_same_verdict(&label, &baseline, &report);
             if let Some(c) = &report.best {
                 device_verify(&label, c, &f);
             }
-        }
-    }
-}
-
-/// Serial (non-portfolio) ladders go through the same engine selection;
-/// they must match their own cold counterparts too.
-#[test]
-fn serial_ladders_match_cold_engine() {
-    use memristive_mm::synth::optimize as serial;
-    let opts = EncodeOptions::recommended();
-    let f = generators::xor_gate(2);
-    let pairs = [
-        (
-            serial::minimize_r_only(&cold(), &f, 5, &opts).expect("cold runs"),
-            serial::minimize_r_only(&warm(), &f, 5, &opts).expect("warm runs"),
-            "serial r-only",
-        ),
-        (
-            serial::minimize_mixed_mode(&cold(), &f, 3, 3, false, &opts).expect("cold runs"),
-            serial::minimize_mixed_mode(&warm(), &f, 3, 3, false, &opts).expect("warm runs"),
-            "serial mixed-mode",
-        ),
-    ];
-    for (baseline, report, label) in &pairs {
-        assert_same_verdict(label, baseline, report);
-        if let Some(c) = &report.best {
-            device_verify(label, c, &f);
         }
     }
 }

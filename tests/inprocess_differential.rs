@@ -15,7 +15,7 @@ use memristive_mm::circuit::{CircuitError, MmCircuit, Schedule};
 use memristive_mm::sat::Budget;
 use std::sync::Arc;
 
-use memristive_mm::synth::optimize::{self, parallel, OptimizeReport};
+use memristive_mm::synth::optimize::{self, OptimizeReport};
 use memristive_mm::synth::{EncodeOptions, Synthesizer};
 use memristive_mm::telemetry::{MemorySink, RunReport, Telemetry};
 
@@ -105,11 +105,11 @@ fn npn_census_vsteps_ladders_are_inprocess_invariant() {
     for &bits in &classes {
         let tt = TruthTable::from_packed(2, u64::from(bits)).expect("2-input table");
         let f = MultiOutputFn::new(format!("npn{bits:x}"), vec![tt]).expect("one output");
-        let baseline = parallel::minimize_vsteps(&engines()[0].1, &f, 0, 1, 4, &opts, 1)
+        let baseline = optimize::minimize_vsteps(&engines()[0].1, &f, 0, 1, 4, &opts, 1)
             .expect("baseline ladder runs");
         for (name, synth) in engines() {
             for jobs in JOBS {
-                let report = parallel::minimize_vsteps(&synth, &f, 0, 1, 4, &opts, jobs)
+                let report = optimize::minimize_vsteps(&synth, &f, 0, 1, 4, &opts, jobs)
                     .expect("ladder runs");
                 let label = format!("npn {bits:04b} vsteps {name} jobs={jobs}");
                 assert_same_verdict(&label, &baseline, &report);
@@ -128,11 +128,11 @@ fn npn_census_vsteps_ladders_are_inprocess_invariant() {
 fn adder_mixed_mode_ladder_is_inprocess_invariant() {
     let opts = EncodeOptions::recommended();
     let f = generators::ripple_adder(1);
-    let baseline = parallel::minimize_mixed_mode(&engines()[0].1, &f, 3, 3, true, &opts, 1)
+    let baseline = optimize::minimize_mixed_mode(&engines()[0].1, &f, 3, 3, true, &opts, 1)
         .expect("baseline ladder runs");
     for (name, synth) in engines() {
         for jobs in JOBS {
-            let report = parallel::minimize_mixed_mode(&synth, &f, 3, 3, true, &opts, jobs)
+            let report = optimize::minimize_mixed_mode(&synth, &f, 3, 3, true, &opts, jobs)
                 .expect("ladder runs");
             let label = format!("adder1 mixed-mode {name} jobs={jobs}");
             assert_same_verdict(&label, &baseline, &report);
@@ -144,7 +144,7 @@ fn adder_mixed_mode_ladder_is_inprocess_invariant() {
 }
 
 /// The effort bound of the subsumption pass, as a deterministic counter:
-/// on the adder's serial warm ladder (the `inprocess_adder1_*` probe of
+/// on the adder's single-worker warm ladder (the `inprocess_adder1_*` probe of
 /// `bench_report`), the occurrence entries and clause literals examined by
 /// inprocessing stay within the search's own propagations. Conflict counts
 /// cannot show a pass that re-scans the whole encoding every time; this
@@ -156,8 +156,9 @@ fn inprocessing_effort_stays_within_search_propagations() {
         .with_incremental(true)
         .with_telemetry(Telemetry::new(sink.clone()));
     let f = generators::ripple_adder(1);
-    let report = optimize::minimize_mixed_mode(&synth, &f, 4, 4, true, &EncodeOptions::default())
-        .expect("adder1 ladder runs");
+    let report =
+        optimize::minimize_mixed_mode(&synth, &f, 4, 4, true, &EncodeOptions::default(), 1)
+            .expect("adder1 ladder runs");
     assert!(report.proven_optimal);
     let run = RunReport::from_events(&sink.snapshot());
     let visits = run.counter("solver.inprocess.visits");
@@ -179,12 +180,12 @@ fn inprocessing_effort_stays_within_search_propagations() {
 fn gf22_vsteps_ladder_is_inprocess_invariant() {
     let opts = EncodeOptions::recommended();
     let f = generators::gf22_multiplier();
-    let baseline = parallel::minimize_vsteps(&engines()[0].1, &f, 4, 6, 3, &opts, 1)
+    let baseline = optimize::minimize_vsteps(&engines()[0].1, &f, 4, 6, 3, &opts, 1)
         .expect("baseline ladder runs");
     for (name, synth) in engines() {
         for jobs in [1, 2] {
             let report =
-                parallel::minimize_vsteps(&synth, &f, 4, 6, 3, &opts, jobs).expect("ladder runs");
+                optimize::minimize_vsteps(&synth, &f, 4, 6, 3, &opts, jobs).expect("ladder runs");
             let label = format!("gf22 vsteps {name} jobs={jobs}");
             assert_same_verdict(&label, &baseline, &report);
             if let Some(c) = &report.best {

@@ -1,6 +1,6 @@
 //! Thread-count invariance of the parallel portfolio minimizer.
 //!
-//! The engine's contract (see `optimize::parallel`): for fixed inputs and a
+//! The engine's contract (see `optimize`): for fixed inputs and a
 //! conflict-limited or unlimited budget, the reported optimum's cost
 //! metrics and the `proven_optimal` bit are identical for every `jobs`
 //! value; only the order and number of recorded calls may differ. These
@@ -10,7 +10,7 @@
 
 use memristive_mm::boolfn::generators;
 use memristive_mm::sat::Budget;
-use memristive_mm::synth::optimize::{parallel, OptimizeReport};
+use memristive_mm::synth::optimize::{self, OptimizeReport};
 use memristive_mm::synth::{EncodeOptions, Synthesizer};
 
 /// The jobs values every determinism test compares.
@@ -51,7 +51,7 @@ fn adder1_mixed_mode_is_thread_count_invariant() {
     let synth = Synthesizer::new();
     let mut reports = Vec::new();
     for jobs in job_counts() {
-        let report = parallel::minimize_mixed_mode(&synth, &f, 3, 4, true, &opts, jobs)
+        let report = optimize::minimize_mixed_mode(&synth, &f, 3, 4, true, &opts, jobs)
             .expect("adder specs encode");
         reports.push((jobs, report));
     }
@@ -76,7 +76,7 @@ fn conflict_capped_adder2_is_thread_count_invariant() {
     let synth = Synthesizer::new().with_budget(Budget::new().with_max_conflicts(2_000));
     let mut reports = Vec::new();
     for jobs in job_counts() {
-        let report = parallel::minimize_mixed_mode(&synth, &f, 4, 5, true, &opts, jobs)
+        let report = optimize::minimize_mixed_mode(&synth, &f, 4, 5, true, &opts, jobs)
             .expect("adder specs encode");
         reports.push((jobs, report));
     }
@@ -118,7 +118,7 @@ fn telemetry_report_is_thread_count_invariant() {
         let sink = Arc::new(MemorySink::new());
         let synth = Synthesizer::new().with_telemetry(Telemetry::new(sink.clone()));
         let report =
-            parallel::minimize_r_only(&synth, &f, 5, &opts, jobs).expect("xor specs encode");
+            optimize::minimize_r_only(&synth, &f, 5, &opts, jobs).expect("xor specs encode");
         let run = RunReport::from_events(&sink.snapshot());
 
         // Per-run consistency: every completed solver call appears as
@@ -195,7 +195,7 @@ fn xor2_r_only_is_thread_count_invariant() {
     let synth = Synthesizer::new();
     for jobs in job_counts() {
         let report =
-            parallel::minimize_r_only(&synth, &f, 5, &opts, jobs).expect("xor specs encode");
+            optimize::minimize_r_only(&synth, &f, 5, &opts, jobs).expect("xor specs encode");
         assert_eq!(
             report.best.expect("XOR2 is R-realizable").metrics().n_rops,
             3,
