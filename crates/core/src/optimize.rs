@@ -70,7 +70,7 @@ use std::time::Duration;
 
 use mm_boolfn::MultiOutputFn;
 use mm_circuit::MmCircuit;
-use mm_sat::{Budget, CancellationToken, ClauseBus, Diversity, DratProof, Solver};
+use mm_sat::{CancellationToken, ClauseBus, Diversity, DratProof, Solver};
 use mm_telemetry::{kv, AttrValue};
 
 use crate::encoder::{self, SharedBase};
@@ -216,60 +216,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// The solving engine of one worker: either the classic cold path (a fresh
-/// encode + solver per rung) or a warm path holding one long-lived solver
-/// over a [`SharedBase`], activating rungs via assumptions.
-///
-/// Warm engines keep their learned clauses across rungs and share strong
-/// ones with the other workers over a [`ClauseBus`]. The engine choice
-/// never changes verdicts — see the equisatisfiability argument on
-/// [`SharedBase`] and `tests/incremental_differential.rs`.
-enum RungEngine<'a> {
-    /// Cold per-rung solving via [`Synthesizer::run`].
-    Cold(&'a Synthesizer),
-    /// One long-lived solver scanning the ladder on a shared base.
-    /// Boxed: a `Solver` is hundreds of bytes of watch/heap state, far
-    /// larger than the `Cold` variant.
-    Warm {
-        synth: &'a Synthesizer,
-        base: Arc<SharedBase>,
-        solver: Box<Solver>,
-    },
-}
-
-impl<'a> RungEngine<'a> {
-    /// A warm engine over the portfolio's already-encoded base, wired to
-    /// its clause bus, with a per-worker [`Diversity`] profile.
-    fn warm(synth: &'a Synthesizer, (base, bus): &WarmContext, diversity: Diversity) -> Self {
-        let solver = Solver::new(base.cnf.clone())
-            .with_telemetry(synth.telemetry().clone())
-            .with_diversity(diversity)
-            .with_clause_bus(bus.clone());
-        Self::Warm {
-            synth,
-            base: base.clone(),
-            solver: Box::new(solver),
-        }
-    }
-
-    /// Solves one rung under an explicit per-call budget (the worker
-    /// threads the rung's cancellation token through here).
-    fn run_with_budget(
-        &mut self,
-        spec: &SynthSpec,
-        budget: Budget,
-    ) -> Result<SynthOutcome, SynthError> {
-        match self {
-            Self::Cold(synth) => synth.clone().with_budget(budget).run(spec),
-            Self::Warm {
-                synth,
-                base,
-                solver,
-            } => synth.run_on_base(solver, base, spec, budget),
-        }
-    }
 }
 
 fn record(outcome: &SynthOutcome, spec: &SynthSpec) -> CallRecord {
@@ -492,18 +438,25 @@ fn worker(
     worker_idx: usize,
 ) {
     let telemetry = synth.telemetry().clone();
-    // Each worker owns one engine for its whole ladder share: warm workers
-    // keep a long-lived solver (learned clauses persist across rungs) wired
-    // to the portfolio bus, cold workers re-encode per rung as before.
-    // Warm workers are additionally diversified by seed, saved-phase
-    // polarity and restart policy, so the glue clauses they trade over the
-    // bus come from genuinely different trajectories (worker 0 stays
-    // canonical).
-    let make_engine = || match warm_ctx {
-        Some(ctx) => RungEngine::warm(synth, ctx, Diversity::for_worker(worker_idx)),
-        None => RungEngine::Cold(synth),
+    // With a warm context each worker keeps one long-lived solver over the
+    // shared base for its whole ladder share (learned clauses persist
+    // across rungs), wired to the portfolio bus. Without one, every rung is
+    // a cold `Synthesizer::run`. The path never changes verdicts (see the
+    // equisatisfiability argument on `SharedBase` and
+    // `tests/incremental_differential.rs`). Warm solvers are diversified by
+    // seed, saved-phase polarity and restart policy, so the glue clauses
+    // they trade over the bus come from genuinely different trajectories
+    // (worker 0 stays canonical).
+    let make_warm = || {
+        warm_ctx.map(|(base, bus)| {
+            let solver = Solver::new(base.cnf.clone())
+                .with_telemetry(telemetry.clone())
+                .with_diversity(Diversity::for_worker(worker_idx))
+                .with_clause_bus(bus.clone());
+            (base.clone(), Box::new(solver))
+        })
     };
-    let mut engine = make_engine();
+    let mut warm = make_warm();
     loop {
         let idx = cursor.fetch_add(1, Ordering::Relaxed);
         if idx >= specs.len() {
@@ -539,8 +492,9 @@ fn worker(
         }
         telemetry.point("rung.spawned", rung_attrs(idx, &specs[idx], worker_idx));
         let budget = synth.budget().with_cancellation(tokens[idx].clone());
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            engine.run_with_budget(&specs[idx], budget)
+        let run = catch_unwind(AssertUnwindSafe(|| match &mut warm {
+            Some((base, solver)) => synth.run_on_base(solver, base, &specs[idx], budget),
+            None => synth.clone().with_budget(budget).run(&specs[idx]),
         }));
         match run {
             Err(payload) => {
@@ -553,7 +507,7 @@ fn worker(
                 set_outcome(outcomes, idx, PointOutcome::Panicked(message));
                 // A panic may have left the long-lived solver mid-search;
                 // rebuild from the shared base rather than trust its state.
-                engine = make_engine();
+                warm = make_warm();
             }
             Ok(Ok(outcome)) => {
                 let record = record(&outcome, &specs[idx]);
@@ -766,6 +720,7 @@ pub fn minimize_mixed_mode(
 #[cfg(test)]
 mod tests {
     use mm_boolfn::generators;
+    use mm_sat::Budget;
 
     use super::*;
 

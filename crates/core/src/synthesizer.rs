@@ -2,7 +2,7 @@ use std::time::Duration;
 
 use mm_circuit::{MmCircuit, Schedule};
 use mm_sat::drat::{self, CheckStats};
-use mm_sat::{Budget, DratProof, SatResult, Solver, SolverStats};
+use mm_sat::{Budget, CnfFormula, DratProof, Model, SatResult, Solver, SolverStats};
 use mm_telemetry::{kv, AttrValue, Telemetry};
 
 use crate::{decoder, encoder, EncodeStats, SynthError, SynthSpec};
@@ -211,39 +211,33 @@ impl Synthesizer {
     pub fn run(&self, spec: &SynthSpec) -> Result<SynthOutcome, SynthError> {
         let _synth_span = self.telemetry.span_with("synth", span_attrs(spec));
         let encoded = self.encode_traced(spec)?;
-        if self.certify {
-            return self.run_certified(spec, encoded);
-        }
-        let (result, solver_stats) = {
+        // The checker refutes the rung's own formula, which the solver
+        // consumes: keep a copy when certifying.
+        let cnf = self.certify.then(|| encoded.cnf.clone());
+        let (result, solver_stats, proof) = {
             let _solve_span = self.telemetry.span("solve");
-            Solver::new(encoded.cnf)
-                .with_telemetry(self.telemetry.clone())
-                .solve_with_budget(self.budget.clone())
-        };
-        let mut placement = None;
-        let result = match result {
-            SatResult::Sat(model) => {
-                let _decode_span = self.telemetry.span("decode");
-                let circuit = decoder::decode(spec, &encoded.map, &model)?;
-                verify(&circuit, spec)?;
-                placement = place(&circuit, spec)?;
-                SynthResult::Realizable(circuit)
+            let solver = Solver::new(encoded.cnf).with_telemetry(self.telemetry.clone());
+            if self.certify {
+                solver.solve_certified(self.budget.clone())
+            } else {
+                let (result, stats) = solver.solve_with_budget(self.budget.clone());
+                (result, stats, None)
             }
-            SatResult::Unsat => SynthResult::Unrealizable,
-            SatResult::Unknown => SynthResult::Unknown,
         };
-        Ok(SynthOutcome {
+        self.conclude(
+            spec,
             result,
-            encode_stats: encoded.stats,
             solver_stats,
-            certificate: None,
-            placement,
-        })
+            encoded.stats,
+            |model| decoder::decode(spec, &encoded.map, model),
+            cnf.as_ref().zip(proof),
+        )
     }
 
     /// Solves one rung of a ladder on a long-lived `solver` holding `base`'s
     /// shared encoding, activating the rung via assumptions instead of
-    /// re-encoding.
+    /// re-encoding. Never certifying: an UNSAT under assumptions is no
+    /// refutation of the rung's formula.
     ///
     /// The reported `solver_stats` are the *per-call delta* (the solver's
     /// counters accumulate across rungs); `encode_stats` are the shared
@@ -270,52 +264,40 @@ impl Synthesizer {
             let _solve_span = self.telemetry.span("solve");
             solver.solve_under_assumptions(&assumptions, budget)
         };
-        let solver_stats = solver.stats().delta_since(&before);
-        let result = match result {
-            SatResult::Sat(model) => {
-                let _decode_span = self.telemetry.span("decode");
-                let circuit = decoder::decode(spec, &base.project_map(spec), &model)?;
-                verify(&circuit, spec)?;
-                SynthResult::Realizable(circuit)
-            }
-            SatResult::Unsat => SynthResult::Unrealizable,
-            SatResult::Unknown => SynthResult::Unknown,
-        };
-        Ok(SynthOutcome {
+        self.conclude(
+            spec,
             result,
-            encode_stats: base.stats,
-            solver_stats,
-            certificate: None,
-            placement: None,
-        })
+            solver.stats().delta_since(&before),
+            base.stats,
+            |model| decoder::decode(spec, &base.project_map(spec), model),
+            None,
+        )
     }
 
-    /// Certified variant of [`run`](Self::run): the formula is kept for the
-    /// checker, the solve logs a DRAT proof, and neither answer is returned
-    /// unverified.
-    fn run_certified(
+    /// The tail of every solve. A model is decoded and verified against
+    /// the spec (and, when certifying, replayed on the device model) before
+    /// the circuit is placed; a refutation must pass the DRAT checker
+    /// against `proof`'s formula when certifying; Unknown passes through.
+    fn conclude(
         &self,
         spec: &SynthSpec,
-        encoded: encoder::Encoded,
+        result: SatResult,
+        mut solver_stats: SolverStats,
+        encode_stats: EncodeStats,
+        decode: impl FnOnce(&Model) -> Result<MmCircuit, SynthError>,
+        proof: Option<(&CnfFormula, DratProof)>,
     ) -> Result<SynthOutcome, SynthError> {
-        let cnf = encoded.cnf.clone();
-        let (result, mut solver_stats, proof) = {
-            let _solve_span = self.telemetry.span("solve");
-            Solver::new(encoded.cnf)
-                .with_telemetry(self.telemetry.clone())
-                .solve_certified(self.budget.clone())
-        };
         let mut certificate = None;
         let mut placement = None;
         let result = match result {
             SatResult::Sat(model) => {
                 let circuit = {
                     let _decode_span = self.telemetry.span("decode");
-                    let circuit = decoder::decode(spec, &encoded.map, &model)?;
+                    let circuit = decode(&model)?;
                     verify(&circuit, spec)?;
                     circuit
                 };
-                {
+                if self.certify {
                     let _device_span = self.telemetry.span("device-verify");
                     verify_on_device(&circuit, spec)?;
                 }
@@ -323,27 +305,24 @@ impl Synthesizer {
                 SynthResult::Realizable(circuit)
             }
             SatResult::Unsat => {
-                let proof = proof.expect("certified solve always returns the log");
-                let _certify_span = self.telemetry.span("certify");
-                match drat::check(&cnf, &proof) {
-                    Ok(check) => {
-                        solver_stats.proof_checked = true;
-                        solver_stats.proof_check_time = check.check_time;
-                        certificate = Some(UnsatCertificate { proof, check });
-                        SynthResult::Unrealizable
-                    }
-                    Err(e) => {
-                        return Err(SynthError::CertificationFailed {
+                if self.certify {
+                    let (cnf, proof) = proof.expect("certified solves return the log");
+                    let _certify_span = self.telemetry.span("certify");
+                    let check =
+                        drat::check(cnf, &proof).map_err(|e| SynthError::CertificationFailed {
                             reason: e.to_string(),
-                        })
-                    }
+                        })?;
+                    solver_stats.proof_checked = true;
+                    solver_stats.proof_check_time = check.check_time;
+                    certificate = Some(UnsatCertificate { proof, check });
                 }
+                SynthResult::Unrealizable
             }
             SatResult::Unknown => SynthResult::Unknown,
         };
         Ok(SynthOutcome {
             result,
-            encode_stats: encoded.stats,
+            encode_stats,
             solver_stats,
             certificate,
             placement,

@@ -139,7 +139,6 @@ fn far_future() -> Instant {
 pub struct Budget {
     max_conflicts: Option<u64>,
     max_time: Option<Duration>,
-    max_proof_steps: Option<u64>,
     deadline: Option<Deadline>,
     cancel: Option<CancellationToken>,
     inprocess: bool,
@@ -150,7 +149,6 @@ impl Default for Budget {
         Self {
             max_conflicts: None,
             max_time: None,
-            max_proof_steps: None,
             deadline: None,
             cancel: None,
             inprocess: true,
@@ -167,7 +165,6 @@ impl PartialEq for Budget {
         };
         self.max_conflicts == other.max_conflicts
             && self.max_time == other.max_time
-            && self.max_proof_steps == other.max_proof_steps
             && self.deadline == other.deadline
             && self.inprocess == other.inprocess
             && tokens_match
@@ -194,16 +191,6 @@ impl Budget {
     /// one restart interval.
     pub fn with_max_time(mut self, time: Duration) -> Self {
         self.max_time = Some(time);
-        self
-    }
-
-    /// Limits the number of DRAT proof steps (clause additions + deletions)
-    /// recorded before giving up. Only meaningful with proof logging on;
-    /// caps the disk/memory footprint of a certification run.
-    ///
-    /// Like the time limit, this is checked between restarts.
-    pub fn with_max_proof_steps(mut self, steps: u64) -> Self {
-        self.max_proof_steps = Some(steps);
         self
     }
 
@@ -247,11 +234,6 @@ impl Budget {
         self.max_time
     }
 
-    /// The proof-step limit, if any.
-    pub fn max_proof_steps(&self) -> Option<u64> {
-        self.max_proof_steps
-    }
-
     /// The attached deadline, if any.
     pub fn deadline(&self) -> Option<Deadline> {
         self.deadline
@@ -271,7 +253,6 @@ impl Budget {
     pub fn is_unlimited(&self) -> bool {
         self.max_conflicts.is_none()
             && self.max_time.is_none()
-            && self.max_proof_steps.is_none()
             && self.deadline.is_none()
             && self.cancel.is_none()
     }

@@ -48,7 +48,7 @@ use std::error::Error;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use crate::{CnfFormula, Lit, ProofWriter, SatError};
+use crate::{CnfFormula, Lit, SatError};
 
 /// One step of a DRAT derivation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,8 +59,12 @@ pub enum ProofStep {
     Delete(Vec<Lit>),
 }
 
-/// An in-memory DRAT derivation, usable both as the solver's
-/// [`ProofWriter`] backend and as the [`check`] input.
+/// An in-memory DRAT derivation: the solver's proof log (installed by
+/// [`Solver::with_proof`](crate::Solver::with_proof) or
+/// [`Solver::solve_certified`](crate::Solver::solve_certified)) and the
+/// [`check`] input. [`to_drat_string`](Self::to_drat_string) and
+/// [`parse`](Self::parse) convert to and from the textual format for
+/// archiving or cross-checking with `drat-trim`.
 ///
 /// # Example
 ///
@@ -116,6 +120,24 @@ impl DratProof {
     /// such a proof.
     pub fn is_concluded(&self) -> bool {
         self.concluded
+    }
+
+    /// Records the addition of a derived (learnt) clause.
+    pub(crate) fn add_clause(&mut self, lits: &[Lit]) {
+        self.steps.push(ProofStep::Add(lits.to_vec()));
+    }
+
+    /// Records the deletion of a clause from the active set.
+    pub(crate) fn delete_clause(&mut self, lits: &[Lit]) {
+        self.steps.push(ProofStep::Delete(lits.to_vec()));
+    }
+
+    /// Records the empty clause. The solver calls this only when it
+    /// returns a genuine UNSAT, so a cancelled or budget-exhausted run
+    /// leaves an unconcluded log that [`check`] rejects.
+    pub(crate) fn conclude_unsat(&mut self) {
+        self.steps.push(ProofStep::Add(Vec::new()));
+        self.concluded = true;
     }
 
     /// Serializes to the textual DRAT format understood by external
@@ -214,25 +236,6 @@ impl serde::Deserialize for DratProof {
                 .map_err(|e| serde::Error::msg(format!("invalid DRAT text: {e}"))),
             _ => Err(serde::Error::msg("expected DRAT text string")),
         }
-    }
-}
-
-impl ProofWriter for DratProof {
-    fn add_clause(&mut self, lits: &[Lit]) {
-        self.steps.push(ProofStep::Add(lits.to_vec()));
-    }
-
-    fn delete_clause(&mut self, lits: &[Lit]) {
-        self.steps.push(ProofStep::Delete(lits.to_vec()));
-    }
-
-    fn conclude_unsat(&mut self) {
-        self.steps.push(ProofStep::Add(Vec::new()));
-        self.concluded = true;
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
     }
 }
 

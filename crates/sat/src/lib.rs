@@ -14,9 +14,10 @@
 //! * conflict/time budgets that let callers bound optimality proofs
 //!   (returning [`SatResult::Unknown`] instead of running for the tens of
 //!   hours the paper reports for its largest UNSAT instances), and
-//! * DRAT proof logging ([`ProofWriter`]) with an in-tree backward checker
-//!   ([`drat`]) so UNSAT answers — the substance of every optimality claim —
-//!   are independently certified rather than trusted.
+//! * DRAT proof logging into an in-memory log ([`DratProof`]) with an
+//!   in-tree backward checker ([`drat`]) so UNSAT answers — the substance
+//!   of every optimality claim — are independently certified rather than
+//!   trusted.
 //!
 //! CNF construction helpers live on [`CnfFormula`], including the three
 //! *exactly-one* encodings ([`ExactlyOne`]) used to study the paper's
@@ -51,7 +52,6 @@ mod cnf;
 mod error;
 mod lit;
 mod model;
-mod proof;
 mod share;
 mod solver;
 mod stats;
@@ -65,7 +65,6 @@ pub use drat::DratProof;
 pub use error::SatError;
 pub use lit::{Lit, Var};
 pub use model::Model;
-pub use proof::{FileProofWriter, ProofWriter};
 pub use share::ClauseBus;
 pub use solver::{Diversity, PhaseInit, RestartPolicy, SatResult, Solver};
 pub use stats::SolverStats;

@@ -16,8 +16,8 @@
 //!
 //! Proof logging and clause import are mutually exclusive: an imported
 //! clause is not RUP with respect to the importer's own derivation, so a
-//! solver with a [`ProofWriter`](crate::ProofWriter) installed silently
-//! skips imports (see `Solver::with_clause_bus`).
+//! solver with a DRAT log installed ([`DratProof`](crate::DratProof))
+//! silently skips imports (see `Solver::with_clause_bus`).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};

@@ -10,7 +10,7 @@ use mm_telemetry::Telemetry;
 
 use crate::drat::DratProof;
 use crate::share::ClauseBus;
-use crate::{Budget, CnfFormula, Lit, Model, ProofWriter, SolverStats, Var};
+use crate::{Budget, CnfFormula, Lit, Model, SolverStats, Var};
 
 /// Clauses longer than this are never exported to a [`ClauseBus`], no
 /// matter how good their LBD: long clauses are expensive for importers to
@@ -220,10 +220,9 @@ pub struct Solver {
     ok: bool,
     stats: SolverStats,
     n_vars: usize,
-    minimize_enabled: bool,
-    /// DRAT log sink; `None` keeps the hot path to a single well-predicted
+    /// DRAT log; `None` keeps the hot path to a single well-predicted
     /// branch per learn/delete site.
-    proof: Option<Box<dyn ProofWriter>>,
+    proof: Option<DratProof>,
     /// Telemetry handle; disabled by default, same single-branch discipline
     /// as `proof`. Counter deltas are emitted at the cancel-poll cadence.
     telemetry: Telemetry,
@@ -290,7 +289,6 @@ impl Solver {
             ok: true,
             stats: SolverStats::default(),
             n_vars: n,
-            minimize_enabled: true,
             proof: None,
             telemetry: Telemetry::disabled(),
             tel_emitted: (0, 0, 0, 0),
@@ -318,21 +316,16 @@ impl Solver {
         solver
     }
 
-    /// Disables (or re-enables) learnt-clause minimization.
+    /// Installs an empty in-memory DRAT log. Every learnt clause, every
+    /// database deletion, and (on UNSAT) the final empty clause are
+    /// recorded in it; [`solve_certified`](Self::solve_certified) hands it
+    /// back. Needed only when work on the solver before that call (such as
+    /// an inprocessing pass) must already be logged.
     ///
-    /// Minimization is on by default; switching it off exists for ablation
-    /// measurements of the solver itself.
-    pub fn set_minimize(&mut self, enabled: bool) {
-        self.minimize_enabled = enabled;
-    }
-
-    /// Installs a DRAT proof sink. Every learnt clause, every database
-    /// deletion, and (on UNSAT) the final empty clause are forwarded to it.
-    ///
-    /// With no writer installed the logging sites compile down to one
-    /// `Option` check each; see the `certify_overhead` bench.
-    pub fn with_proof_writer(mut self, writer: Box<dyn ProofWriter>) -> Self {
-        self.proof = Some(writer);
+    /// Without a log the logging sites compile down to one `Option` check
+    /// each; see the `certify_overhead` bench.
+    pub fn with_proof(mut self) -> Self {
+        self.proof = Some(DratProof::new());
         self
     }
 
@@ -357,7 +350,7 @@ impl Solver {
     /// on one bus **must** be built from the same [`CnfFormula`] — a learnt
     /// clause is only a consequence of *that* formula.
     ///
-    /// Importing is refused while a [`ProofWriter`] is installed: a foreign
+    /// Importing is refused while a DRAT log is installed: a foreign
     /// clause is not RUP with respect to this solver's own derivation and
     /// would make the DRAT log uncheckable. Exporting stays enabled (it
     /// does not affect the exporter's proof).
@@ -491,47 +484,27 @@ impl Solver {
     }
 
     /// Solves under a [`Budget`], also returning the search statistics.
-    pub fn solve_with_budget(self, budget: Budget) -> (SatResult, SolverStats) {
-        let (result, stats, _) = self.solve_logged(budget);
-        (result, stats)
-    }
-
-    /// Solves under a [`Budget`], returning the proof writer installed via
-    /// [`with_proof_writer`](Self::with_proof_writer) (if any) alongside the
-    /// result and statistics.
-    ///
-    /// [`ProofWriter::conclude_unsat`] is invoked exactly when the result is
-    /// [`SatResult::Unsat`] — a cancelled or budget-exhausted run hands back
-    /// an unconcluded writer whose proof the checker will reject.
-    pub fn solve_logged(
-        mut self,
-        budget: Budget,
-    ) -> (SatResult, SolverStats, Option<Box<dyn ProofWriter>>) {
-        // Thin wrapper over the reusable path: an empty assumption set
-        // makes `solve_under_assumptions` behave exactly like the historic
-        // one-shot call (solve_time starts at zero, so `+=` is `=`).
+    pub fn solve_with_budget(mut self, budget: Budget) -> (SatResult, SolverStats) {
+        // An empty assumption set makes the reusable path a one-shot call
+        // (solve_time starts at zero, so `+=` is `=`).
         let result = self.solve_under_assumptions(&[], budget);
-        (result, self.stats, self.proof)
+        (result, self.stats)
     }
 
     /// Solves with an in-memory [`DratProof`] log, for certification.
     ///
     /// The returned proof is `Some` whenever logging ran (it always does
-    /// here) and is concluded only on a genuine UNSAT; pass it to
-    /// [`drat::check`](crate::drat::check) together with the original
-    /// formula to certify the answer.
+    /// here) and is concluded only on a genuine UNSAT — a cancelled or
+    /// budget-exhausted run hands back an unconcluded log the checker
+    /// rejects. Pass it to [`drat::check`](crate::drat::check) together
+    /// with the original formula to certify the answer.
     pub fn solve_certified(
         mut self,
         budget: Budget,
     ) -> (SatResult, SolverStats, Option<DratProof>) {
-        if self.proof.is_none() {
-            self.proof = Some(Box::<DratProof>::default());
-        }
-        let (result, stats, writer) = self.solve_logged(budget);
-        let proof = writer
-            .and_then(|w| w.into_any().downcast::<DratProof>().ok())
-            .map(|boxed| *boxed);
-        (result, stats, proof)
+        self.proof.get_or_insert_with(DratProof::new);
+        let result = self.solve_under_assumptions(&[], budget);
+        (result, self.stats, self.proof)
     }
 
     /// Sends counter deltas accumulated since the previous emission. No-op
@@ -689,7 +662,7 @@ impl Solver {
     /// Pulls every clause other workers published since this solver's
     /// cursor. Runs only at decision level 0 (call entry and restarts).
     ///
-    /// No-op while a proof writer is installed: imported clauses are not
+    /// No-op while a DRAT log is installed: imported clauses are not
     /// derivable from this solver's own log, so they must never appear in
     /// (or influence clauses of) a DRAT-logged run.
     fn import_from_bus(&mut self) {
@@ -934,9 +907,7 @@ impl Solver {
         for &l in &learnt[1..] {
             self.seen[l.var().index() as usize] = true;
         }
-        if self.minimize_enabled {
-            self.minimize_learnt(&mut learnt);
-        }
+        self.minimize_learnt(&mut learnt);
 
         // Compute backtrack level and move that literal to position 1.
         let bt_level = if learnt.len() == 1 {
@@ -1179,7 +1150,6 @@ impl Solver {
         // call's entry so that reusing a solver does not shrink later
         // calls' budgets (counters in `stats` accumulate across calls).
         let conflicts_at_entry = self.stats.conflicts;
-        let proof_steps_at_entry = self.stats.proof_steps;
         let mut restart_idx: u64 = 0;
         let mut conflicts_until_restart = restart_interval(self.restart_policy, restart_idx);
         let mut next_reduce: u64 = conflicts_at_entry + 4000;
@@ -1245,11 +1215,6 @@ impl Solver {
                     }
                     if let Some(max) = budget.max_time() {
                         if start.elapsed() >= max {
-                            return SatResult::Unknown;
-                        }
-                    }
-                    if let Some(max) = budget.max_proof_steps() {
-                        if self.stats.proof_steps - proof_steps_at_entry >= max {
                             return SatResult::Unknown;
                         }
                     }
@@ -1683,16 +1648,6 @@ mod tests {
     }
 
     #[test]
-    fn proof_step_budget_returns_unknown() {
-        let cnf = pigeonhole(9, 8);
-        let (result, stats, proof) =
-            Solver::new(cnf).solve_certified(Budget::new().with_max_proof_steps(10));
-        assert_eq!(result, SatResult::Unknown);
-        assert!(stats.proof_steps >= 10);
-        assert!(!proof.expect("log present").is_concluded());
-    }
-
-    #[test]
     fn proofs_with_db_reduction_still_check() {
         // Large enough to cross the 4000-conflict reduce_db threshold, so
         // the proof contains deletion steps the checker must undo.
@@ -1708,30 +1663,6 @@ mod tests {
         let check = crate::drat::check(&cnf, &proof).expect("proof with deletions checks");
         assert!(check.deletions > 0);
         assert!(check.core_additions <= check.additions);
-    }
-
-    #[test]
-    fn file_proof_writer_output_reparses_and_checks() {
-        let cnf = pigeonhole(5, 4);
-        let dir = std::env::temp_dir().join("mm-sat-proof-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join(format!("php54-{}.drat", std::process::id()));
-        let writer = crate::FileProofWriter::create(&path).expect("create proof file");
-        let (result, _, writer) = Solver::new(cnf.clone())
-            .with_proof_writer(Box::new(writer))
-            .solve_logged(Budget::new());
-        assert!(result.is_unsat());
-        let writer = writer
-            .expect("writer returned")
-            .into_any()
-            .downcast::<crate::FileProofWriter>()
-            .expect("concrete type");
-        assert!(writer.steps_written() > 0);
-        writer.finish().expect("no sticky I/O error");
-        let text = std::fs::read_to_string(&path).expect("proof file readable");
-        let proof = DratProof::parse(&text).expect("file round-trips");
-        crate::drat::check(&cnf, &proof).expect("file-backed proof checks");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -648,7 +648,7 @@ impl Solver {
 #[cfg(test)]
 mod tests {
     use super::VIVIFY_MAX_CLAUSES;
-    use crate::{drat, Budget, CnfFormula, DratProof, SatResult, Solver};
+    use crate::{drat, Budget, CnfFormula, SatResult, Solver};
 
     #[test]
     fn subsumption_drops_a_duplicate_clause() {
@@ -794,7 +794,7 @@ mod tests {
         cnf.add_clause([u]);
         cnf.add_clause([u, w[0]]);
         cnf.add_clause([u, w[0], w[1]]);
-        let mut solver = Solver::new(cnf.clone()).with_proof_writer(Box::<DratProof>::default());
+        let mut solver = Solver::new(cnf.clone()).with_proof();
         // The first pass deletes the satisfied long clause, the second
         // drops its slot.
         solver.inprocess_now();
@@ -854,7 +854,7 @@ mod tests {
                 }
             }
         }
-        let mut solver = Solver::new(cnf.clone()).with_proof_writer(Box::<DratProof>::default());
+        let mut solver = Solver::new(cnf.clone()).with_proof();
         solver.inprocess_now();
         let (result, _, proof) = solver.solve_certified(Budget::new());
         assert!(result.is_unsat());
@@ -885,7 +885,7 @@ mod tests {
         cnf.add_clause([!d, e, !f]);
         cnf.add_clause([!d, !e, f]);
         cnf.add_clause([!d, !e, !f]);
-        let mut solver = Solver::new(cnf.clone()).with_proof_writer(Box::<DratProof>::default());
+        let mut solver = Solver::new(cnf.clone()).with_proof();
         solver.inprocess_now();
         assert!(solver.stats().vivified_clauses >= 1, "{}", solver.stats());
         let (result, _, proof) = solver.solve_certified(Budget::new());

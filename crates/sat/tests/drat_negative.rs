@@ -182,7 +182,7 @@ fn imported_clauses_never_leak_into_a_logged_proof() {
     // a check failure.
     let mut logged = Solver::new(cnf.clone())
         .with_clause_bus(bus.clone())
-        .with_proof_writer(Box::<DratProof>::default());
+        .with_proof();
     let before = bus.imported();
     let result = logged.solve_under_assumptions(&[], Budget::new());
     assert_eq!(result, SatResult::Unsat);
@@ -235,7 +235,7 @@ fn certified_inprocessed_php() -> (CnfFormula, DratProof) {
     for i in 0..5 {
         cnf.add_clause([!p(i, 0), p(i, 1), p(i, 2), p(i, 3)]);
     }
-    let mut solver = Solver::new(cnf.clone()).with_proof_writer(Box::<DratProof>::default());
+    let mut solver = Solver::new(cnf.clone()).with_proof();
     solver.inprocess_now();
     let stats = solver.stats();
     assert!(
@@ -354,7 +354,7 @@ fn inprocessed_cancelled_solve_has_no_checkable_proof() {
     // must never check.
     let cnf = pigeonhole(6, 5);
     let token = CancellationToken::new();
-    let mut solver = Solver::new(cnf.clone()).with_proof_writer(Box::<DratProof>::default());
+    let mut solver = Solver::new(cnf.clone()).with_proof();
     solver.inprocess_now();
     token.cancel();
     let (result, stats, proof) = solver.solve_certified(Budget::new().with_cancellation(token));

@@ -3,7 +3,7 @@
 //! certified verdict stays checkable, verdicts under assumptions survive a
 //! pass, and diversified solvers agree on every verdict.
 
-use mm_sat::{drat, Budget, CnfFormula, Diversity, DratProof, Lit, SatResult, Solver, Var};
+use mm_sat::{drat, Budget, CnfFormula, Diversity, Lit, SatResult, Solver, Var};
 use proptest::prelude::*;
 
 /// A random clause set over `n_vars` variables, as (var, polarity) pairs.
@@ -91,7 +91,7 @@ proptest! {
         // the refutation built on the rewritten database.
         let (cnf, clauses) = build(10, &raw);
         let mut solver =
-            Solver::new(cnf.clone()).with_proof_writer(Box::<DratProof>::default());
+            Solver::new(cnf.clone()).with_proof();
         solver.inprocess_now();
         let (result, stats, proof) = solver.solve_certified(Budget::new());
         let proof = proof.expect("certified solve always returns the log");

@@ -54,16 +54,6 @@ proptest! {
     }
 
     #[test]
-    fn minimization_does_not_change_answers(raw in clauses_strategy(9)) {
-        let (cnf, _) = build(9, &raw);
-        let with = Solver::new(cnf.clone()).solve().is_sat();
-        let mut solver = Solver::new(cnf);
-        solver.set_minimize(false);
-        let without = solver.solve().is_sat();
-        prop_assert_eq!(with, without);
-    }
-
-    #[test]
     fn exactly_one_models_are_exact(k in 1usize..10, pick in any::<prop::sample::Index>()) {
         for enc in [ExactlyOne::Pairwise, ExactlyOne::Sequential, ExactlyOne::Commander] {
             let mut cnf = CnfFormula::new();

@@ -216,7 +216,7 @@ impl Engine {
             if let Some(cache) = &self.cache {
                 if let Some(entry) = cache.lookup(&canonical, request) {
                     telemetry.point("job.cache", vec![kv("id", id), kv("outcome", "hit")]);
-                    let mut resp = entry_response(id, &entry, &transform);
+                    let mut resp = entry_response(id, &entry, &transform, request);
                     resp.cache = Some(CacheOutcome::Hit);
                     return AttemptResult::Done(resp);
                 }
@@ -269,7 +269,7 @@ impl Engine {
                 ),
             ],
         );
-        let mut resp = entry_response(id, &entry, &transform);
+        let mut resp = entry_response(id, &entry, &transform, request);
         resp.cache = Some(outcome);
         resp.solver_calls = Some(report.calls.len() as u64);
         match &report.status {
@@ -406,12 +406,14 @@ impl Engine {
 }
 
 /// Builds the response fields every minimize path (hit and miss) shares:
-/// the de-canonicalized circuit, its metrics, the optimality flag and
-/// the stored proof.
+/// the de-canonicalized circuit, its metrics, the optimality flag and,
+/// for a certified request only, the stored proof — so a hit answers
+/// exactly what a cold solve of the same request would.
 fn entry_response(
     id: &str,
     entry: &CacheEntry,
     transform: &mm_boolfn::npn::NpnTransform,
+    request: &MinimizeRequest,
 ) -> JobResponse {
     let circuit = entry.circuit.as_ref().map(|c| {
         decanonicalize_circuit(c, transform).expect("stored circuits are structurally valid")
@@ -420,7 +422,7 @@ fn entry_response(
         metrics: circuit.as_ref().map(MmCircuit::metrics),
         circuit,
         proven_optimal: Some(entry.proven_optimal),
-        proof: entry.proof.clone(),
+        proof: entry.proof.clone().filter(|_| request.certify),
         solver_calls: Some(0),
         ..JobResponse::new(id, "ok")
     }
@@ -532,6 +534,48 @@ mod tests {
         assert!(
             circuit.implements(&f),
             "served circuit implements the *requested* fn"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn uncertified_hits_on_certified_entries_carry_no_proof() {
+        let dir = temp_dir("certified_entry");
+        let (cache, _) = ResultCache::open(&dir).unwrap();
+        let engine = Arc::new(Engine::new(2).with_cache(cache));
+        let op = |table: &str, certify: bool, no_cache: bool| {
+            let Op::Minimize {
+                tables,
+                mut request,
+                ..
+            } = minimize_op(vec![table.into()])
+            else {
+                unreachable!()
+            };
+            request.certify = certify;
+            Op::Minimize {
+                tables,
+                request,
+                no_cache,
+            }
+        };
+        // A certified XOR solve stores its refutation; XNOR is the same
+        // NPN class, so its uncertified request hits that entry.
+        let miss = done(engine.run_attempt("a", &op("0110", true, false), &attempt0(None)));
+        assert_eq!(miss.cache, Some(CacheOutcome::Miss));
+        assert!(miss.proof.is_some(), "the certified miss carries its proof");
+        let mut hit = done(engine.run_attempt("b", &op("1001", false, false), &attempt0(None)));
+        assert_eq!(hit.cache, Some(CacheOutcome::Hit));
+        let mut cold = done(engine.run_attempt("b", &op("1001", false, true), &attempt0(None)));
+        assert_eq!(cold.cache, Some(CacheOutcome::Bypass));
+        for resp in [&mut hit, &mut cold] {
+            resp.cache = None;
+            resp.solver_calls = None;
+        }
+        assert_eq!(
+            hit.to_line(),
+            cold.to_line(),
+            "a hit answers as a cold solve"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

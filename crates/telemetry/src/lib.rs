@@ -3,7 +3,7 @@
 //!
 //! # Design
 //!
-//! The crate follows the same discipline as `mm-sat`'s `ProofWriter` hooks:
+//! The crate follows the same discipline as `mm-sat`'s proof-log hooks:
 //! a *disabled* [`Telemetry`] handle costs a single branch per call site
 //! (`Option::is_some` on one pointer), so instrumentation can stay compiled
 //! into hot paths permanently. An *enabled* handle stamps each event with a

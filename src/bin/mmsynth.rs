@@ -732,7 +732,13 @@ fn minimize_cached(
             emit_circuit(&circuit, args)?;
             println!(
                 "optimality: {}",
-                match (entry.proven_optimal, entry.proof.is_some(), degraded) {
+                // Only a certified request is answered with the stored
+                // proof, as a cold solve of the same request would be.
+                match (
+                    entry.proven_optimal,
+                    request.certify && entry.proof.is_some(),
+                    degraded,
+                ) {
                     (true, true, _) => "proven (UNSAT below, DRAT-certified)",
                     (true, false, _) => "proven (UNSAT below)",
                     (false, _, true) => "upper bound only (degraded run)",
