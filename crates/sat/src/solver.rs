@@ -2,6 +2,7 @@
 // iterated buffer and `&mut self` calls inside the loop bodies.
 #![allow(clippy::needless_range_loop)]
 
+mod arena;
 mod inprocess;
 
 use std::time::Instant;
@@ -11,6 +12,8 @@ use mm_telemetry::Telemetry;
 use crate::drat::DratProof;
 use crate::share::ClauseBus;
 use crate::{Budget, CnfFormula, Lit, Model, SolverStats, Var};
+
+use arena::{CRef, ClauseArena, STUB};
 
 /// Clauses longer than this are never exported to a [`ClauseBus`], no
 /// matter how good their LBD: long clauses are expensive for importers to
@@ -148,24 +151,23 @@ impl SatResult {
 enum Reason {
     /// A decision or a top-level fact.
     Decision,
-    /// Implied by the clause with this index.
-    Clause(u32),
+    /// Implied by the long clause with this reference.
+    Clause(CRef),
     /// Implied by a binary clause whose other literal (now false) is given.
     Binary(Lit),
 }
 
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
-    deleted: bool,
-    activity: f32,
-    lbd: u32,
+/// A clause read in place by conflict analysis: a binary clause `(a ∨ b)`
+/// or a long clause in the arena. Propagation reports conflicts as one.
+#[derive(Debug, Clone, Copy)]
+enum Antecedent {
+    Binary(Lit, Lit),
+    Long(CRef),
 }
 
 #[derive(Debug, Clone, Copy)]
 struct Watch {
-    clause: u32,
+    clause: CRef,
     blocker: Lit,
 }
 
@@ -195,7 +197,8 @@ const UNASSIGNED: i8 = 0;
 /// ```
 #[derive(Debug)]
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// Every long clause, header and literals, in one flat block.
+    arena: ClauseArena,
     /// `bin_implications[l.code()]` lists the partner literals of all binary
     /// clauses containing `l`; traversed when `l` becomes false (each entry
     /// is then implied).
@@ -203,7 +206,8 @@ pub struct Solver {
     /// `watches[l.code()]` lists clauses currently watching literal `l`;
     /// traversed when `l` becomes false.
     watches: Vec<Vec<Watch>>,
-    assign: Vec<i8>,
+    /// `vals[l.code()]`: 1 if `l` is true, -1 if false, 0 if unassigned.
+    vals: Vec<i8>,
     level: Vec<u32>,
     reason: Vec<Reason>,
     trail: Vec<Lit>,
@@ -216,6 +220,14 @@ pub struct Solver {
     seen: Vec<bool>,
     analyze_stack: Vec<Lit>,
     analyze_clear: Vec<Var>,
+    /// The clause conflict analysis builds, reused across conflicts.
+    learnt: Vec<Lit>,
+    /// `level_stamp[lvl] == lbd_epoch` marks a level already counted by the
+    /// current LBD computation.
+    level_stamp: Vec<u64>,
+    lbd_epoch: u64,
+    /// Scratch list of deletion candidates for `reduce_db`.
+    reduce_buf: Vec<CRef>,
     cla_inc: f32,
     ok: bool,
     stats: SolverStats,
@@ -246,9 +258,10 @@ pub struct Solver {
     tel_inprocess: (u64, u64, u64),
     /// Failed-assumption set of the last UNSAT-under-assumptions call.
     failed: Vec<Lit>,
-    /// Long clauses at indices from here on were learnt or added since the
-    /// previous inprocessing pass: the next pass's subsumption candidates.
-    subsume_from: usize,
+    /// Long clauses from this arena offset on were learnt or added since
+    /// the previous inprocessing pass: the next pass's subsumption
+    /// candidates.
+    subsume_from: CRef,
     /// `bin_mark[l.code()]` is the length `bin_implications[l.code()]` had
     /// at the end of the previous pass; entries past it are new binaries.
     bin_mark: Vec<u32>,
@@ -269,10 +282,10 @@ impl Solver {
     pub fn new(cnf: CnfFormula) -> Self {
         let n = cnf.n_vars() as usize;
         let mut solver = Self {
-            clauses: Vec::new(),
+            arena: ClauseArena::new(),
             bin_implications: vec![Vec::new(); 2 * n],
             watches: vec![Vec::new(); 2 * n],
-            assign: vec![UNASSIGNED; n],
+            vals: vec![UNASSIGNED; 2 * n],
             level: vec![0; n],
             reason: vec![Reason::Decision; n],
             trail: Vec::with_capacity(n),
@@ -285,6 +298,10 @@ impl Solver {
             seen: vec![false; n],
             analyze_stack: Vec::new(),
             analyze_clear: Vec::new(),
+            learnt: Vec::new(),
+            level_stamp: vec![0; n + 1],
+            lbd_epoch: 0,
+            reduce_buf: Vec::new(),
             cla_inc: 1.0,
             ok: true,
             stats: SolverStats::default(),
@@ -561,20 +578,33 @@ impl Solver {
 
     #[inline]
     fn proof_add(&mut self, lits: &[Lit]) {
-        if let Some(w) = self.proof.as_mut() {
-            w.add_clause(lits);
-            self.stats.proof_steps += 1;
-            self.stats.proof_literals += lits.len() as u64;
-        }
+        log_step(
+            &mut self.proof,
+            &mut self.stats,
+            lits,
+            DratProof::add_clause,
+        );
     }
 
     #[inline]
     fn proof_delete(&mut self, lits: &[Lit]) {
-        if let Some(w) = self.proof.as_mut() {
-            w.delete_clause(lits);
-            self.stats.proof_steps += 1;
-            self.stats.proof_literals += lits.len() as u64;
-        }
+        log_step(
+            &mut self.proof,
+            &mut self.stats,
+            lits,
+            DratProof::delete_clause,
+        );
+    }
+
+    /// Logs the deletion of long clause `c` with its current literals.
+    #[inline]
+    fn proof_delete_clause(&mut self, c: CRef) {
+        log_step(
+            &mut self.proof,
+            &mut self.stats,
+            self.arena.lits(c),
+            DratProof::delete_clause,
+        );
     }
 
     fn add_original_clause(&mut self, lits: &[Lit]) {
@@ -589,7 +619,7 @@ impl Solver {
             },
             2 => self.add_binary(lits[0], lits[1]),
             _ => {
-                self.push_clause(lits.to_vec(), false, 0.0, 0);
+                self.push_clause(lits, false, 0.0, 0);
             }
         }
     }
@@ -602,18 +632,11 @@ impl Solver {
     }
 
     /// Appends a long clause watched on its first two literals; returns
-    /// its index.
-    fn push_clause(&mut self, lits: Vec<Lit>, learnt: bool, activity: f32, lbd: u32) -> u32 {
-        let idx = self.clauses.len() as u32;
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            deleted: false,
-            activity,
-            lbd,
-        });
-        self.attach_watches(idx as usize);
-        idx
+    /// its reference.
+    fn push_clause(&mut self, lits: &[Lit], learnt: bool, activity: f32, lbd: u32) -> CRef {
+        let c = self.arena.alloc(lits, learnt, lbd, activity);
+        self.attach_watches(c);
+        c
     }
 
     /// Adds a clause at decision level 0, simplifying it against the
@@ -651,7 +674,7 @@ impl Solver {
             2 => self.add_binary(reduced[0], reduced[1]),
             _ => {
                 let lbd = reduced.len() as u32;
-                self.push_clause(reduced, learnt, self.cla_inc, lbd);
+                self.push_clause(&reduced, learnt, self.cla_inc, lbd);
                 if learnt {
                     self.stats.learnt_clauses += 1;
                 }
@@ -722,8 +745,7 @@ impl Solver {
                     }
                 }
                 Reason::Clause(c) => {
-                    for k in 0..self.clauses[c as usize].lits.len() {
-                        let q = self.clauses[c as usize].lits[k];
+                    for &q in self.arena.lits(c) {
                         let qv = q.var().index() as usize;
                         if qv != v && self.level[qv] > 0 {
                             self.seen[qv] = true;
@@ -737,12 +759,7 @@ impl Solver {
 
     #[inline]
     fn value(&self, l: Lit) -> i8 {
-        let v = self.assign[l.var().index() as usize];
-        if l.is_positive() {
-            v
-        } else {
-            -v
-        }
+        self.vals[l.code() as usize]
     }
 
     #[inline]
@@ -752,16 +769,16 @@ impl Solver {
 
     fn enqueue(&mut self, l: Lit, reason: Reason) {
         debug_assert_eq!(self.value(l), UNASSIGNED);
+        self.vals[l.code() as usize] = 1;
+        self.vals[(!l).code() as usize] = -1;
         let v = l.var().index() as usize;
-        self.assign[v] = if l.is_positive() { 1 } else { -1 };
         self.level[v] = self.current_level();
         self.reason[v] = reason;
         self.trail.push(l);
     }
 
-    /// Unit propagation; returns the conflicting clause's literals on
-    /// conflict.
-    fn propagate(&mut self) -> Option<Vec<Lit>> {
+    /// Unit propagation; returns the conflicting clause on conflict.
+    fn propagate(&mut self) -> Option<Antecedent> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -769,49 +786,56 @@ impl Solver {
             let fcode = false_lit.code() as usize;
 
             // Binary layer first: cheapest propagations.
-            for i in 0..self.bin_implications[fcode].len() {
-                let q = self.bin_implications[fcode][i];
+            let bins = std::mem::take(&mut self.bin_implications[fcode]);
+            let mut conflict = None;
+            for &q in &bins {
                 match self.value(q) {
                     1 => {}
                     UNASSIGNED => {
                         self.stats.propagations += 1;
                         self.enqueue(q, Reason::Binary(false_lit));
                     }
-                    _ => return Some(vec![q, false_lit]),
+                    _ => {
+                        conflict = Some(Antecedent::Binary(q, false_lit));
+                        break;
+                    }
                 }
             }
+            self.bin_implications[fcode] = bins;
+            if conflict.is_some() {
+                return conflict;
+            }
 
-            // Long clauses watching `false_lit`.
+            // Long clauses watching `false_lit`. Values are read from the
+            // field directly: `lits` holds the arena borrowed mutably.
             let mut ws = std::mem::take(&mut self.watches[fcode]);
             let mut i = 0;
-            let mut conflict = None;
             'watches: while i < ws.len() {
                 let w = ws[i];
                 if self.value(w.blocker) == 1 {
                     i += 1;
                     continue;
                 }
-                let cidx = w.clause as usize;
-                if self.clauses[cidx].deleted {
+                let Some(lits) = self.arena.live_lits_mut(w.clause) else {
                     ws.swap_remove(i);
                     continue;
-                }
+                };
                 // Normalize: watched literals sit at positions 0 and 1.
-                if self.clauses[cidx].lits[0] == false_lit {
-                    self.clauses[cidx].lits.swap(0, 1);
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                debug_assert_eq!(self.clauses[cidx].lits[1], false_lit);
-                let first = self.clauses[cidx].lits[0];
-                if first != w.blocker && self.value(first) == 1 {
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
+                if first != w.blocker && self.vals[first.code() as usize] == 1 {
                     ws[i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                for k in 2..self.clauses[cidx].lits.len() {
-                    let cand = self.clauses[cidx].lits[k];
-                    if self.value(cand) != -1 {
-                        self.clauses[cidx].lits.swap(1, k);
+                for k in 2..lits.len() {
+                    let cand = lits[k];
+                    if self.vals[cand.code() as usize] != -1 {
+                        lits.swap(1, k);
                         self.watches[cand.code() as usize].push(Watch {
                             clause: w.clause,
                             blocker: first,
@@ -821,8 +845,8 @@ impl Solver {
                     }
                 }
                 // No replacement: clause is unit or conflicting.
-                if self.value(first) == -1 {
-                    conflict = Some(self.clauses[cidx].lits.clone());
+                if self.vals[first.code() as usize] == -1 {
+                    conflict = Some(Antecedent::Long(w.clause));
                     break;
                 }
                 self.stats.propagations += 1;
@@ -840,24 +864,41 @@ impl Solver {
         None
     }
 
-    /// Copies the literals of `l`'s reason clause into `buf` (clearing it
-    /// first). Avoids the per-resolution allocation that dominates analyze.
-    fn copy_reason_lits(&self, l: Lit, buf: &mut Vec<Lit>) {
-        buf.clear();
-        match self.reason[l.var().index() as usize] {
-            Reason::Decision => {}
-            Reason::Binary(other) => buf.extend([l, other]),
-            Reason::Clause(c) => buf.extend_from_slice(&self.clauses[c as usize].lits),
+    /// The clause that implied the assigned literal `p`, with `p` among
+    /// its literals. Decisions have none; analysis never asks for one.
+    fn reason_of(&self, p: Lit) -> Antecedent {
+        match self.reason[p.var().index() as usize] {
+            Reason::Binary(other) => Antecedent::Binary(p, other),
+            Reason::Clause(c) => Antecedent::Long(c),
+            Reason::Decision => unreachable!("a decision has no reason clause"),
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backtrack level.
-    fn analyze(&mut self, conflict: Vec<Lit>) -> (Vec<Lit>, u32) {
+    #[inline]
+    fn antecedent_len(&self, a: Antecedent) -> usize {
+        match a {
+            Antecedent::Binary(..) => 2,
+            Antecedent::Long(c) => self.arena.len(c),
+        }
+    }
+
+    #[inline]
+    fn antecedent_lit(&self, a: Antecedent, k: usize) -> Lit {
+        match a {
+            Antecedent::Binary(x, y) => [x, y][k],
+            Antecedent::Long(c) => self.arena.lit(c, k),
+        }
+    }
+
+    /// First-UIP conflict analysis. Leaves the learnt clause (asserting
+    /// literal first) in `self.learnt` and returns the backtrack level.
+    fn analyze(&mut self, conflict: Antecedent) -> u32 {
         let current = self.current_level();
-        let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // placeholder for the asserting literal
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit::from_code(0)); // placeholder for the asserting literal
         let mut counter = 0usize;
-        let mut reason_buf = conflict;
+        let mut clause = conflict;
         let mut skip: Option<Lit> = None;
         let mut idx = self.trail.len();
 
@@ -867,8 +908,8 @@ impl Solver {
                     self.bump_clause(c);
                 }
             }
-            for i in 0..reason_buf.len() {
-                let q = reason_buf[i];
+            for i in 0..self.antecedent_len(clause) {
+                let q = self.antecedent_lit(clause, i);
                 if Some(q) == skip {
                     continue;
                 }
@@ -897,9 +938,7 @@ impl Solver {
                 learnt[0] = !p;
                 break;
             }
-            let mut buf = std::mem::take(&mut reason_buf);
-            self.copy_reason_lits(p, &mut buf);
-            reason_buf = buf;
+            clause = self.reason_of(p);
             skip = Some(p);
         }
 
@@ -932,42 +971,60 @@ impl Solver {
             self.seen[v.index() as usize] = false;
         }
 
-        (learnt, bt_level)
+        self.learnt = learnt;
+        bt_level
+    }
+
+    /// One bit per decision level (modulo 32): a set of these over-
+    /// approximates the levels of a clause's literals.
+    #[inline]
+    fn abstract_level(&self, v: usize) -> u32 {
+        1 << (self.level[v] & 31)
     }
 
     /// Removes learnt-clause literals that are implied by the rest
-    /// (recursive minimization à la MiniSat, conservative variant).
+    /// (recursive minimization à la MiniSat, conservative variant),
+    /// compacting `learnt` in place.
     fn minimize_learnt(&mut self, learnt: &mut Vec<Lit>) {
         let before = learnt.len();
-        let mut keep = Vec::with_capacity(learnt.len() - 1);
+        let levels = learnt[1..].iter().fold(0, |set, l| {
+            set | self.abstract_level(l.var().index() as usize)
+        });
+        let mut kept = 1;
         for i in 1..learnt.len() {
             let l = learnt[i];
-            if self.literal_is_redundant(l) {
+            if self.literal_is_redundant(l, levels) {
                 // The removed literal's seen flag must be cleared after
                 // analysis like every other mark.
                 self.analyze_clear.push(l.var());
             } else {
-                keep.push(l);
+                learnt[kept] = l;
+                kept += 1;
             }
         }
-        learnt.truncate(1);
-        learnt.extend(keep);
+        learnt.truncate(kept);
         self.stats.minimized_literals += (before - learnt.len()) as u64;
     }
 
-    fn literal_is_redundant(&mut self, lit: Lit) -> bool {
+    /// Whether `lit` is implied by the marked (seen) literals. `levels` is
+    /// the abstract level set of the learnt clause: a literal on a level
+    /// outside it traces back to that level's decision, which no mark can
+    /// stop, so the search fails there at once — the same answer the full
+    /// walk would give (Sörensson & Biere, SAT 2009).
+    fn literal_is_redundant(&mut self, lit: Lit, levels: u32) -> bool {
         if matches!(self.reason[lit.var().index() as usize], Reason::Decision) {
             return false;
         }
         self.analyze_stack.clear();
         self.analyze_stack.push(lit);
-        let mut to_undo: Vec<Var> = Vec::new();
-        let mut rl: Vec<Lit> = Vec::new();
+        // Marks set by this search sit past `top`: kept on success (and
+        // cleared after analysis), undone on failure.
+        let top = self.analyze_clear.len();
         while let Some(l) = self.analyze_stack.pop() {
-            self.copy_reason_lits(!l, &mut rl);
             let skip = !l;
-            for i in 0..rl.len() {
-                let q = rl[i];
+            let reason = self.reason_of(skip);
+            for i in 0..self.antecedent_len(reason) {
+                let q = self.antecedent_lit(reason, i);
                 if q == skip {
                     continue;
                 }
@@ -975,20 +1032,20 @@ impl Solver {
                 if self.seen[v] || self.level[v] == 0 {
                     continue;
                 }
-                if matches!(self.reason[v], Reason::Decision) {
+                if matches!(self.reason[v], Reason::Decision)
+                    || self.abstract_level(v) & levels == 0
+                {
                     // Not implied: undo speculative marks and keep the literal.
-                    for u in to_undo {
+                    for u in self.analyze_clear.drain(top..) {
                         self.seen[u.index() as usize] = false;
                     }
                     return false;
                 }
                 self.seen[v] = true;
-                to_undo.push(q.var());
+                self.analyze_clear.push(q.var());
                 self.analyze_stack.push(q);
             }
         }
-        // Marks stay seen; remember to clear them after analyze().
-        self.analyze_clear.extend(to_undo);
         true
     }
 
@@ -1000,8 +1057,9 @@ impl Solver {
         for i in (lim..self.trail.len()).rev() {
             let l = self.trail[i];
             let v = l.var().index() as usize;
-            self.saved_phase[v] = self.assign[v] == 1;
-            self.assign[v] = UNASSIGNED;
+            self.saved_phase[v] = l.is_positive();
+            self.vals[l.code() as usize] = UNASSIGNED;
+            self.vals[(!l).code() as usize] = UNASSIGNED;
             self.heap.insert(l.var(), &self.activity);
         }
         self.trail.truncate(lim);
@@ -1009,7 +1067,10 @@ impl Solver {
         self.qhead = self.trail.len();
     }
 
-    fn learn(&mut self, learnt: Vec<Lit>) {
+    /// Adds the clause `analyze` left in `self.learnt` and asserts its
+    /// first literal.
+    fn learn(&mut self) {
+        let learnt = std::mem::take(&mut self.learnt);
         // One emission site covers both analysis and minimization: `learnt`
         // is the final (post-minimization) clause, which is RUP w.r.t. the
         // clauses currently alive, so the derivation stays checkable.
@@ -1030,22 +1091,29 @@ impl Solver {
                 self.enqueue(learnt[0], Reason::Binary(learnt[1]));
             }
             _ => {
-                let first = learnt[0];
-                let idx = self.push_clause(learnt, true, self.cla_inc, lbd);
+                let c = self.push_clause(&learnt, true, self.cla_inc, lbd);
                 self.stats.learnt_clauses += 1;
-                self.enqueue(first, Reason::Clause(idx));
+                self.enqueue(learnt[0], Reason::Clause(c));
             }
         }
+        self.learnt = learnt;
     }
 
+    /// Number of distinct decision levels among `lits`.
     fn compute_lbd(&mut self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits
-            .iter()
-            .map(|l| self.level[l.var().index() as usize])
-            .collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
+        self.lbd_epoch += 1;
+        let mut lbd = 0;
+        for l in lits {
+            let lvl = self.level[l.var().index() as usize] as usize;
+            if lvl >= self.level_stamp.len() {
+                self.level_stamp.resize(lvl + 1, 0);
+            }
+            if self.level_stamp[lvl] != self.lbd_epoch {
+                self.level_stamp[lvl] = self.lbd_epoch;
+                lbd += 1;
+            }
+        }
+        lbd
     }
 
     fn bump_var(&mut self, v: Var) {
@@ -1064,16 +1132,14 @@ impl Solver {
         self.var_inc /= 0.95;
     }
 
-    fn bump_clause(&mut self, c: u32) {
-        let clause = &mut self.clauses[c as usize];
-        if !clause.learnt {
+    fn bump_clause(&mut self, c: CRef) {
+        if !self.arena.is_learnt(c) {
             return;
         }
-        clause.activity += self.cla_inc;
-        if clause.activity > 1e20 {
-            for cl in &mut self.clauses {
-                cl.activity *= 1e-20;
-            }
+        let activity = self.arena.activity(c) + self.cla_inc;
+        self.arena.set_activity(c, activity);
+        if activity > 1e20 {
+            self.arena.scale_activities(1e-20);
             self.cla_inc *= 1e-20;
         }
     }
@@ -1082,49 +1148,75 @@ impl Solver {
         self.cla_inc /= 0.999;
     }
 
-    fn is_reason(&self, idx: u32) -> bool {
-        let c = &self.clauses[idx as usize];
-        let first = c.lits[0];
-        self.value(first) == 1 && self.reason[first.var().index() as usize] == Reason::Clause(idx)
+    fn is_reason(&self, c: CRef) -> bool {
+        let first = self.arena.lits(c)[0];
+        self.value(first) == 1 && self.reason[first.var().index() as usize] == Reason::Clause(c)
     }
 
     fn reduce_db(&mut self) {
-        let mut candidates: Vec<u32> = (0..self.clauses.len() as u32)
-            .filter(|&i| {
-                let c = &self.clauses[i as usize];
-                c.learnt && !c.deleted && c.lbd > 2 && !self.is_reason(i)
-            })
-            .collect();
+        let mut candidates = std::mem::take(&mut self.reduce_buf);
+        candidates.clear();
+        candidates.extend(self.arena.refs().filter(|&c| {
+            self.arena.is_learnt(c)
+                && !self.arena.is_deleted(c)
+                && self.arena.lbd(c) > 2
+                && !self.is_reason(c)
+        }));
+        let arena = &self.arena;
         candidates.sort_by(|&a, &b| {
-            let ca = &self.clauses[a as usize];
-            let cb = &self.clauses[b as usize];
-            cb.lbd.cmp(&ca.lbd).then(
-                ca.activity
-                    .partial_cmp(&cb.activity)
+            arena.lbd(b).cmp(&arena.lbd(a)).then(
+                arena
+                    .activity(a)
+                    .partial_cmp(&arena.activity(b))
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
         });
         let delete_count = candidates.len() / 2;
-        for &idx in &candidates[..delete_count] {
-            self.delete_clause(idx as usize);
+        for &c in &candidates[..delete_count] {
+            self.delete_clause(c);
             self.stats.deleted_clauses += 1;
+        }
+        self.reduce_buf = candidates;
+        if self.arena.is_fragmented() {
+            self.compact_during_search();
         }
     }
 
-    /// Marks a long clause deleted and logs the deletion; its storage is
-    /// reclaimed at once and its watch entries are dropped lazily during
-    /// propagation.
-    fn delete_clause(&mut self, idx: usize) {
-        let lits = std::mem::take(&mut self.clauses[idx].lits);
-        self.proof_delete(&lits);
-        self.clauses[idx].deleted = true;
+    /// Marks a long clause deleted and logs the deletion; its words are
+    /// reclaimed by the next compaction and its watch entries are dropped
+    /// lazily during propagation.
+    fn delete_clause(&mut self, c: CRef) {
+        self.proof_delete_clause(c);
+        self.arena.delete(c);
+    }
+
+    /// Compacts the arena at any decision level without touching the
+    /// search: every reference moves with its clause, and a watch on a
+    /// dropped clause is pointed at the deleted stub, so it keeps its place
+    /// in its list until propagation removes it — exactly when it would
+    /// have removed the dropped clause's watch. Reasons of assigned
+    /// literals are live clauses except for level-0 facts, whose stale
+    /// reasons are never read and go to the stub as well.
+    fn compact_during_search(&mut self) {
+        let moved = self.arena.compact();
+        for ws in &mut self.watches {
+            for w in ws.iter_mut() {
+                w.clause = moved.get(w.clause).unwrap_or(STUB);
+            }
+        }
+        for &l in &self.trail {
+            let v = l.var().index() as usize;
+            if let Reason::Clause(c) = self.reason[v] {
+                self.reason[v] = Reason::Clause(moved.get(c).unwrap_or(STUB));
+            }
+        }
+        self.subsume_from = moved.boundary(self.subsume_from);
     }
 
     fn decide(&mut self) -> Option<Lit> {
         while let Some(v) = self.heap.pop(&self.activity) {
-            let i = v.index() as usize;
-            if self.assign[i] == UNASSIGNED {
-                let phase = self.saved_phase[i];
+            if self.value(v.positive()) == UNASSIGNED {
+                let phase = self.saved_phase[v.index() as usize];
                 return Some(v.lit(phase));
             }
         }
@@ -1132,7 +1224,7 @@ impl Solver {
     }
 
     fn extract_model(&self) -> Model {
-        Model::new((0..self.n_vars).map(|v| self.assign[v] == 1).collect())
+        Model::new(self.vals.iter().step_by(2).map(|&x| x == 1).collect())
     }
 
     fn search(&mut self, assumptions: &[Lit], budget: Budget, start: Instant) -> SatResult {
@@ -1193,9 +1285,9 @@ impl Solver {
                     self.ok = false;
                     return SatResult::Unsat;
                 }
-                let (learnt, bt) = self.analyze(conflict);
+                let bt = self.analyze(conflict);
                 self.backtrack_to(bt);
-                self.learn(learnt);
+                self.learn();
                 self.decay_var_activity();
                 self.decay_clause_activity();
 
@@ -1262,6 +1354,21 @@ impl Solver {
                 }
             }
         }
+    }
+}
+
+/// Appends one step to the DRAT log, if one is installed.
+#[inline]
+fn log_step(
+    proof: &mut Option<DratProof>,
+    stats: &mut SolverStats,
+    lits: &[Lit],
+    step: fn(&mut DratProof, &[Lit]),
+) {
+    if let Some(w) = proof.as_mut() {
+        step(w, lits);
+        stats.proof_steps += 1;
+        stats.proof_literals += lits.len() as u64;
     }
 }
 

@@ -1,7 +1,7 @@
 //! Inprocessing: clause-database simplification at restart boundaries.
 //!
 //! A pass runs in two phases, both at decision level 0 and both in place
-//! on the solver's own clause indices:
+//! in the solver's own clause arena:
 //!
 //! 1. **Vivification** — each candidate clause is temporarily detached and
 //!    its literals' negations are asserted one by one with real unit
@@ -21,9 +21,11 @@
 //!    rewritten in place through `detach_watches`/`attach_watches` and
 //!    becomes a candidate itself.
 //!
-//! Each pass starts by compacting the database: deleted long-clause slots
-//! are dropped and the binaries satisfied at level 0 or duplicated (bus
-//! imports do not deduplicate) are deleted.
+//! Each pass starts by cleaning the database: the watches on deleted long
+//! clauses go, the arena is compacted once fragmented, and the binaries
+//! satisfied at level 0 or duplicated (bus imports do not deduplicate)
+//! are deleted. The pass then names the live long clauses by their rank
+//! in creation order.
 //!
 //! # Effort
 //!
@@ -66,6 +68,7 @@
 //!   new watches satisfy the two-watched-literal invariant without a
 //!   re-propagation of the trail.
 
+use super::arena::CRef;
 use super::{Reason, Solver, Watch, UNASSIGNED};
 use crate::Lit;
 
@@ -84,32 +87,48 @@ fn var_sig(lits: &[Lit]) -> u64 {
         .fold(0u64, |s, l| s | 1u64 << (l.var().index() % 64))
 }
 
-/// A subsumption candidate: a long clause by index, or a binary clause.
+/// A subsumption candidate: a long clause by its position in
+/// [`Pass::refs`], or a binary clause.
 #[derive(Clone, Copy)]
 enum Candidate {
     Long(usize),
     Binary(Lit, Lit),
 }
 
-/// Per-pass subsumption state: occurrence lists and signatures over the
-/// live long clauses, the candidate stack, and the remaining effort.
-struct Subsumption {
-    /// Every live long clause under each of its literals.
-    occ: Vec<Vec<u32>>,
+/// Per-pass state. The pass names long clauses by their position in
+/// `refs` — their rank in creation order — which no step of the pass
+/// reorders or extends.
+#[derive(Default)]
+struct Pass {
+    /// The live long clauses at the start of the pass, in arena order.
+    refs: Vec<CRef>,
+    /// Occurrence lists in one block: the clauses (positions in `refs`)
+    /// containing literal `l` are `occ[occ_start[l]..occ_start[l + 1]]`.
+    occ_start: Vec<u32>,
+    occ: Vec<u32>,
     sig: Vec<u64>,
     /// `marked[l.code()]`: `l` belongs to the current candidate.
     marked: Vec<bool>,
     queue: Vec<Candidate>,
     effort: u64,
+    /// Scratch: the clause under test and its shrunk replacement.
+    base: Vec<Lit>,
+    reduced: Vec<Lit>,
 }
 
-impl Subsumption {
+impl Pass {
     /// Spends `n` visits of the effort budget and records them in
     /// `stats`; returns whether any budget is left.
     fn charge(&mut self, stats: &mut crate::SolverStats, n: u64) -> bool {
         stats.inprocess_visits += n;
         self.effort = self.effort.saturating_sub(n);
         self.effort > 0
+    }
+
+    /// The occurrence list of `l`.
+    fn occ_range(&self, l: Lit) -> std::ops::Range<usize> {
+        let code = l.code() as usize;
+        self.occ_start[code] as usize..self.occ_start[code + 1] as usize
     }
 }
 
@@ -151,15 +170,20 @@ impl Solver {
         }
         self.log_level0_units();
         self.collect_garbage();
-        let vivified = self.vivify();
+        let arena = &self.arena;
+        let mut pass = Pass {
+            refs: arena.refs().filter(|&c| !arena.is_deleted(c)).collect(),
+            ..Pass::default()
+        };
+        self.vivify(&mut pass);
         if self.ok {
             // Vivification's trailing propagate can derive further level-0
             // facts; log them while their reason clauses are still alive,
             // before subsumption deletes any clause that derives them.
             self.log_level0_units();
-            self.subsume(vivified);
+            self.subsume(&mut pass);
         }
-        self.subsume_from = self.clauses.len();
+        self.subsume_from = self.arena.end();
         for (mark, bins) in self.bin_mark.iter_mut().zip(&self.bin_implications) {
             *mark = bins.len() as u32;
         }
@@ -186,31 +210,31 @@ impl Solver {
         self.l0_units_logged = self.trail.len();
     }
 
-    /// Compacts the database at level 0: drops the deleted long-clause
-    /// slots (renumbering the survivors and their watches in place) and
-    /// deletes the binaries that are satisfied at level 0 or duplicated.
+    /// Cleans the database at level 0: the watches on deleted long clauses
+    /// go, the arena is compacted once fragmented (the survivors move in
+    /// order, their watches with them), and the binaries that are
+    /// satisfied at level 0 or duplicated are deleted.
     ///
     /// Runs after `log_level0_units`, so no level-0 fact needs its reason
     /// clause any more, in the proof or in conflict analysis.
     fn collect_garbage(&mut self) {
-        let mut renumber = vec![u32::MAX; self.clauses.len()];
-        let mut live = 0u32;
-        for (idx, c) in self.clauses.iter().enumerate() {
-            if !c.deleted {
-                renumber[idx] = live;
-                live += 1;
+        if self.arena.is_fragmented() {
+            let moved = self.arena.compact();
+            for ws in &mut self.watches {
+                ws.retain_mut(|w| match moved.get(w.clause) {
+                    Some(c) => {
+                        w.clause = c;
+                        true
+                    }
+                    None => false,
+                });
             }
-        }
-        self.subsume_from = renumber[..self.subsume_from]
-            .iter()
-            .filter(|&&n| n != u32::MAX)
-            .count();
-        self.clauses.retain(|c| !c.deleted);
-        for ws in &mut self.watches {
-            ws.retain_mut(|w| {
-                w.clause = renumber[w.clause as usize];
-                w.clause != u32::MAX
-            });
+            self.subsume_from = moved.boundary(self.subsume_from);
+        } else {
+            let arena = &self.arena;
+            for ws in &mut self.watches {
+                ws.retain(|w| !arena.is_deleted(w.clause));
+            }
         }
         for &l in &self.trail {
             self.reason[l.var().index() as usize] = Reason::Decision;
@@ -251,25 +275,25 @@ impl Solver {
     }
 
     /// Removes this clause's two watch entries (positions 0 and 1).
-    fn detach_watches(&mut self, idx: usize) {
+    fn detach_watches(&mut self, c: CRef) {
         for k in 0..2 {
-            let l = self.clauses[idx].lits[k];
+            let l = self.arena.lits(c)[k];
             let ws = &mut self.watches[l.code() as usize];
-            if let Some(p) = ws.iter().position(|w| w.clause as usize == idx) {
+            if let Some(p) = ws.iter().position(|w| w.clause == c) {
                 ws.swap_remove(p);
             }
         }
     }
 
     /// Re-adds watch entries on the clause's first two literals.
-    pub(super) fn attach_watches(&mut self, idx: usize) {
-        let (l0, l1) = (self.clauses[idx].lits[0], self.clauses[idx].lits[1]);
+    pub(super) fn attach_watches(&mut self, c: CRef) {
+        let (l0, l1) = (self.arena.lits(c)[0], self.arena.lits(c)[1]);
         self.watches[l0.code() as usize].push(Watch {
-            clause: idx as u32,
+            clause: c,
             blocker: l1,
         });
         self.watches[l1.code() as usize].push(Watch {
-            clause: idx as u32,
+            clause: c,
             blocker: l0,
         });
     }
@@ -291,41 +315,40 @@ impl Solver {
         }
     }
 
-    /// Replaces long clause `idx` by `lits`, a proper subset of it that is
+    /// Replaces long clause `c` by `lits`, a proper subset of it that is
     /// logged as an addition before the old clause's deletion. A unit is
     /// asserted, a binary moves to the binary layer, and a long clause is
-    /// rewritten in place. Returns the index when it stays a long clause.
-    fn shrink_clause(&mut self, idx: usize, lits: Vec<Lit>) -> Option<usize> {
-        self.proof_add(&lits);
+    /// rewritten in place. Returns whether it stays a long clause.
+    fn shrink_clause(&mut self, c: CRef, lits: &[Lit]) -> bool {
+        self.proof_add(lits);
         match lits.len() {
             1 => {
-                self.delete_clause(idx);
+                self.delete_clause(c);
                 self.assert_unit(lits[0]);
-                None
+                false
             }
             2 => {
-                self.delete_clause(idx);
+                self.delete_clause(c);
                 self.add_binary(lits[0], lits[1]);
-                None
+                false
             }
             n => {
-                self.detach_watches(idx);
-                let old = std::mem::replace(&mut self.clauses[idx].lits, lits);
-                self.proof_delete(&old);
-                self.clauses[idx].lbd = self.clauses[idx].lbd.min(n as u32);
-                self.attach_watches(idx);
-                Some(idx)
+                self.detach_watches(c);
+                self.proof_delete_clause(c);
+                self.arena.shrink(c, lits);
+                self.arena.set_lbd(c, self.arena.lbd(c).min(n as u32));
+                self.attach_watches(c);
+                true
             }
         }
     }
 
     /// Phase 1: clause vivification with the solver's own propagation.
-    /// Returns the clauses it shrank in place (subsumption candidates).
-    fn vivify(&mut self) -> Vec<usize> {
-        let mut shrunk = Vec::new();
-        let n = self.clauses.len();
+    /// Queues the clauses it shrank in place as subsumption candidates.
+    fn vivify(&mut self, pass: &mut Pass) {
+        let n = pass.refs.len();
         if n == 0 {
-            return shrunk;
+            return;
         }
         let mut prop_budget = VIVIFY_PROP_BUDGET;
         let mut examined = 0usize;
@@ -337,35 +360,38 @@ impl Solver {
         while step < n && examined < VIVIFY_MAX_CLAUSES && prop_budget > 0 && self.ok {
             let idx = (start + step) % n;
             step += 1;
-            if self.clauses[idx].deleted || self.clauses[idx].lits.len() < 3 {
+            let c = pass.refs[idx];
+            if self.arena.is_deleted(c) || self.arena.len(c) < 3 {
                 continue;
             }
             examined += 1;
-            if self.vivify_one(idx, &mut prop_budget) {
-                shrunk.push(idx);
+            if self.vivify_one(c, &mut prop_budget, pass) {
+                pass.queue.push(Candidate::Long(idx));
             }
         }
         if self.ok && self.propagate().is_some() {
             self.ok = false;
         }
-        shrunk
     }
 
     /// Probes one clause and shrinks it on success. Returns whether it is
     /// still a long clause that was shrunk in place.
-    fn vivify_one(&mut self, idx: usize, prop_budget: &mut usize) -> bool {
-        let lits = self.clauses[idx].lits.clone();
+    fn vivify_one(&mut self, c: CRef, prop_budget: &mut usize, pass: &mut Pass) -> bool {
+        let lits = &mut pass.base;
+        lits.clear();
+        lits.extend_from_slice(self.arena.lits(c));
         // Detach for the probe: the clause must not propagate in its own
         // test, and the shrunk clause must be RUP without it.
-        self.detach_watches(idx);
+        self.detach_watches(c);
 
-        let mut kept: Vec<Lit> = Vec::with_capacity(lits.len());
+        let kept = &mut pass.reduced;
+        kept.clear();
         let mut satisfied_at_top = false;
         let mut conclusive = false; // conflict or implied literal
         let mut dropped = false;
         let mut exhausted = false;
         self.trail_lim.push(self.trail.len()); // one probe level
-        for &l in &lits {
+        for &l in lits.iter() {
             self.stats.inprocess_visits += 1;
             match self.value(l) {
                 1 => {
@@ -404,7 +430,7 @@ impl Solver {
         self.backtrack_to(0);
 
         if satisfied_at_top {
-            self.delete_clause(idx);
+            self.delete_clause(c);
             return false;
         }
         // A shrink is only valid when the probe finished its case
@@ -412,48 +438,34 @@ impl Solver {
         // dropped literals need the whole clause examined.
         let valid = (conclusive || (dropped && !exhausted)) && kept.len() < lits.len();
         if !valid || kept.is_empty() {
-            self.attach_watches(idx);
+            self.attach_watches(c);
             return false;
         }
         self.stats.vivified_clauses += 1;
         // Still detached: re-watch the original literals so the in-place
         // rewrite finds the watches it replaces.
-        self.attach_watches(idx);
-        self.shrink_clause(idx, kept).is_some()
+        self.attach_watches(c);
+        self.shrink_clause(c, kept)
     }
 
     /// Phase 2: subsumption and self-subsuming resolution with the clauses
-    /// new since the previous pass (plus `rewritten`) as candidates, in
-    /// place on the clause indices.
-    fn subsume(&mut self, rewritten: Vec<usize>) {
+    /// new since the previous pass (plus those vivification rewrote, already
+    /// queued) as candidates, in place in the arena.
+    fn subsume(&mut self, pass: &mut Pass) {
         debug_assert_eq!(self.current_level(), 0);
         // One visit per propagation the search made, less those spent.
         let funded = self
             .stats
             .propagations
             .saturating_sub(self.stats.inprocess_visits);
-        let mut pass = Subsumption {
-            occ: vec![Vec::new(); 2 * self.n_vars],
-            sig: vec![0; self.clauses.len()],
-            marked: vec![false; 2 * self.n_vars],
-            queue: rewritten.into_iter().map(Candidate::Long).collect(),
-            effort: funded.max(SUBSUME_MIN_EFFORT),
-        };
-
-        // ---- occurrence lists over the live long clauses ----
-        for idx in 0..self.clauses.len() {
-            if self.clauses[idx].deleted || !self.simplify_at_top(idx, &mut pass.queue) {
-                continue;
-            }
-            for &l in &self.clauses[idx].lits {
-                pass.occ[l.code() as usize].push(idx as u32);
-            }
-            pass.sig[idx] = var_sig(&self.clauses[idx].lits);
-        }
+        pass.effort = funded.max(SUBSUME_MIN_EFFORT);
+        pass.marked = vec![false; 2 * self.n_vars];
+        self.build_occurrences(pass);
 
         // ---- candidates: popped newest first, binaries before clauses ----
+        let first_new = pass.refs.partition_point(|&c| c < self.subsume_from);
         pass.queue
-            .extend((self.subsume_from..self.clauses.len()).map(Candidate::Long));
+            .extend((first_new..pass.refs.len()).map(Candidate::Long));
         for code in 0..self.bin_implications.len() {
             let l = Lit::from_code(code as u32);
             for k in self.bin_mark[code] as usize..self.bin_implications[code].len() {
@@ -464,51 +476,112 @@ impl Solver {
             }
         }
 
+        let mut base = std::mem::take(&mut pass.base);
         while let Some(candidate) = pass.queue.pop() {
             if pass.effort == 0 || !self.ok {
                 break;
             }
-            let (own, base) = match candidate {
-                Candidate::Long(i) if self.clauses[i].deleted => continue,
-                Candidate::Long(i) => (Some(i), self.clauses[i].lits.clone()),
-                Candidate::Binary(a, b) => (None, vec![a, b]),
+            base.clear();
+            let own = match candidate {
+                Candidate::Long(i) if self.arena.is_deleted(pass.refs[i]) => continue,
+                Candidate::Long(i) => {
+                    base.extend_from_slice(self.arena.lits(pass.refs[i]));
+                    Some(i)
+                }
+                Candidate::Binary(a, b) => {
+                    base.extend([a, b]);
+                    None
+                }
             };
             if base.iter().any(|&l| self.value(l) == 1) {
                 continue; // satisfied at level 0: subsumes nothing useful
             }
-            self.subsume_with(own, &base, &mut pass);
+            self.subsume_with(own, &base, pass);
+        }
+        pass.base = base;
+    }
+
+    /// Builds the occurrence lists and signatures over the live long
+    /// clauses, simplifying each against level 0 first. Lists hold clauses
+    /// in arena order: counted in a first sweep, filled back to front in a
+    /// second.
+    fn build_occurrences(&mut self, pass: &mut Pass) {
+        let n = pass.refs.len();
+        pass.occ_start = vec![0; 2 * self.n_vars + 1];
+        pass.sig = vec![0; n];
+        for idx in 0..n {
+            let c = pass.refs[idx];
+            if self.arena.is_deleted(c) || !self.simplify_at_top(c, idx, pass) {
+                continue;
+            }
+            let lits = self.arena.lits(c);
+            for &l in lits {
+                pass.occ_start[l.code() as usize] += 1;
+            }
+            pass.sig[idx] = var_sig(lits);
+        }
+        // Each entry becomes the end of its literal's block …
+        let mut total = 0;
+        for slot in &mut pass.occ_start {
+            total += *slot;
+            *slot = total;
+        }
+        // … and moves down to its start as the block fills.
+        pass.occ = vec![0; total as usize];
+        for idx in (0..n).rev() {
+            let c = pass.refs[idx];
+            if self.arena.is_deleted(c) {
+                continue;
+            }
+            for &l in self.arena.lits(c) {
+                let slot = &mut pass.occ_start[l.code() as usize];
+                *slot -= 1;
+                pass.occ[*slot as usize] = idx as u32;
+            }
         }
     }
 
-    /// Drops long clause `idx` if satisfied at level 0 and strips the
-    /// literals falsified there, queueing a stripped clause as a
-    /// candidate. Returns whether it is still a live long clause.
+    /// Drops long clause `c` (at `idx` in the pass) if satisfied at level
+    /// 0 and strips the literals falsified there, queueing a stripped
+    /// clause as a candidate. Returns whether it is still a live long
+    /// clause.
     ///
     /// After a full level-0 propagation a clause that is not satisfied
     /// watches two unassigned literals, so stripping in place keeps the
     /// watches valid.
-    fn simplify_at_top(&mut self, idx: usize, queue: &mut Vec<Candidate>) -> bool {
-        let lits = &self.clauses[idx].lits;
-        if lits.iter().any(|&l| self.value(l) == 1) {
-            self.delete_clause(idx);
-            return false;
+    fn simplify_at_top(&mut self, c: CRef, idx: usize, pass: &mut Pass) -> bool {
+        let lits = self.arena.lits(c);
+        let mut falsified = false;
+        for &l in lits {
+            match self.value(l) {
+                1 => {
+                    self.delete_clause(c);
+                    return false;
+                }
+                UNASSIGNED => {}
+                _ => falsified = true,
+            }
         }
-        if lits.iter().all(|&l| self.value(l) == UNASSIGNED) {
+        if !falsified {
             return true;
         }
-        let reduced: Vec<Lit> = lits
-            .iter()
-            .copied()
-            .filter(|&l| self.value(l) == UNASSIGNED)
-            .collect();
-        debug_assert!(reduced.len() >= 2, "watch invariant: ≥2 unassigned lits");
-        self.shrink_and_queue(idx, reduced, queue).is_some()
+        pass.reduced.clear();
+        pass.reduced.extend(
+            lits.iter()
+                .copied()
+                .filter(|&l| self.value(l) == UNASSIGNED),
+        );
+        debug_assert!(
+            pass.reduced.len() >= 2,
+            "watch invariant: ≥2 unassigned lits"
+        );
+        self.shrink_and_queue(c, idx, &pass.reduced, &mut pass.queue)
     }
 
     /// Tries one candidate: first whether a binary subsumes or
     /// strengthens it (long candidates only), then which clauses it
     /// subsumes or strengthens itself.
-    fn subsume_with(&mut self, own: Option<usize>, base: &[Lit], pass: &mut Subsumption) {
+    fn subsume_with(&mut self, own: Option<usize>, base: &[Lit], pass: &mut Pass) {
         for &l in base {
             pass.marked[l.code() as usize] = true;
         }
@@ -528,7 +601,7 @@ impl Solver {
     /// `(l ∨ p)` with `l` in `i` subsumes it when `p` is in `i` too, and
     /// strengthens it by `¬p` when `¬p` is. Applies the first found and
     /// returns whether `i` changed.
-    fn subsumed_by_binary(&mut self, i: usize, base: &[Lit], pass: &mut Subsumption) -> bool {
+    fn subsumed_by_binary(&mut self, i: usize, base: &[Lit], pass: &mut Pass) -> bool {
         for &l in base {
             let code = l.code() as usize;
             for k in 0..self.bin_implications[code].len() {
@@ -537,7 +610,7 @@ impl Solver {
                 }
                 let p = self.bin_implications[code][k];
                 if pass.marked[p.code() as usize] {
-                    self.delete_clause(i);
+                    self.delete_clause(pass.refs[i]);
                     self.stats.subsumed_clauses += 1;
                     return true;
                 }
@@ -553,36 +626,33 @@ impl Solver {
     /// Scans the occurrence lists of `base`'s sparsest variable (both
     /// polarities, which covers every clause `base` can subsume or
     /// strengthen) and applies each subsumption and strengthening found.
-    fn subsume_clauses(&mut self, own: Option<usize>, base: &[Lit], pass: &mut Subsumption) {
+    fn subsume_clauses(&mut self, own: Option<usize>, base: &[Lit], pass: &mut Pass) {
         let base_sig = var_sig(base);
         let best = base
             .iter()
             .copied()
-            .min_by_key(|l| {
-                pass.occ[l.code() as usize].len() + pass.occ[(!*l).code() as usize].len()
-            })
+            .min_by_key(|&l| pass.occ_range(l).len() + pass.occ_range(!l).len())
             .expect("candidates are non-empty");
         for polarity in [best, !best] {
-            let code = polarity.code() as usize;
-            for k in 0..pass.occ[code].len() {
+            for k in pass.occ_range(polarity) {
                 if !self.ok || !pass.charge(&mut self.stats, 1) {
                     return;
                 }
-                let j = pass.occ[code][k] as usize;
-                let target = &self.clauses[j];
+                let j = pass.occ[k] as usize;
+                let target = pass.refs[j];
                 if Some(j) == own
-                    || target.deleted
-                    || target.lits.len() < base.len()
+                    || self.arena.is_deleted(target)
+                    || self.arena.len(target) < base.len()
                     || base_sig & !pass.sig[j] != 0
                 {
                     continue;
                 }
-                pass.charge(&mut self.stats, target.lits.len() as u64);
+                pass.charge(&mut self.stats, self.arena.len(target) as u64);
                 // Targets are duplicate- and tautology-free, so counting
                 // hits decides the subset relation.
                 let mut hits = 0usize;
                 let mut flipped = None;
-                for &l in &target.lits {
+                for &l in self.arena.lits(target) {
                     if pass.marked[l.code() as usize] {
                         hits += 1;
                     } else if pass.marked[(!l).code() as usize] {
@@ -592,10 +662,10 @@ impl Solver {
                 if hits == base.len() {
                     // Subsuming an irredundant clause makes the subsumer
                     // irredundant: it now carries the constraint alone.
-                    if let (Some(i), false) = (own, target.learnt) {
-                        self.clauses[i].learnt = false;
+                    if let (Some(i), false) = (own, self.arena.is_learnt(target)) {
+                        self.arena.make_irredundant(pass.refs[i]);
                     }
-                    self.delete_clause(j);
+                    self.delete_clause(target);
                     self.stats.subsumed_clauses += 1;
                 } else if let (true, Some(drop)) = (hits + 1 == base.len(), flipped) {
                     self.strengthen(j, drop, pass);
@@ -606,41 +676,44 @@ impl Solver {
 
     /// Self-subsuming resolution: removes `drop` from clause `j` (and the
     /// literals level-0 units have falsified since the occurrence build).
-    fn strengthen(&mut self, j: usize, drop: Lit, pass: &mut Subsumption) {
-        let lits = &self.clauses[j].lits;
+    fn strengthen(&mut self, j: usize, drop: Lit, pass: &mut Pass) {
+        let c = pass.refs[j];
+        let lits = self.arena.lits(c);
         if lits.iter().any(|&l| self.value(l) == 1) {
             // Satisfied by a unit derived earlier in this pass.
-            self.delete_clause(j);
+            self.delete_clause(c);
             return;
         }
-        let reduced: Vec<Lit> = lits
-            .iter()
-            .copied()
-            .filter(|&l| l != drop && self.value(l) == UNASSIGNED)
-            .collect();
+        pass.reduced.clear();
+        pass.reduced.extend(
+            lits.iter()
+                .copied()
+                .filter(|&l| l != drop && self.value(l) == UNASSIGNED),
+        );
         self.stats.strengthened_clauses += 1;
-        if reduced.is_empty() {
+        if pass.reduced.is_empty() {
             // Every literal is falsified: the resolvent is the empty
             // clause, RUP while both parents stay in the database.
             self.ok = false;
             return;
         }
-        if let Some(i) = self.shrink_and_queue(j, reduced, &mut pass.queue) {
-            pass.sig[i] = var_sig(&self.clauses[i].lits);
+        if self.shrink_and_queue(c, j, &pass.reduced, &mut pass.queue) {
+            pass.sig[j] = var_sig(self.arena.lits(c));
         }
     }
 
     /// [`shrink_clause`](Self::shrink_clause), then queues what remains of
-    /// the clause (long or binary) as a subsumption candidate.
+    /// the clause (long, as `idx`, or binary) as a subsumption candidate.
     fn shrink_and_queue(
         &mut self,
+        c: CRef,
         idx: usize,
-        lits: Vec<Lit>,
+        lits: &[Lit],
         queue: &mut Vec<Candidate>,
-    ) -> Option<usize> {
+    ) -> bool {
         let pair = (lits.len() == 2).then(|| Candidate::Binary(lits[0], lits[1]));
-        let kept = self.shrink_clause(idx, lits);
-        queue.extend(kept.map(Candidate::Long).or(pair));
+        let kept = self.shrink_clause(c, lits);
+        queue.extend(kept.then_some(Candidate::Long(idx)).or(pair));
         kept
     }
 }
@@ -758,11 +831,11 @@ mod tests {
         let after = solver.stats();
         assert_eq!(after.vivified_clauses, before.vivified_clauses);
         assert_eq!(after.strengthened_clauses, before.strengthened_clauses + 1);
-        let live: Vec<&[crate::Lit]> = solver
-            .clauses
-            .iter()
-            .filter(|c| !c.deleted)
-            .map(|c| &c.lits[..])
+        let arena = &solver.arena;
+        let live: Vec<&[crate::Lit]> = arena
+            .refs()
+            .filter(|&c| !arena.is_deleted(c))
+            .map(|c| arena.lits(c))
             .collect();
         assert!(
             live.iter().any(|l| l.len() == 3 && !l.contains(&!b)),
@@ -799,7 +872,7 @@ mod tests {
         // drops its slot.
         solver.inprocess_now();
         solver.inprocess_now();
-        assert!(solver.clauses.iter().all(|c| !c.deleted));
+        assert!(solver.arena.refs().all(|c| !solver.arena.is_deleted(c)));
         let bins: usize = solver.bin_implications.iter().map(Vec::len).sum();
         assert_eq!(bins, 2 * 9, "only php's nine binary clauses remain");
         let (result, _, proof) = solver.solve_certified(Budget::new());
@@ -821,11 +894,11 @@ mod tests {
         let mut solver = Solver::new(cnf);
         solver.inprocess_now();
         let first = solver.stats().inprocess_visits;
-        let live: u64 = solver
-            .clauses
-            .iter()
-            .filter(|c| !c.deleted)
-            .map(|c| c.lits.len() as u64)
+        let arena = &solver.arena;
+        let live: u64 = arena
+            .refs()
+            .filter(|&c| !arena.is_deleted(c))
+            .map(|c| arena.len(c) as u64)
             .sum();
         solver.inprocess_now();
         let second = solver.stats().inprocess_visits - first;

@@ -281,6 +281,9 @@ fn sigkill_torture_never_serves_a_wrong_answer() {
     let _ = std::fs::remove_dir_all(&cache);
 }
 
+/// A `rung` frame's identity: (n_rops, n_vsteps, ladder index).
+type RungKey = (u64, u64, u64);
+
 /// Streaming contract: a subscribed minimize on a multi-rung ladder
 /// yields exactly one `rung` frame per ladder index, every frame
 /// precedes the job's final, and the *set* of rung indices is invariant
@@ -288,7 +291,7 @@ fn sigkill_torture_never_serves_a_wrong_answer() {
 #[test]
 fn progress_frames_cover_every_rung_and_are_jobs_invariant() {
     let request = minimize_line("sub", "0110", r#","subscribe":true"#);
-    let mut rung_idx_sets: Vec<(String, Vec<(u64, u64, u64)>)> = Vec::new();
+    let mut rung_idx_sets: Vec<(String, Vec<RungKey>)> = Vec::new();
     for jobs in ["1", "2", "8"] {
         let cache = temp_dir(&format!("frames_{jobs}"));
         let (lines, _) = run_batch_raw(&cache, &["--jobs", jobs], std::slice::from_ref(&request));
@@ -307,7 +310,7 @@ fn progress_frames_cover_every_rung_and_are_jobs_invariant() {
         // A minimize descends several ladders in sequence; each ladder
         // emits one `rung` frame per spec index, so the *multiset* of
         // (n_rops, n_vsteps, idx) triples is the deterministic shape.
-        let mut rungs: Vec<(u64, u64, u64)> = frames
+        let mut rungs: Vec<RungKey> = frames
             .iter()
             .map(|l| serde_json::from_str::<Value>(l).expect("frame parses"))
             .filter(|v| matches!(v.get("event"), Some(Value::Str(e)) if e == "rung"))
