@@ -578,33 +578,31 @@ impl Solver {
 
     #[inline]
     fn proof_add(&mut self, lits: &[Lit]) {
-        log_step(
-            &mut self.proof,
-            &mut self.stats,
-            lits,
-            DratProof::add_clause,
-        );
+        if let Some(w) = self.proof.as_mut() {
+            w.add_clause(lits);
+            self.stats.proof_steps += 1;
+            self.stats.proof_literals += lits.len() as u64;
+        }
     }
 
     #[inline]
     fn proof_delete(&mut self, lits: &[Lit]) {
-        log_step(
-            &mut self.proof,
-            &mut self.stats,
-            lits,
-            DratProof::delete_clause,
-        );
+        if let Some(w) = self.proof.as_mut() {
+            w.delete_clause(lits);
+            self.stats.proof_steps += 1;
+            self.stats.proof_literals += lits.len() as u64;
+        }
     }
 
     /// Logs the deletion of long clause `c` with its current literals.
     #[inline]
     fn proof_delete_clause(&mut self, c: CRef) {
-        log_step(
-            &mut self.proof,
-            &mut self.stats,
-            self.arena.lits(c),
-            DratProof::delete_clause,
-        );
+        if let Some(w) = self.proof.as_mut() {
+            let lits = self.arena.lits(c);
+            w.delete_clause(lits);
+            self.stats.proof_steps += 1;
+            self.stats.proof_literals += lits.len() as u64;
+        }
     }
 
     fn add_original_clause(&mut self, lits: &[Lit]) {
@@ -1354,21 +1352,6 @@ impl Solver {
                 }
             }
         }
-    }
-}
-
-/// Appends one step to the DRAT log, if one is installed.
-#[inline]
-fn log_step(
-    proof: &mut Option<DratProof>,
-    stats: &mut SolverStats,
-    lits: &[Lit],
-    step: fn(&mut DratProof, &[Lit]),
-) {
-    if let Some(w) = proof.as_mut() {
-        step(w, lits);
-        stats.proof_steps += 1;
-        stats.proof_literals += lits.len() as u64;
     }
 }
 

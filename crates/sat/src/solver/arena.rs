@@ -160,8 +160,9 @@ impl ClauseArena {
     /// Marks a clause deleted; its words stay until the next compaction.
     pub(super) fn delete(&mut self, c: CRef) {
         debug_assert!(!self.is_deleted(c));
+        // Slots freed by an earlier `shrink` are already counted.
+        self.wasted += HEADER + self.len(c);
         self.words[c as usize] = raw(self.head(c) | DELETED);
-        self.wasted += HEADER + self.cap(c);
     }
 
     #[inline]
@@ -306,5 +307,18 @@ mod tests {
         assert_eq!(moved.boundary(c2), live[1]);
         assert_eq!(moved.boundary(c4 + 4 + 3), a.end());
         assert!(a.is_deleted(STUB) && a.len(STUB) == 0);
+    }
+
+    #[test]
+    fn a_shrunk_clause_is_wasted_once_when_deleted() {
+        let mut a = ClauseArena::new();
+        let c1 = a.alloc(&lits(&[2, 4, 6, 8, 10, 12]), true, 3, 0.0);
+        a.alloc(&lits(&[14, 16, 18]), false, 3, 0.0);
+        a.shrink(c1, &lits(&[2, 4, 6]));
+        a.delete(c1);
+        assert_eq!(a.wasted, 4 + 6);
+        let expected = a.words.len() - a.wasted;
+        a.compact();
+        assert_eq!(a.words.len(), expected);
     }
 }

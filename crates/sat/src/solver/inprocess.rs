@@ -219,22 +219,11 @@ impl Solver {
     /// clause any more, in the proof or in conflict analysis.
     fn collect_garbage(&mut self) {
         if self.arena.is_fragmented() {
-            let moved = self.arena.compact();
-            for ws in &mut self.watches {
-                ws.retain_mut(|w| match moved.get(w.clause) {
-                    Some(c) => {
-                        w.clause = c;
-                        true
-                    }
-                    None => false,
-                });
-            }
-            self.subsume_from = moved.boundary(self.subsume_from);
-        } else {
-            let arena = &self.arena;
-            for ws in &mut self.watches {
-                ws.retain(|w| !arena.is_deleted(w.clause));
-            }
+            self.compact_during_search();
+        }
+        let arena = &self.arena;
+        for ws in &mut self.watches {
+            ws.retain(|w| !arena.is_deleted(w.clause));
         }
         for &l in &self.trail {
             self.reason[l.var().index() as usize] = Reason::Decision;
@@ -878,6 +867,40 @@ mod tests {
         let (result, _, proof) = solver.solve_certified(Budget::new());
         assert!(result.is_unsat());
         drat::check(&cnf, &proof.expect("log present")).expect("collected proof must check");
+    }
+
+    #[test]
+    fn a_clause_shrunk_then_deleted_is_reclaimed_once() {
+        // Under the units ¬x1..¬x12, vivification shrinks C = (a b c x1..x12)
+        // in place to (a b c), and subsumption then deletes it as a
+        // duplicate of D = (a b c). The next pass compacts: the slots the
+        // shrink freed must not be counted again with the deletion.
+        let mut cnf = CnfFormula::new();
+        let v = cnf.new_lits(3);
+        let x = cnf.new_lits(12);
+        for &xi in &x {
+            cnf.add_clause([!xi]);
+        }
+        let mut c = v.clone();
+        c.extend(&x);
+        cnf.add_clause(c);
+        cnf.add_clause(v.clone());
+        let mut solver = Solver::new(cnf);
+        solver.inprocess_now();
+        let s = solver.stats();
+        assert_eq!((s.vivified_clauses, s.subsumed_clauses), (1, 1), "{s}");
+        solver.inprocess_now();
+        let arena = &solver.arena;
+        let live: Vec<Vec<crate::Lit>> = arena
+            .refs()
+            .map(|c| {
+                let mut lits = arena.lits(c).to_vec();
+                lits.sort();
+                lits
+            })
+            .collect();
+        assert_eq!(live, vec![v]);
+        assert!(solver.solve().is_sat());
     }
 
     #[test]
