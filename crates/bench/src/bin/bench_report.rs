@@ -247,13 +247,13 @@ fn service_cache_probe(report: &mut BenchReport) {
     );
 }
 
-/// Inprocessing probe: the 1-bit adder's warm mixed-mode ladder run with
-/// one worker, inprocessing on and off. The inprocessing activity
-/// counters and per-run conflict totals are deterministic (one warm
-/// worker, canonical diversity); the on/off wall-clock ratio is the
-/// advisory speedup headline. Both runs must agree on the verdict — that
-/// is the same invariant `tests/inprocess_differential.rs` locks down,
-/// re-checked here on the exact workload the trajectory tracks.
+/// Inprocessing probe: the 1-bit adder's mixed-mode ladder run with one
+/// worker, inprocessing on and off. The inprocessing activity counters and
+/// per-run conflict totals are deterministic (one worker, cold rungs); the
+/// on/off wall-clock ratio is the advisory speedup headline. Both runs
+/// must agree on the verdict — that is the same invariant
+/// `tests/inprocess_differential.rs` locks down, re-checked here on the
+/// exact workload the trajectory tracks.
 fn inprocess_probe(report: &mut BenchReport) {
     use mm_sat::Budget;
 
@@ -261,7 +261,6 @@ fn inprocess_probe(report: &mut BenchReport) {
     let run = |inprocess: bool| {
         let sink = Arc::new(MemorySink::new());
         let synth = Synthesizer::new()
-            .with_incremental(true)
             .with_budget(Budget::new().with_inprocess(inprocess))
             .with_telemetry(Telemetry::new(sink.clone()));
         let started = Instant::now();
@@ -334,7 +333,7 @@ fn inprocess_probe(report: &mut BenchReport) {
 }
 
 /// Aggregate inprocessing probe: summed solver conflicts over a fixed set
-/// of warm single-worker mixed-mode ladders — four functions crossed with
+/// of single-worker mixed-mode ladders — four functions crossed with
 /// several `(max_rops, max_vsteps)` budgets and both encoding-option sets.
 /// One search trajectory is chaotic (a small change to the search can
 /// swing `inprocess_adder1_conflicts` by ±50% without being better or
@@ -347,9 +346,7 @@ fn inprocess_ladders_probe(report: &mut BenchReport) {
         (generators::mux21(), false),
     ];
     let sink = Arc::new(MemorySink::new());
-    let synth = Synthesizer::new()
-        .with_incremental(true)
-        .with_telemetry(Telemetry::new(sink.clone()));
+    let synth = Synthesizer::new().with_telemetry(Telemetry::new(sink.clone()));
     for (f, is_adder) in &functions {
         for (max_rops, max_vsteps) in INPROCESS_LADDER_BUDGETS {
             for options in [EncodeOptions::default(), EncodeOptions::recommended()] {

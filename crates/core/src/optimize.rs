@@ -65,15 +65,14 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use mm_boolfn::MultiOutputFn;
 use mm_circuit::MmCircuit;
-use mm_sat::{CancellationToken, ClauseBus, Diversity, DratProof, Solver};
+use mm_sat::{CancellationToken, DratProof};
 use mm_telemetry::{kv, AttrValue};
 
-use crate::encoder::{self, SharedBase};
 use crate::{EncodeOptions, SynthError, SynthOutcome, SynthResult, SynthSpec, Synthesizer};
 
 /// One synthesis call made during a minimization run.
@@ -97,6 +96,10 @@ pub struct CallRecord {
     pub n_clauses: usize,
     /// Encode + solve time.
     pub time: Duration,
+    /// Conflicts the solver analyzed during the call.
+    pub conflicts: u64,
+    /// Literals the solver propagated during the call.
+    pub propagations: u64,
     /// DRAT steps emitted by the call (0 when proof logging was off).
     pub proof_steps: u64,
     /// Whether the call aborted because the run's wall-clock
@@ -203,14 +206,6 @@ fn seed_upper_bound(f: &MultiOutputFn) -> Option<MmCircuit> {
     crate::heuristic::map(f).ok()
 }
 
-/// LBD threshold for clauses exported to the portfolio bus: only "glue"
-/// clauses (≤ 4 distinct decision levels) are worth the import traffic.
-const SHARE_MAX_LBD: u32 = 4;
-
-/// The shared state of a warm (incremental) portfolio: one base encoding
-/// every worker's solver loads, and the bus their learned clauses travel on.
-type WarmContext = (Arc<SharedBase>, ClauseBus);
-
 /// A sensible default worker count: the machine's available parallelism.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
@@ -231,6 +226,8 @@ fn record(outcome: &SynthOutcome, spec: &SynthSpec) -> CallRecord {
         n_vars: outcome.encode_stats.n_vars,
         n_clauses: outcome.encode_stats.n_clauses,
         time: outcome.total_time(),
+        conflicts: outcome.solver_stats.conflicts,
+        propagations: outcome.solver_stats.propagations,
         proof_steps: outcome.solver_stats.proof_steps,
         deadline_expired: outcome.solver_stats.deadline_expired,
         check_time: outcome.solver_stats.proof_check_time,
@@ -275,35 +272,13 @@ struct LadderOutcome {
     calls: Vec<CallRecord>,
 }
 
-/// The warm context a ladder topped by `top` should run under: a shared
-/// base encoding with disable guards plus a fresh clause bus, or `None`
-/// when the cold engine applies.
-fn warm_context_for(
-    synth: &Synthesizer,
-    top: Option<&SynthSpec>,
-) -> Result<Option<WarmContext>, SynthError> {
-    match top {
-        Some(top) if synth.incremental_for(top) => {
-            let _encode_span = synth.telemetry().span("encode");
-            Ok(Some((
-                Arc::new(encoder::encode_shared_base(top)?),
-                ClauseBus::new(SHARE_MAX_LBD),
-            )))
-        }
-        _ => Ok(None),
-    }
-}
-
 /// Solves an ascending budget ladder (`specs[i]` strictly weaker than
-/// `specs[i + 1]`) with `jobs` workers and lattice-driven cancellation,
-/// on the warm engine when `warm_ctx` is given. A two-phase run
-/// ([`minimize_mixed_mode`]) passes one context to both phases, so
-/// phase-2 workers import the strong clauses phase 1 learned.
+/// `specs[i + 1]`) with `jobs` workers and lattice-driven cancellation.
+/// Every rung is a cold [`Synthesizer::run`] on its own encoding.
 fn run_ladder(
     synth: &Synthesizer,
     specs: &[SynthSpec],
     jobs: usize,
-    warm_ctx: Option<&WarmContext>,
 ) -> Result<LadderOutcome, SynthError> {
     let n = specs.len();
     let jobs = jobs.max(1).min(n.max(1));
@@ -323,7 +298,6 @@ fn run_ladder(
                 worker(
                     synth,
                     specs,
-                    warm_ctx,
                     tokens,
                     cursor,
                     outcomes,
@@ -395,7 +369,6 @@ fn run_ladder(
             kv("points", n),
             kv("proven", proven && degrade.is_none()),
             kv("degraded", degrade.is_some()),
-            kv("incremental", warm_ctx.is_some()),
             kv(
                 "reason",
                 degrade
@@ -429,7 +402,6 @@ fn rung_attrs(idx: usize, spec: &SynthSpec, worker_idx: usize) -> Vec<(String, A
 fn worker(
     synth: &Synthesizer,
     specs: &[SynthSpec],
-    warm_ctx: Option<&WarmContext>,
     tokens: &[CancellationToken],
     cursor: &AtomicUsize,
     outcomes: &Mutex<Vec<Option<PointOutcome>>>,
@@ -438,25 +410,6 @@ fn worker(
     worker_idx: usize,
 ) {
     let telemetry = synth.telemetry().clone();
-    // With a warm context each worker keeps one long-lived solver over the
-    // shared base for its whole ladder share (learned clauses persist
-    // across rungs), wired to the portfolio bus. Without one, every rung is
-    // a cold `Synthesizer::run`. The path never changes verdicts (see the
-    // equisatisfiability argument on `SharedBase` and
-    // `tests/incremental_differential.rs`). Warm solvers are diversified by
-    // seed, saved-phase polarity and restart policy, so the glue clauses
-    // they trade over the bus come from genuinely different trajectories
-    // (worker 0 stays canonical).
-    let make_warm = || {
-        warm_ctx.map(|(base, bus)| {
-            let solver = Solver::new(base.cnf.clone())
-                .with_telemetry(telemetry.clone())
-                .with_diversity(Diversity::for_worker(worker_idx))
-                .with_clause_bus(bus.clone());
-            (base.clone(), Box::new(solver))
-        })
-    };
-    let mut warm = make_warm();
     loop {
         let idx = cursor.fetch_add(1, Ordering::Relaxed);
         if idx >= specs.len() {
@@ -492,9 +445,8 @@ fn worker(
         }
         telemetry.point("rung.spawned", rung_attrs(idx, &specs[idx], worker_idx));
         let budget = synth.budget().with_cancellation(tokens[idx].clone());
-        let run = catch_unwind(AssertUnwindSafe(|| match &mut warm {
-            Some((base, solver)) => synth.run_on_base(solver, base, &specs[idx], budget),
-            None => synth.clone().with_budget(budget).run(&specs[idx]),
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            synth.clone().with_budget(budget).run(&specs[idx])
         }));
         match run {
             Err(payload) => {
@@ -505,9 +457,6 @@ fn worker(
                     .unwrap_or_else(|| "non-string panic payload".to_string());
                 telemetry.point("rung", rung("panicked"));
                 set_outcome(outcomes, idx, PointOutcome::Panicked(message));
-                // A panic may have left the long-lived solver mid-search;
-                // rebuild from the shared base rather than trust its state.
-                warm = make_warm();
             }
             Ok(Ok(outcome)) => {
                 let record = record(&outcome, &specs[idx]);
@@ -578,15 +527,14 @@ fn status_of(degrade: Option<DegradeReason>) -> OptimizeStatus {
     }
 }
 
-/// Runs one single-phase ladder over `specs` (ascending; the warm engine,
-/// when it applies, is encoded at the last spec) and reports its verdict.
+/// Runs one single-phase ladder over `specs` (ascending) and reports its
+/// verdict.
 fn minimize_ladder(
     synth: &Synthesizer,
     specs: &[SynthSpec],
     jobs: usize,
 ) -> Result<OptimizeReport, SynthError> {
-    let warm_ctx = warm_context_for(synth, specs.last())?;
-    let ladder = run_ladder(synth, specs, jobs, warm_ctx.as_ref())?;
+    let ladder = run_ladder(synth, specs, jobs)?;
     Ok(OptimizeReport {
         best: ladder.best.map(|(_, c)| c),
         proven_optimal: ladder.proven,
@@ -674,11 +622,7 @@ pub fn minimize_mixed_mode(
             Ok(SynthSpec::mixed_mode(f, n_rops, n_legs, max_vsteps)?.with_options(options.clone()))
         })
         .collect::<Result<Vec<_>, SynthError>>()?;
-    // One warm context for both phases: the outer top rung dominates every
-    // spec of either ladder (legs grow monotonically with N_R), and sharing
-    // the bus lets phase-2 solvers start from phase 1's learned clauses.
-    let warm_ctx = warm_context_for(synth, rop_specs.last())?;
-    let outer = run_ladder(synth, &rop_specs, jobs, warm_ctx.as_ref())?;
+    let outer = run_ladder(synth, &rop_specs, jobs)?;
     let mut calls = outer.calls;
     let Some((rop_idx, outer_circuit)) = outer.best else {
         // No witness at any N_R. If the ladder degraded (deadline, budget,
@@ -694,14 +638,13 @@ pub fn minimize_mixed_mode(
         });
     };
 
-    // Phase 2: shrink the V-step budget at that N_R, on the same warm
-    // context (phase-2 solvers import the glue clauses phase 1 published).
+    // Phase 2: shrink the V-step budget at that N_R.
     let n_rops = rop_idx; // ladder index 0 is N_R = 0
     let n_legs = SynthSpec::paper_legs(f, n_rops, is_adder);
     let vs_specs = (1..=max_vsteps)
         .map(|vs| Ok(SynthSpec::mixed_mode(f, n_rops, n_legs, vs)?.with_options(options.clone())))
         .collect::<Result<Vec<_>, SynthError>>()?;
-    let inner = run_ladder(synth, &vs_specs, jobs, warm_ctx.as_ref())?;
+    let inner = run_ladder(synth, &vs_specs, jobs)?;
     calls.extend(inner.calls);
     let status = status_of(outer.degrade.or(inner.degrade));
     Ok(OptimizeReport {
@@ -819,6 +762,8 @@ mod tests {
             n_vars: 120,
             n_clauses: 456,
             time: Duration::new(0, 7_000),
+            conflicts: 9,
+            propagations: 210,
             proof_steps: 5,
             deadline_expired: false,
             check_time: Duration::new(0, 1_000),
@@ -831,7 +776,7 @@ mod tests {
         let golden = concat!(
             "{\"n_rops\":2,\"n_legs\":3,\"n_vsteps\":4,\"result\":\"Unrealizable\",",
             "\"n_vars\":120,\"n_clauses\":456,\"time\":{\"secs\":0,\"nanos\":7000},",
-            "\"proof_steps\":5,\"deadline_expired\":false,",
+            "\"conflicts\":9,\"propagations\":210,\"proof_steps\":5,\"deadline_expired\":false,",
             "\"check_time\":{\"secs\":0,\"nanos\":1000},\"certified\":true,",
             "\"proof\":\"0\\n\"}"
         );
@@ -866,6 +811,14 @@ mod tests {
                 let proof = call.proof.as_ref().expect("certified call keeps its proof");
                 assert!(proof.is_concluded());
                 assert!(call.proof_steps > 0);
+                // The proof refutes the rung's own encoding, re-checked from
+                // its DIMACS export.
+                let spec = SynthSpec::r_only(&f, call.n_rops)
+                    .unwrap()
+                    .with_options(opts.clone());
+                let text = Synthesizer::new().export_dimacs(&spec).unwrap();
+                let cnf = mm_sat::dimacs::parse(&text).unwrap();
+                mm_sat::drat::check(&cnf, proof).expect("proof refutes the rung formula");
             }
             // Non-UNSAT calls never carry a certificate.
             for call in report
@@ -877,109 +830,6 @@ mod tests {
                 assert!(call.proof.is_none());
             }
         }
-    }
-
-    #[test]
-    fn incremental_portfolio_agrees_with_cold_at_every_width() {
-        let f = generators::xor_gate(2);
-        let opts = EncodeOptions::recommended();
-        let cold = Synthesizer::new();
-        let warm = Synthesizer::new().with_incremental(true);
-        let baseline = minimize_r_only(&cold, &f, 5, &opts, 1).unwrap();
-        for jobs in [1, 2, 8] {
-            let report = minimize_r_only(&warm, &f, 5, &opts, jobs).unwrap();
-            reports_agree(&baseline, &report);
-            assert!(report.proven_optimal);
-        }
-        let mm_baseline = minimize_mixed_mode(&cold, &f, 3, 3, false, &opts, 1).unwrap();
-        for jobs in [1, 2, 8] {
-            let report = minimize_mixed_mode(&warm, &f, 3, 3, false, &opts, jobs).unwrap();
-            reports_agree(&mm_baseline, &report);
-            assert!(report
-                .best
-                .as_ref()
-                .expect("XOR2 is MM-realizable")
-                .implements(&f));
-        }
-    }
-
-    #[test]
-    fn incremental_vsteps_ladder_agrees_with_cold() {
-        let f = generators::and_gate(2);
-        let opts = EncodeOptions::recommended();
-        let cold = minimize_vsteps(&Synthesizer::new(), &f, 0, 1, 4, &opts, 1).unwrap();
-        let warm = minimize_vsteps(
-            &Synthesizer::new().with_incremental(true),
-            &f,
-            0,
-            1,
-            4,
-            &opts,
-            1,
-        )
-        .unwrap();
-        reports_agree(&cold, &warm);
-        assert!(warm.best.expect("AND2 is V-realizable").implements(&f));
-        // The warm ladder re-encodes nothing: every rung reports the same
-        // shared-base CNF size, strictly larger than any cold rung's.
-        let base_vars = warm.calls[0].n_vars;
-        assert!(warm.calls.iter().all(|c| c.n_vars == base_vars));
-        assert!(cold.calls.iter().all(|c| c.n_vars < base_vars));
-    }
-
-    #[test]
-    fn certified_incremental_ladder_falls_back_to_cold_drat_proofs() {
-        // The certification + incrementality interplay: `--certify` wins,
-        // every UNSAT rung carries its own checker-accepted refutation of
-        // the *rung's* formula, and the verdicts still match the plain run.
-        let f = generators::xor_gate(2);
-        let opts = EncodeOptions::recommended();
-        let synth = Synthesizer::new()
-            .with_incremental(true)
-            .with_certification(true);
-        assert!(!synth.incremental_for(&SynthSpec::r_only(&f, 3).unwrap()));
-        let baseline = minimize_r_only(&Synthesizer::new(), &f, 5, &opts, 2).unwrap();
-        for jobs in [1, 4] {
-            let report = minimize_r_only(&synth, &f, 5, &opts, jobs).unwrap();
-            reports_agree(&baseline, &report);
-            for call in report
-                .calls
-                .iter()
-                .filter(|c| c.result == SynthResultKind::Unrealizable)
-            {
-                assert!(call.certified, "uncertified UNSAT at N_R = {}", call.n_rops);
-                let proof = call.proof.as_ref().expect("certified call keeps its proof");
-                assert!(proof.is_concluded());
-                // Re-check the proof against the rung's own cold encoding:
-                // an incremental shared-base artifact could never pass this.
-                let spec = SynthSpec::r_only(&f, call.n_rops)
-                    .unwrap()
-                    .with_options(opts.clone());
-                let text = Synthesizer::new().export_dimacs(&spec).unwrap();
-                let cnf = mm_sat::dimacs::parse(&text).unwrap();
-                mm_sat::drat::check(&cnf, proof).expect("proof refutes the rung formula");
-            }
-        }
-    }
-
-    #[test]
-    fn incompatible_constraints_force_the_cold_engine() {
-        use mm_boolfn::Literal;
-        let f = generators::and_gate(2);
-        let synth = Synthesizer::new().with_incremental(true);
-        let avoidance = SynthSpec::mixed_mode(&f, 1, 2, 2)
-            .unwrap()
-            .with_cell_avoidance(8, vec![0]);
-        assert!(!synth.incremental_for(&avoidance));
-        let forced = SynthSpec::mixed_mode(&f, 0, 1, 2)
-            .unwrap()
-            .with_options(EncodeOptions {
-                forced_te: vec![(0, 0, Literal::Pos(2))],
-                ..EncodeOptions::default()
-            });
-        assert!(!synth.incremental_for(&forced));
-        let plain = SynthSpec::mixed_mode(&f, 0, 1, 2).unwrap();
-        assert!(synth.incremental_for(&plain));
     }
 
     #[test]

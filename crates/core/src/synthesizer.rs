@@ -2,7 +2,7 @@ use std::time::Duration;
 
 use mm_circuit::{MmCircuit, Schedule};
 use mm_sat::drat::{self, CheckStats};
-use mm_sat::{Budget, CnfFormula, DratProof, Model, SatResult, Solver, SolverStats};
+use mm_sat::{Budget, DratProof, SatResult, Solver, SolverStats};
 use mm_telemetry::{kv, AttrValue, Telemetry};
 
 use crate::{decoder, encoder, EncodeStats, SynthError, SynthSpec};
@@ -97,7 +97,6 @@ impl SynthOutcome {
 pub struct Synthesizer {
     budget: Budget,
     certify: bool,
-    incremental: bool,
     telemetry: Telemetry,
 }
 
@@ -133,37 +132,12 @@ impl Synthesizer {
         self.certify
     }
 
-    /// Turns incremental ladder solving on or off (default: off; the
-    /// `mmsynth` CLI flips it on).
-    ///
-    /// With incrementality on, the minimality ladders in [`crate::optimize`]
-    /// encode `Φ(f)` once at the top rung's budgets with *disable*
-    /// assumption literals guarding every rung-varying constraint, and
-    /// scan them on one long-lived solver per worker so learned clauses
-    /// carry from rung to rung (see [`encoder` docs][crate::encoder]). The
-    /// flag is a pure engine selector: verdicts and decoded circuits are
-    /// unaffected (locked down by `tests/incremental_differential.rs`).
-    ///
-    /// Ladders fall back to cold per-rung solves — regardless of this flag —
-    /// when certification is on (a DRAT proof must refute the *rung's*
-    /// formula, not the base under assumptions) or when the spec carries
-    /// constraints the shared base cannot express (cell avoidance,
-    /// forced-TE positions).
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
+    /// A no-op kept so external callers that still select the removed
+    /// incremental ladder engine keep building: every ladder rung is a cold
+    /// [`run`](Self::run) on its own encoding.
+    #[deprecated(note = "ladders always solve each rung cold; this is a no-op")]
+    pub fn with_incremental(self, _: bool) -> Self {
         self
-    }
-
-    /// Whether incremental ladder solving is requested.
-    pub fn is_incremental(&self) -> bool {
-        self.incremental
-    }
-
-    /// Whether a ladder over `spec`'s function should actually run on the
-    /// incremental engine: requested, certification off, and the spec's
-    /// constraints are expressible in the shared base.
-    pub(crate) fn incremental_for(&self, spec: &SynthSpec) -> bool {
-        self.incremental && !self.certify && encoder::incremental_compatible(spec)
     }
 
     /// The configured budget.
@@ -214,7 +188,7 @@ impl Synthesizer {
         // The checker refutes the rung's own formula, which the solver
         // consumes: keep a copy when certifying.
         let cnf = self.certify.then(|| encoded.cnf.clone());
-        let (result, solver_stats, proof) = {
+        let (result, mut solver_stats, proof) = {
             let _solve_span = self.telemetry.span("solve");
             let solver = Solver::new(encoded.cnf).with_telemetry(self.telemetry.clone());
             if self.certify {
@@ -224,76 +198,17 @@ impl Synthesizer {
                 (result, stats, None)
             }
         };
-        self.conclude(
-            spec,
-            result,
-            solver_stats,
-            encoded.stats,
-            |model| decoder::decode(spec, &encoded.map, model),
-            cnf.as_ref().zip(proof),
-        )
-    }
-
-    /// Solves one rung of a ladder on a long-lived `solver` holding `base`'s
-    /// shared encoding, activating the rung via assumptions instead of
-    /// re-encoding. Never certifying: an UNSAT under assumptions is no
-    /// refutation of the rung's formula.
-    ///
-    /// The reported `solver_stats` are the *per-call delta* (the solver's
-    /// counters accumulate across rungs); `encode_stats` are the shared
-    /// base's, identical for every rung. Decoded circuits are verified
-    /// against the spec exactly as in [`run`](Self::run), so an unsound
-    /// projection can never produce a silently wrong circuit.
-    pub(crate) fn run_on_base(
-        &self,
-        solver: &mut Solver,
-        base: &encoder::SharedBase,
-        spec: &SynthSpec,
-        budget: Budget,
-    ) -> Result<SynthOutcome, SynthError> {
-        let _synth_span = self.telemetry.span_with("synth", span_attrs(spec));
-        let before = solver.stats();
-        if self.telemetry.is_enabled() {
-            let reused = before.learnt_clauses - before.deleted_clauses;
-            if reused > 0 {
-                self.telemetry.counter("solver.reused_clauses", reused);
-            }
-        }
-        let assumptions = base.assumptions_for(spec);
-        let result = {
-            let _solve_span = self.telemetry.span("solve");
-            solver.solve_under_assumptions(&assumptions, budget)
-        };
-        self.conclude(
-            spec,
-            result,
-            solver.stats().delta_since(&before),
-            base.stats,
-            |model| decoder::decode(spec, &base.project_map(spec), model),
-            None,
-        )
-    }
-
-    /// The tail of every solve. A model is decoded and verified against
-    /// the spec (and, when certifying, replayed on the device model) before
-    /// the circuit is placed; a refutation must pass the DRAT checker
-    /// against `proof`'s formula when certifying; Unknown passes through.
-    fn conclude(
-        &self,
-        spec: &SynthSpec,
-        result: SatResult,
-        mut solver_stats: SolverStats,
-        encode_stats: EncodeStats,
-        decode: impl FnOnce(&Model) -> Result<MmCircuit, SynthError>,
-        proof: Option<(&CnfFormula, DratProof)>,
-    ) -> Result<SynthOutcome, SynthError> {
+        // A model is decoded and verified against the spec (and, when
+        // certifying, replayed on the device model) before the circuit is
+        // placed; a refutation must pass the DRAT checker against the rung's
+        // formula when certifying; Unknown passes through.
         let mut certificate = None;
         let mut placement = None;
         let result = match result {
             SatResult::Sat(model) => {
                 let circuit = {
                     let _decode_span = self.telemetry.span("decode");
-                    let circuit = decode(&model)?;
+                    let circuit = decoder::decode(spec, &encoded.map, &model)?;
                     verify(&circuit, spec)?;
                     circuit
                 };
@@ -305,11 +220,11 @@ impl Synthesizer {
                 SynthResult::Realizable(circuit)
             }
             SatResult::Unsat => {
-                if self.certify {
-                    let (cnf, proof) = proof.expect("certified solves return the log");
+                if let Some(cnf) = cnf {
+                    let proof = proof.expect("certified solves return the log");
                     let _certify_span = self.telemetry.span("certify");
                     let check =
-                        drat::check(cnf, &proof).map_err(|e| SynthError::CertificationFailed {
+                        drat::check(&cnf, &proof).map_err(|e| SynthError::CertificationFailed {
                             reason: e.to_string(),
                         })?;
                     solver_stats.proof_checked = true;
@@ -322,7 +237,7 @@ impl Synthesizer {
         };
         Ok(SynthOutcome {
             result,
-            encode_stats,
+            encode_stats: encoded.stats,
             solver_stats,
             certificate,
             placement,

@@ -64,8 +64,7 @@ impl CnfFormula {
     }
 
     /// Allocates `n` fresh variables at once, returning their positive
-    /// literals (e.g. one activation-literal family of a shared base
-    /// encoding).
+    /// literals.
     pub fn new_lits(&mut self, n: usize) -> Vec<Lit> {
         (0..n).map(|_| self.new_lit()).collect()
     }

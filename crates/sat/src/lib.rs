@@ -52,7 +52,6 @@ mod cnf;
 mod error;
 mod lit;
 mod model;
-mod share;
 mod solver;
 mod stats;
 
@@ -65,6 +64,5 @@ pub use drat::DratProof;
 pub use error::SatError;
 pub use lit::{Lit, Var};
 pub use model::Model;
-pub use share::ClauseBus;
-pub use solver::{Diversity, PhaseInit, RestartPolicy, SatResult, Solver};
+pub use solver::{SatResult, Solver};
 pub use stats::SolverStats;

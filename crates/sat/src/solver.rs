@@ -10,110 +10,15 @@ use std::time::Instant;
 use mm_telemetry::Telemetry;
 
 use crate::drat::DratProof;
-use crate::share::ClauseBus;
 use crate::{Budget, CnfFormula, Lit, Model, SolverStats, Var};
 
 use arena::{CRef, ClauseArena, STUB};
 
-/// Clauses longer than this are never exported to a [`ClauseBus`], no
-/// matter how good their LBD: long clauses are expensive for importers to
-/// watch and rarely prune anything.
-const EXPORT_MAX_LEN: usize = 32;
-
 /// Conflicts accumulated before the first inprocessing pass fires, and the
 /// base of the geometric growth between passes. Small one-shot solves never
-/// reach it and pay nothing; long warm-ladder solvers cross it on the hard
-/// rungs where database reduction pays off most.
+/// reach it and pay nothing; hard rungs cross it where database reduction
+/// pays off most.
 const INPROCESS_FIRST_AT: u64 = 1_000;
-
-/// How the restart interval grows with the restart index. Part of the
-/// portfolio diversification story: workers on different policies explore
-/// genuinely different trajectories and feed the clause bus complementary
-/// glue clauses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RestartPolicy {
-    /// Luby sequence times a fixed base (the classic default).
-    #[default]
-    Luby,
-    /// Geometric growth: `base * 1.2^idx`, favouring longer and longer
-    /// uninterrupted runs.
-    Geometric,
-}
-
-/// Initial phase-saving polarity assigned to every variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PhaseInit {
-    /// All variables start false (the classic default).
-    #[default]
-    AllFalse,
-    /// All variables start true.
-    AllTrue,
-    /// Seed-derived pseudo-random polarity per variable.
-    Random,
-}
-
-/// A portfolio worker's diversification profile: seed-derived activity
-/// jitter, initial phase polarity, and restart policy.
-///
-/// [`Diversity::for_worker`] maps a worker index to a deterministic
-/// profile; index 0 is always [`Diversity::canonical`] (byte-identical to
-/// an undiversified solver), so single-worker runs behave exactly like the
-/// serial solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Diversity {
-    /// Seed for tie-breaking VSIDS jitter and random phases; 0 = none.
-    pub seed: u64,
-    /// Initial phase-saving polarity.
-    pub phase: PhaseInit,
-    /// Restart interval policy.
-    pub restarts: RestartPolicy,
-}
-
-impl Diversity {
-    /// The undiversified profile: no jitter, all-false phases, Luby
-    /// restarts. A solver with this profile is byte-identical to one that
-    /// never called [`Solver::with_diversity`].
-    pub fn canonical() -> Self {
-        Self {
-            seed: 0,
-            phase: PhaseInit::AllFalse,
-            restarts: RestartPolicy::Luby,
-        }
-    }
-
-    /// Deterministic profile for portfolio worker `idx`.
-    ///
-    /// Worker 0 is canonical; higher indices cycle through phase and
-    /// restart-policy combinations with a per-worker jitter seed, so no
-    /// two of the first six workers share a profile.
-    pub fn for_worker(idx: usize) -> Self {
-        if idx == 0 {
-            return Self::canonical();
-        }
-        Self {
-            seed: idx as u64,
-            phase: match idx % 3 {
-                0 => PhaseInit::AllFalse,
-                1 => PhaseInit::AllTrue,
-                _ => PhaseInit::Random,
-            },
-            restarts: if idx % 2 == 1 {
-                RestartPolicy::Geometric
-            } else {
-                RestartPolicy::Luby
-            },
-        }
-    }
-}
-
-/// One step of a xorshift64 PRNG (for diversification only — never on the
-/// solving hot path).
-fn xorshift64(mut s: u64) -> u64 {
-    s ^= s << 13;
-    s ^= s >> 7;
-    s ^= s << 17;
-    s
-}
 
 /// Outcome of a [`Solver::solve`] call.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -241,18 +146,6 @@ pub struct Solver {
     /// Counter values already emitted to telemetry, so each emission sends
     /// only the delta: (conflicts, propagations, decisions, restarts).
     tel_emitted: (u64, u64, u64, u64),
-    /// Portfolio clause-sharing channel; `None` keeps the learn site to a
-    /// single branch.
-    bus: Option<ClauseBus>,
-    /// This solver's owner id on the bus (so imports skip own exports).
-    bus_id: usize,
-    /// Position in the bus log up to which this solver has imported.
-    bus_cursor: usize,
-    /// Clauses imported from / exported to the bus by this solver.
-    imported: u64,
-    exported: u64,
-    /// Share-counter values already emitted to telemetry (imported, exported).
-    tel_shared: (u64, u64),
     /// Inprocess-counter values already emitted to telemetry
     /// (subsumed+strengthened, vivified, visits).
     tel_inprocess: (u64, u64, u64),
@@ -273,8 +166,6 @@ pub struct Solver {
     /// Trail prefix whose implied level-0 literals have already been
     /// emitted to the DRAT log as unit additions (see `log_level0_units`).
     l0_units_logged: usize,
-    /// Restart interval policy (diversification).
-    restart_policy: RestartPolicy,
 }
 
 impl Solver {
@@ -309,12 +200,6 @@ impl Solver {
             proof: None,
             telemetry: Telemetry::disabled(),
             tel_emitted: (0, 0, 0, 0),
-            bus: None,
-            bus_id: 0,
-            bus_cursor: 0,
-            imported: 0,
-            exported: 0,
-            tel_shared: (0, 0),
             tel_inprocess: (0, 0, 0),
             failed: Vec::new(),
             subsume_from: 0,
@@ -322,7 +207,6 @@ impl Solver {
             next_inprocess: INPROCESS_FIRST_AT,
             inprocess_interval: INPROCESS_FIRST_AT,
             l0_units_logged: 0,
-            restart_policy: RestartPolicy::default(),
         };
         for clause in cnf.clauses() {
             solver.add_original_clause(clause);
@@ -359,73 +243,9 @@ impl Solver {
         self
     }
 
-    /// Attaches a shared clause bus for portfolio clause exchange.
-    ///
-    /// Learnt clauses with LBD ≤ the bus threshold and at most
-    /// `EXPORT_MAX_LEN` literals are published; clauses published by other
-    /// solvers are imported at call entry and at every restart. All solvers
-    /// on one bus **must** be built from the same [`CnfFormula`] — a learnt
-    /// clause is only a consequence of *that* formula.
-    ///
-    /// Importing is refused while a DRAT log is installed: a foreign
-    /// clause is not RUP with respect to this solver's own derivation and
-    /// would make the DRAT log uncheckable. Exporting stays enabled (it
-    /// does not affect the exporter's proof).
-    pub fn with_clause_bus(mut self, bus: ClauseBus) -> Self {
-        // Cursor starts at 0 so a late-constructed worker also benefits
-        // from clauses published before it joined.
-        self.bus_cursor = 0;
-        self.bus_id = bus.register();
-        self.bus = Some(bus);
-        self
-    }
-
-    /// Applies a portfolio diversification profile: restart policy, initial
-    /// phase polarity, and (for non-zero seeds) a tiny deterministic VSIDS
-    /// tie-breaking jitter. [`Diversity::canonical`] is a no-op.
-    ///
-    /// Diversification only perturbs *search order*; verdicts, models'
-    /// validity, and proof checkability are unaffected.
-    pub fn with_diversity(mut self, d: Diversity) -> Self {
-        self.restart_policy = d.restarts;
-        let mut s = d.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        match d.phase {
-            PhaseInit::AllFalse => {}
-            PhaseInit::AllTrue => self.saved_phase.iter_mut().for_each(|p| *p = true),
-            PhaseInit::Random => {
-                for p in &mut self.saved_phase {
-                    s = xorshift64(s);
-                    *p = s & 1 == 1;
-                }
-            }
-        }
-        if d.seed != 0 {
-            // Sub-nanoscale jitter: breaks VSIDS ties between never-bumped
-            // variables without ever outweighing a real activity bump.
-            for v in 0..self.n_vars {
-                s = xorshift64(s);
-                self.activity[v] = (s >> 11) as f64 * 1e-9 / (1u64 << 53) as f64;
-            }
-            for v in 0..self.n_vars as u32 {
-                self.heap.update(Var::from_index(v), &self.activity);
-            }
-        }
-        self
-    }
-
     /// Cumulative statistics across every call made on this solver.
     pub fn stats(&self) -> SolverStats {
         self.stats
-    }
-
-    /// Clauses imported from the attached bus so far.
-    pub fn imported_clauses(&self) -> u64 {
-        self.imported
-    }
-
-    /// Clauses exported to the attached bus so far.
-    pub fn exported_clauses(&self) -> u64 {
-        self.exported
     }
 
     /// The subset of the most recent call's assumptions that the solver
@@ -480,7 +300,6 @@ impl Solver {
         self.stats.deadline_expired = false;
         self.failed.clear();
         self.backtrack_to(0);
-        self.import_from_bus();
         self.maybe_inprocess(&budget);
         let result = self.search(assumptions, budget, start);
         self.backtrack_to(0);
@@ -540,19 +359,6 @@ impl Solver {
         self.telemetry
             .counter("solver.restarts", s.restarts - self.tel_emitted.3);
         self.tel_emitted = (s.conflicts, s.propagations, s.decisions, s.restarts);
-        // Share counters are zero without a bus; emit only real deltas so
-        // bus-less runs produce the same event stream as before.
-        let (di, de) = (
-            self.imported - self.tel_shared.0,
-            self.exported - self.tel_shared.1,
-        );
-        if di > 0 {
-            self.telemetry.counter("solver.imported_clauses", di);
-        }
-        if de > 0 {
-            self.telemetry.counter("solver.exported_clauses", de);
-        }
-        self.tel_shared = (self.imported, self.exported);
         // Inprocess counters follow the same delta-when-nonzero discipline,
         // so runs that never inprocess produce the exact old event stream.
         // `subsumed` folds in self-subsumption strengthenings: both are
@@ -678,37 +484,6 @@ impl Solver {
                 }
             }
         }
-    }
-
-    /// Pulls every clause other workers published since this solver's
-    /// cursor. Runs only at decision level 0 (call entry and restarts).
-    ///
-    /// No-op while a DRAT log is installed: imported clauses are not
-    /// derivable from this solver's own log, so they must never appear in
-    /// (or influence clauses of) a DRAT-logged run.
-    fn import_from_bus(&mut self) {
-        let Some(bus) = self.bus.clone() else {
-            return;
-        };
-        if self.proof.is_some() {
-            return;
-        }
-        let fresh = bus.collect_since(self.bus_id, &mut self.bus_cursor);
-        if fresh.is_empty() {
-            return;
-        }
-        let mut taken = 0u64;
-        for lits in &fresh {
-            if !self.ok {
-                break;
-            }
-            // Imported clauses are marked learnt so reduce_db may drop
-            // them again if they turn out not to pull their weight.
-            self.add_simplified_clause(lits, true);
-            taken += 1;
-        }
-        self.imported += taken;
-        bus.note_imported(taken);
     }
 
     /// Final-conflict analysis (MiniSat's `analyzeFinal`): called when
@@ -1074,12 +849,6 @@ impl Solver {
         // clauses currently alive, so the derivation stays checkable.
         self.proof_add(&learnt);
         let lbd = self.compute_lbd(&learnt);
-        if let Some(bus) = &self.bus {
-            if lbd <= bus.max_lbd() && learnt.len() <= EXPORT_MAX_LEN {
-                bus.publish(self.bus_id, &learnt);
-                self.exported += 1;
-            }
-        }
         match learnt.len() {
             1 => {
                 self.enqueue(learnt[0], Reason::Decision);
@@ -1241,7 +1010,7 @@ impl Solver {
         // calls' budgets (counters in `stats` accumulate across calls).
         let conflicts_at_entry = self.stats.conflicts;
         let mut restart_idx: u64 = 0;
-        let mut conflicts_until_restart = restart_interval(self.restart_policy, restart_idx);
+        let mut conflicts_until_restart = restart_interval(restart_idx);
         let mut next_reduce: u64 = conflicts_at_entry + 4000;
 
         // Cancellation is polled every `CANCEL_POLL_INTERVAL` propagate/decide
@@ -1309,14 +1078,12 @@ impl Solver {
                         }
                     }
                     restart_idx += 1;
-                    conflicts_until_restart = restart_interval(self.restart_policy, restart_idx);
+                    conflicts_until_restart = restart_interval(restart_idx);
                     self.stats.restarts += 1;
                     self.backtrack_to(0);
-                    // Restarts are the natural low-cost moment to pick up
-                    // what the rest of the portfolio has learned — and to
-                    // inprocess the accumulated database while the trail
-                    // is back at level 0 anyway.
-                    self.import_from_bus();
+                    // Restarts are the natural low-cost moment to inprocess
+                    // the accumulated database: the trail is back at level
+                    // 0 anyway.
                     self.maybe_inprocess(&budget);
                     if !self.ok {
                         return SatResult::Unsat;
@@ -1355,14 +1122,9 @@ impl Solver {
     }
 }
 
-/// Conflicts allotted to restart run `idx` under `policy` (base 128).
-fn restart_interval(policy: RestartPolicy, idx: u64) -> u64 {
-    const BASE: u64 = 128;
-    match policy {
-        RestartPolicy::Luby => luby(idx) * BASE,
-        // 1.2^idx saturates safely: `as u64` clamps out-of-range floats.
-        RestartPolicy::Geometric => (BASE as f64 * 1.2f64.powi(idx.min(220) as i32)) as u64,
-    }
+/// Conflicts allotted to restart run `idx`: the Luby sequence times 128.
+fn restart_interval(idx: u64) -> u64 {
+    luby(idx) * 128
 }
 
 /// The Luby restart sequence (1, 1, 2, 1, 1, 2, 4, …), 0-indexed.
@@ -1922,72 +1684,6 @@ mod tests {
         // it must not claim Unknown from a pre-exhausted budget).
         let result = solver.solve_under_assumptions(&[], Budget::new().with_max_conflicts(10));
         assert_eq!(result, SatResult::Unsat);
-    }
-
-    #[test]
-    fn clause_bus_shares_learnt_clauses_between_solvers() {
-        use crate::ClauseBus;
-
-        let cnf = pigeonhole(6, 5);
-        let bus = ClauseBus::new(u32::MAX);
-        let mut exporter = Solver::new(cnf.clone()).with_clause_bus(bus.clone());
-        assert!(exporter
-            .solve_under_assumptions(&[], Budget::new())
-            .is_unsat());
-        assert!(exporter.exported_clauses() > 0, "php learns short clauses");
-        assert_eq!(bus.exported(), exporter.exported_clauses());
-
-        let mut importer = Solver::new(cnf).with_clause_bus(bus.clone());
-        assert!(importer
-            .solve_under_assumptions(&[], Budget::new())
-            .is_unsat());
-        assert!(importer.imported_clauses() > 0);
-        assert!(bus.imported() >= importer.imported_clauses());
-    }
-
-    #[test]
-    fn imported_clauses_preserve_answers() {
-        use crate::ClauseBus;
-
-        // SAT instance: importing a sibling's learnt clauses must not
-        // flip the answer or break the model.
-        let cnf = pigeonhole(6, 6);
-        let clauses: Vec<Vec<Lit>> = cnf.clauses().to_vec();
-        let bus = ClauseBus::new(u32::MAX);
-        let mut first = Solver::new(cnf.clone()).with_clause_bus(bus.clone());
-        assert!(first.solve_under_assumptions(&[], Budget::new()).is_sat());
-
-        let mut second = Solver::new(cnf).with_clause_bus(bus);
-        match second.solve_under_assumptions(&[], Budget::new()) {
-            SatResult::Sat(m) => {
-                for c in &clauses {
-                    assert!(c.iter().any(|&l| m.value(l)), "model violates clause");
-                }
-            }
-            other => panic!("expected SAT, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn proof_logged_solver_never_imports() {
-        use crate::ClauseBus;
-
-        let cnf = pigeonhole(5, 4);
-        let bus = ClauseBus::new(u32::MAX);
-        // A sibling fills the bus first.
-        let mut feeder = Solver::new(cnf.clone()).with_clause_bus(bus.clone());
-        assert!(feeder
-            .solve_under_assumptions(&[], Budget::new())
-            .is_unsat());
-        assert!(bus.exported() > 0);
-
-        let (result, _, proof) = Solver::new(cnf.clone())
-            .with_clause_bus(bus.clone())
-            .solve_certified(Budget::new());
-        assert!(result.is_unsat());
-        let proof = proof.expect("certified solve returns the log");
-        crate::drat::check(&cnf, &proof)
-            .expect("proof of a bus-attached logged solver must stay self-contained");
     }
 
     #[test]

@@ -23,8 +23,7 @@
 //!
 //! Each pass starts by cleaning the database: the watches on deleted long
 //! clauses go, the arena is compacted once fragmented, and the binaries
-//! satisfied at level 0 or duplicated (bus imports do not deduplicate)
-//! are deleted. The pass then names the live long clauses by their rank
+//! satisfied at level 0 or duplicated are deleted. The pass then names the live long clauses by their rank
 //! in creation order.
 //!
 //! # Effort

@@ -66,35 +66,6 @@ pub struct SolverStats {
     pub inprocess_visits: u64,
 }
 
-impl SolverStats {
-    /// The per-call statistics of an incremental solve, computed as the
-    /// difference from a snapshot taken before the call.
-    ///
-    /// Monotone counters subtract; the per-call flags (`cancelled`,
-    /// `deadline_expired`, `proof_checked`) are taken from `self` since the
-    /// solver resets them at every call.
-    pub fn delta_since(&self, earlier: &SolverStats) -> SolverStats {
-        let mut d = *self;
-        d.decisions -= earlier.decisions;
-        d.propagations -= earlier.propagations;
-        d.conflicts -= earlier.conflicts;
-        d.restarts -= earlier.restarts;
-        d.learnt_clauses -= earlier.learnt_clauses;
-        d.deleted_clauses -= earlier.deleted_clauses;
-        d.minimized_literals -= earlier.minimized_literals;
-        d.solve_time -= earlier.solve_time;
-        d.cancel_polls -= earlier.cancel_polls;
-        d.proof_steps -= earlier.proof_steps;
-        d.proof_literals -= earlier.proof_literals;
-        d.proof_check_time -= earlier.proof_check_time;
-        d.subsumed_clauses -= earlier.subsumed_clauses;
-        d.strengthened_clauses -= earlier.strengthened_clauses;
-        d.vivified_clauses -= earlier.vivified_clauses;
-        d.inprocess_visits -= earlier.inprocess_visits;
-        d
-    }
-}
-
 impl fmt::Display for SolverStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // One line, comma-separated `name value` pairs: bench scrapers rely
@@ -161,54 +132,6 @@ mod tests {
         ] {
             assert!(line.contains(needle), "missing {needle:?} in {line:?}");
         }
-    }
-
-    #[test]
-    fn delta_since_subtracts_counters_and_keeps_flags() {
-        let earlier = SolverStats {
-            decisions: 10,
-            conflicts: 5,
-            solve_time: Duration::from_millis(100),
-            cancel_polls: 2,
-            ..Default::default()
-        };
-        let later = SolverStats {
-            decisions: 25,
-            conflicts: 9,
-            solve_time: Duration::from_millis(350),
-            cancel_polls: 7,
-            cancelled: true,
-            ..Default::default()
-        };
-        let d = later.delta_since(&earlier);
-        assert_eq!(d.decisions, 15);
-        assert_eq!(d.conflicts, 4);
-        assert_eq!(d.solve_time, Duration::from_millis(250));
-        assert_eq!(d.cancel_polls, 5);
-        assert!(d.cancelled, "per-call flag comes from the later snapshot");
-    }
-
-    #[test]
-    fn delta_since_subtracts_inprocess_counters() {
-        let earlier = SolverStats {
-            subsumed_clauses: 2,
-            strengthened_clauses: 3,
-            vivified_clauses: 4,
-            inprocess_visits: 100,
-            ..Default::default()
-        };
-        let later = SolverStats {
-            subsumed_clauses: 7,
-            strengthened_clauses: 9,
-            vivified_clauses: 11,
-            inprocess_visits: 250,
-            ..Default::default()
-        };
-        let d = later.delta_since(&earlier);
-        assert_eq!(d.subsumed_clauses, 5);
-        assert_eq!(d.strengthened_clauses, 6);
-        assert_eq!(d.vivified_clauses, 7);
-        assert_eq!(d.inprocess_visits, 150);
     }
 
     /// Golden-JSON schema stability: tooling (CI lint, EXPERIMENTS recipes)

@@ -160,65 +160,6 @@ fn proof_for_a_different_formula_is_rejected() {
     assert!(check(&smaller, &proof).is_err());
 }
 
-#[test]
-fn imported_clauses_never_leak_into_a_logged_proof() {
-    use mm_sat::ClauseBus;
-
-    // A sibling worker floods the bus with every clause it learns (the
-    // u32::MAX threshold disables the LBD filter), including clauses a
-    // logged solver could never derive at the point it would import them.
-    let cnf = pigeonhole(6, 5);
-    let bus = ClauseBus::new(u32::MAX);
-    let mut feeder = Solver::new(cnf.clone()).with_clause_bus(bus.clone());
-    assert!(feeder
-        .solve_under_assumptions(&[], Budget::new())
-        .is_unsat());
-    assert!(bus.exported() > 0, "the feeder must have filled the bus");
-
-    // A proof-logged solver attached to the same loaded bus must refuse
-    // every import: each step of its DRAT log has to be RUP with respect
-    // to its own derivation alone, which the checker verifies step by
-    // step. A single imported (underivable) clause would surface here as
-    // a check failure.
-    let mut logged = Solver::new(cnf.clone())
-        .with_clause_bus(bus.clone())
-        .with_proof();
-    let before = bus.imported();
-    let result = logged.solve_under_assumptions(&[], Budget::new());
-    assert_eq!(result, SatResult::Unsat);
-    assert_eq!(
-        logged.imported_clauses(),
-        0,
-        "logged solver must not import"
-    );
-    assert_eq!(bus.imported(), before, "bus saw no consumption either");
-}
-
-#[test]
-fn proof_of_bus_attached_solver_checks_end_to_end() {
-    use mm_sat::ClauseBus;
-
-    // Same setup, but driven through the certified one-shot wrapper the
-    // synthesis pipeline uses — the resulting proof must pass the checker
-    // even though a loaded bus was attached the whole time.
-    let cnf = pigeonhole(6, 5);
-    let bus = ClauseBus::new(u32::MAX);
-    let mut feeder = Solver::new(cnf.clone()).with_clause_bus(bus.clone());
-    assert!(feeder
-        .solve_under_assumptions(&[], Budget::new())
-        .is_unsat());
-
-    let (result, stats, proof) = Solver::new(cnf.clone())
-        .with_clause_bus(bus)
-        .solve_certified(Budget::new());
-    assert_eq!(result, SatResult::Unsat);
-    let proof = proof.expect("certified solve returns the log");
-    assert!(proof.is_concluded());
-    let report = check(&cnf, &proof).expect("self-contained proof checks");
-    assert_eq!(report.additions + report.deletions + 1, proof.n_steps());
-    assert_eq!(stats.proof_steps as usize, proof.n_steps());
-}
-
 /// A deterministic certified refutation whose proof contains genuine
 /// inprocessing steps: the pass runs with the log attached, so its
 /// strengthened clauses and deletions appear in the stream before the

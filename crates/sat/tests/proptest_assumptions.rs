@@ -1,6 +1,6 @@
 //! Property-based validation of assumption-based incremental solving.
 //!
-//! Three semantic contracts back the incremental minimality ladder:
+//! Three semantic contracts back [`Solver::solve_under_assumptions`]:
 //!
 //! 1. SAT under assumptions ⇒ the returned model satisfies every clause
 //!    *and* every assumption.

@@ -22,7 +22,7 @@ import sys
 
 TRACE_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
-STATS_SCHEMA_VERSION = 2
+STATS_SCHEMA_VERSION = 3
 RUNG_OUTCOMES = {"sat", "unsat", "unknown", "skipped", "panicked"}
 
 errors = []
@@ -98,6 +98,9 @@ def lint_stats(path):
         f"want {STATS_SCHEMA_VERSION}",
     )
     check(stats.get("calls"), f"{path}: no call records")
+    for i, call in enumerate(stats.get("calls") or []):
+        for key in ("conflicts", "propagations"):
+            check(key in call, f"{path}: calls[{i}] has no {key}")
 
 
 def main():

@@ -6,7 +6,7 @@
 //!                  [--certify] [--proof FILE] [--dot | --json | --dimacs | --schedule]
 //! mmsynth minimize --function gf22_mul [--max-rops N] [--max-steps N] [--r-only]
 //!                  [--jobs N] [--conflicts N] [--deadline SECS] [--certify]
-//!                  [--no-incremental] [--proof-dir DIR] [--dot | --json | --schedule]
+//!                  [--no-inprocess] [--proof-dir DIR] [--dot | --json | --schedule]
 //!                  [--cache-dir DIR [--paranoid]]
 //! mmsynth faultsim --function xor2 --rops 1 --legs 2 --steps 2
 //!                  [--stuck CELL:lrs,CELL:hrs] [--flip CELL:CYCLE,...]
@@ -34,12 +34,8 @@
 //! standard DRAT text for cross-checking with external tools (`drat-trim`).
 //!
 //! `minimize` scans its budget ladder upward with `--jobs` workers (one
-//! worker is the plain sequential scan) and solves it *incrementally* by
-//! default: the formula is encoded once at the top rung and each worker
-//! keeps one long-lived solver, activating smaller rungs via assumptions
-//! and sharing strong learned clauses across the portfolio.
-//! `--no-incremental` restores cold per-rung solves; `--certify` implies
-//! them, so every archived proof refutes its own rung's formula.
+//! worker is the plain sequential scan). Every rung is encoded and solved
+//! on its own, so every archived proof refutes its own rung's formula.
 //!
 //! Every subcommand also accepts the telemetry flags: `--trace-out F.jsonl`
 //! streams the raw span/counter/point event stream as JSON lines,
@@ -277,8 +273,10 @@ impl TelemetrySetup {
 }
 
 /// Version of the `--stats-json` sidecar schema. Version 2 dropped
-/// `solver_stats.eliminated_vars` and added `solver_stats.inprocess_visits`.
-const STATS_SCHEMA_VERSION: u64 = 2;
+/// `solver_stats.eliminated_vars` and added `solver_stats.inprocess_visits`;
+/// version 3 dropped the top-level `incremental` key and added `conflicts`
+/// and `propagations` to every `calls[]` entry.
+const STATS_SCHEMA_VERSION: u64 = 3;
 
 /// `--stats-json` with no value prints to stdout; with a value, writes to
 /// that path.
@@ -445,12 +443,8 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
             if let Some(dir) = args.get("cache-dir") {
                 return minimize_cached(args, tel, &f, jobs, &options, dir);
             }
-            // Incremental ladder solving is on by default; --no-incremental
-            // restores cold per-rung solves (and --certify implies them).
-            let incremental = !args.has("no-incremental");
             let mut synth = Synthesizer::new()
                 .with_certification(args.has("certify"))
-                .with_incremental(incremental)
                 .with_telemetry(tel.telemetry.clone());
             // A conflict (not wall-clock) limit keeps the portfolio result
             // deterministic across --jobs settings; a --deadline bounds
@@ -527,7 +521,6 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
                     ("function".into(), Value::Str(f.name().to_string())),
                     ("proven_optimal".into(), Value::Bool(report.proven_optimal)),
                     ("degraded".into(), Value::Bool(degraded)),
-                    ("incremental".into(), Value::Bool(incremental)),
                     ("inprocess".into(), Value::Bool(!args.has("no-inprocess"))),
                     ("n_calls".into(), Value::UInt(report.calls.len() as u64)),
                     ("certified_unsat".into(), Value::UInt(certified as u64)),
@@ -604,7 +597,7 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
                  \x20                [--dot | --json | --dimacs | --schedule]\n\
                  \x20      minimize: [--max-rops N] [--max-steps N] [--r-only] [--adder]\n\
                  \x20                [--jobs N] [--conflicts N] [--deadline SECS]\n\
-                 \x20                [--no-incremental] [--no-inprocess]\n\
+                 \x20                [--no-inprocess]\n\
                  \x20                [--certify] [--proof-dir DIR]\n\
                  \x20                [--cache-dir DIR [--paranoid]]\n\
                  \x20                [--dot | --json | --schedule]\n\
@@ -627,10 +620,8 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
                  \x20      --certify checks every UNSAT answer against its DRAT proof\n\
                  \x20      before any optimality claim; --proof/--proof-dir archive the\n\
                  \x20      accepted proofs as DRAT text\n\
-                 \x20      minimize scans its budget ladder upward, incrementally (one\n\
-                 \x20      long-lived solver per worker, shared learned clauses);\n\
-                 \x20      --no-incremental restores cold per-rung solves, and\n\
-                 \x20      --certify implies them (proofs refute each rung's formula)\n\
+                 \x20      minimize scans its budget ladder upward, solving every rung\n\
+                 \x20      on its own encoding (proofs refute each rung's formula)\n\
                  \x20      the solver inprocesses (subsumption, self-subsuming\n\
                  \x20      resolution, vivification) at restart boundaries;\n\
                  \x20      --no-inprocess turns that off — verdicts are identical\n\

@@ -1,10 +1,8 @@
-//! Differential lockdown of the inprocessing layer and the diversified
-//! portfolio.
+//! Differential lockdown of the inprocessing layer.
 //!
 //! Inprocessing (subsumption with self-subsuming resolution,
-//! vivification) and portfolio diversification
-//! (per-worker seed / phase / restart policy) are pure *performance*
-//! features: for every function, engine, and worker count the verdict —
+//! vivification) is a pure *performance* feature: for every function and
+//! worker count the verdict —
 //! `proven_optimal`, presence of a best circuit, its optimal metrics —
 //! must be identical with the features on and off, and decoded circuits
 //! must survive device-model replay. Any divergence is a soundness bug in
@@ -22,25 +20,15 @@ use memristive_mm::telemetry::{MemorySink, RunReport, Telemetry};
 /// Worker counts every case runs under (mirrors ISSUE 5/10 acceptance).
 const JOBS: [usize; 3] = [1, 2, 8];
 
-/// The four engine configurations under test: warm/cold × inprocess
-/// on/off. The cold no-inprocess engine is the pre-feature baseline.
-fn engines() -> [(&'static str, Synthesizer); 4] {
-    let on = Budget::new();
-    let off = Budget::new().with_inprocess(false);
+/// The two solver configurations under test: inprocessing off and on.
+/// The no-inprocess engine is the pre-feature baseline.
+fn engines() -> [(&'static str, Synthesizer); 2] {
     [
         (
-            "cold/no-inprocess",
-            Synthesizer::new().with_budget(off.clone()),
+            "no-inprocess",
+            Synthesizer::new().with_budget(Budget::new().with_inprocess(false)),
         ),
-        ("cold/inprocess", Synthesizer::new().with_budget(on.clone())),
-        (
-            "warm/no-inprocess",
-            Synthesizer::new().with_incremental(true).with_budget(off),
-        ),
-        (
-            "warm/inprocess",
-            Synthesizer::new().with_incremental(true).with_budget(on),
-        ),
+        ("inprocess", Synthesizer::new()),
     ]
 }
 
@@ -90,10 +78,9 @@ fn device_verify(label: &str, circuit: &MmCircuit, f: &MultiOutputFn) {
     }
 }
 
-/// Every 2-input NPN class through the pure V-op step ladder, all four
-/// engine configurations, all worker counts: clauses over the `d_step`
-/// guard family are rewritten mid-ladder while later rungs still assume
-/// those guards, in both SAT and UNSAT-everywhere (XOR-class) ladders.
+/// Every 2-input NPN class through the pure V-op step ladder, both solver
+/// configurations, all worker counts, in both SAT and UNSAT-everywhere
+/// (XOR-class) ladders.
 #[test]
 fn npn_census_vsteps_ladders_are_inprocess_invariant() {
     let opts = EncodeOptions::recommended();
@@ -123,7 +110,7 @@ fn npn_census_vsteps_ladders_are_inprocess_invariant() {
 
 /// The 1-bit ripple adder's full two-phase mixed-mode ladder (the paper's
 /// Table IV row): 3 inputs, 2 outputs, outer `N_R` descent plus inner
-/// step descent — the workload the warm portfolio actually runs in anger.
+/// step descent — the workload the portfolio actually runs in anger.
 #[test]
 fn adder_mixed_mode_ladder_is_inprocess_invariant() {
     let opts = EncodeOptions::recommended();
@@ -144,7 +131,7 @@ fn adder_mixed_mode_ladder_is_inprocess_invariant() {
 }
 
 /// The effort bound of the subsumption pass, as a deterministic counter:
-/// on the adder's single-worker warm ladder (the `inprocess_adder1_*` probe of
+/// on the adder's single-worker ladder (the `inprocess_adder1_*` probe of
 /// `bench_report`), the occurrence entries and clause literals examined by
 /// inprocessing stay within the search's own propagations. Conflict counts
 /// cannot show a pass that re-scans the whole encoding every time; this
@@ -152,9 +139,7 @@ fn adder_mixed_mode_ladder_is_inprocess_invariant() {
 #[test]
 fn inprocessing_effort_stays_within_search_propagations() {
     let sink = Arc::new(MemorySink::new());
-    let synth = Synthesizer::new()
-        .with_incremental(true)
-        .with_telemetry(Telemetry::new(sink.clone()));
+    let synth = Synthesizer::new().with_telemetry(Telemetry::new(sink.clone()));
     let f = generators::ripple_adder(1);
     let report =
         optimize::minimize_mixed_mode(&synth, &f, 4, 4, true, &EncodeOptions::default(), 1)

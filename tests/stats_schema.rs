@@ -4,7 +4,7 @@
 //! bench reporter, `scripts/lint_report.py`, CI diff legs) keys on exact
 //! field names. These tests pin the key *lists and order* per subcommand
 //! and the semantics of the shared fields (`schema_version`,
-//! `incremental`, `degraded`) so a rename or reorder is a deliberate,
+//! `inprocess`, `degraded`) so a rename or reorder is a deliberate,
 //! reviewed schema bump rather than an accident.
 
 use std::path::PathBuf;
@@ -12,7 +12,7 @@ use std::process::Command;
 
 use serde::Value;
 
-const STATS_SCHEMA_VERSION: u64 = 2;
+const STATS_SCHEMA_VERSION: u64 = 3;
 
 fn run_with_stats(args: &[&str], name: &str) -> (std::process::Output, Value) {
     let path: PathBuf =
@@ -93,7 +93,6 @@ fn minimize_stats_schema_is_stable() {
             "function",
             "proven_optimal",
             "degraded",
-            "incremental",
             "inprocess",
             "n_calls",
             "certified_unsat",
@@ -106,28 +105,18 @@ fn minimize_stats_schema_is_stable() {
         Value::UInt(STATS_SCHEMA_VERSION)
     );
     assert_eq!(get(&stats, "command"), Value::Str("minimize".into()));
-    // The ladder is incremental by default and this run completes.
-    assert_eq!(get(&stats, "incremental"), Value::Bool(true));
-    // Inprocessing is on by default too.
+    // Inprocessing is on by default and this run completes.
     assert_eq!(get(&stats, "inprocess"), Value::Bool(true));
     assert_eq!(get(&stats, "degraded"), Value::Bool(false));
-}
-
-#[test]
-fn minimize_stats_track_the_incremental_flag() {
-    let (output, stats) = run_with_stats(
-        &[
-            "minimize",
-            "--function",
-            "xor2",
-            "--max-rops",
-            "2",
-            "--no-incremental",
-        ],
-        "cold",
-    );
-    assert!(output.status.success());
-    assert_eq!(get(&stats, "incremental"), Value::Bool(false));
+    // Every call record carries the solver work behind it.
+    let Value::Array(calls) = get(&stats, "calls") else {
+        panic!("calls is not an array");
+    };
+    assert!(!calls.is_empty());
+    for call in &calls {
+        assert!(matches!(get(call, "conflicts"), Value::UInt(_)), "{call:?}");
+        assert!(matches!(get(call, "propagations"), Value::UInt(n) if n > 0));
+    }
 }
 
 #[test]
@@ -145,8 +134,6 @@ fn minimize_stats_track_the_inprocess_flag() {
     );
     assert!(output.status.success());
     assert_eq!(get(&stats, "inprocess"), Value::Bool(false));
-    // The knob is solver-internal; the verdict fields are unaffected.
-    assert_eq!(get(&stats, "incremental"), Value::Bool(true));
 }
 
 #[test]
