@@ -1,10 +1,11 @@
 //! Emits the performance-trajectory report (`BENCH_<n>.json`).
 //!
 //! Runs a fixed probe set — single-worker synthesis ladders with telemetry
-//! attached, a seeded fuzz sweep, and a Monte-Carlo device sweep — and
-//! folds the results into a [`BenchReport`]: deterministic workload
-//! counters (solver conflicts, CNF sizes, synthesis-call and rung counts,
-//! degraded-scenario counts) plus advisory wall-clock timings. CI diffs
+//! attached, a seeded fuzz sweep, a Monte-Carlo device sweep, and a DRAT
+//! re-check of certified ladders' proofs — and folds the results into a
+//! [`BenchReport`]: deterministic workload counters (solver conflicts, CNF
+//! sizes, synthesis-call and rung counts, degraded-scenario counts,
+//! checker work) plus advisory wall-clock timings. CI diffs
 //! the emitted file against the committed baseline with
 //! `scripts/bench_diff.py`.
 //!
@@ -365,6 +366,75 @@ fn inprocess_ladders_probe(report: &mut BenchReport) {
     );
 }
 
+/// DRAT-checker probe: the certified `xor3`, `adder1` and `cmp2` ladders
+/// at `(max_rops, max_vsteps) = (8, 6)` with one worker, and every UNSAT
+/// rung's proof checked once more against the rung's DIMACS export. One
+/// worker makes the proofs, and with them the checker's core-lemma and
+/// propagation counts, deterministic; the summed check time is advisory.
+fn drat_check_probe(report: &mut BenchReport) {
+    use mm_sat::{dimacs, drat};
+    use mm_synth::optimize::SynthResultKind;
+    use mm_synth::SynthSpec;
+
+    let options = EncodeOptions::recommended();
+    let synth = Synthesizer::new().with_certification(true);
+    let (mut core_additions, mut propagations, mut checked) = (0u64, 0u64, 0usize);
+    let mut check_time = std::time::Duration::ZERO;
+    for (f, is_adder) in [
+        (generators::xor_gate(3), false),
+        (generators::ripple_adder(1), true),
+        (generators::comparator(2), false),
+    ] {
+        let out = minimize_mixed_mode(&synth, &f, 8, 6, is_adder, &options, 1)
+            .expect("probe ladder must synthesize");
+        assert!(out.proven_optimal, "probe ladder must prove optimality");
+        for call in &out.calls {
+            if call.result != SynthResultKind::Unrealizable {
+                continue;
+            }
+            let proof = call
+                .proof
+                .as_ref()
+                .expect("certified UNSAT keeps its proof");
+            let spec = SynthSpec::mixed_mode(&f, call.n_rops, call.n_legs, call.n_vsteps)
+                .expect("probe rung is a valid spec")
+                .with_options(options.clone());
+            let text = Synthesizer::new()
+                .export_dimacs(&spec)
+                .expect("probe rung encodes");
+            let cnf = dimacs::parse(&text).expect("exported DIMACS parses");
+            let stats = drat::check(&cnf, proof).expect("probe proof checks");
+            core_additions += stats.core_additions as u64;
+            propagations += stats.propagations;
+            check_time += stats.check_time;
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "probe ladders have UNSAT rungs");
+    let lower = Direction::Lower;
+    report.push(
+        "drat_check_core_additions",
+        core_additions as f64,
+        "count",
+        lower,
+        true,
+    );
+    report.push(
+        "drat_check_propagations",
+        propagations as f64,
+        "count",
+        lower,
+        true,
+    );
+    report.push(
+        "drat_check_time_us",
+        check_time.as_micros() as f64,
+        "us",
+        lower,
+        false,
+    );
+}
+
 /// Metrics-registry overhead probe: the hot-path cost the observability
 /// layer adds to every job — one counter increment and one histogram
 /// observation per attempt — plus a full Prometheus render with the
@@ -473,6 +543,7 @@ fn main() {
     fuzz_probe(&mut report);
     device_probe(&mut report);
     service_cache_probe(&mut report);
+    drat_check_probe(&mut report);
     metrics_overhead_probe(&mut report);
 
     let json = report.to_json().expect("bench report serializes");

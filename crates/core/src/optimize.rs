@@ -213,7 +213,8 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-fn record(outcome: &SynthOutcome, spec: &SynthSpec) -> CallRecord {
+/// The call record of `outcome`; the proof moves out of its certificate.
+fn record(outcome: &mut SynthOutcome, spec: &SynthSpec) -> CallRecord {
     CallRecord {
         n_rops: spec.n_rops(),
         n_legs: spec.n_legs(),
@@ -232,7 +233,7 @@ fn record(outcome: &SynthOutcome, spec: &SynthSpec) -> CallRecord {
         deadline_expired: outcome.solver_stats.deadline_expired,
         check_time: outcome.solver_stats.proof_check_time,
         certified: outcome.certificate.is_some(),
-        proof: outcome.certificate.as_ref().map(|c| c.proof.clone()),
+        proof: outcome.certificate.take().map(|c| c.proof),
     }
 }
 
@@ -458,8 +459,8 @@ fn worker(
                 telemetry.point("rung", rung("panicked"));
                 set_outcome(outcomes, idx, PointOutcome::Panicked(message));
             }
-            Ok(Ok(outcome)) => {
-                let record = record(&outcome, &specs[idx]);
+            Ok(Ok(mut outcome)) => {
+                let record = record(&mut outcome, &specs[idx]);
                 let deadline = record.deadline_expired;
                 let mut attrs = rung(match outcome.result {
                     SynthResult::Realizable(_) => "sat",

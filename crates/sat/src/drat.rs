@@ -26,6 +26,37 @@
 //! derivation depends on) are never propagated over, which is the main
 //! cost saving of backward over forward checking.
 //!
+//! # Layout
+//!
+//! The checker keeps its own clause storage, independent of the solver it
+//! audits: every clause's literals sit back to back in one flat `Vec<Lit>`,
+//! addressed by a `u32` clause id (originals first, then proof additions
+//! in step order). Watch entries carry a *blocking literal*, so a clause
+//! satisfied by it is skipped without reading its literals; values are
+//! indexed by literal code, reasons are `u32` ids, and the RUP check reads
+//! a lemma straight from the storage instead of cloning it.
+//!
+//! # Core-first propagation
+//!
+//! As in `drat-trim` (Wetzler, Heule and Hunt, SAT 2014), the core and
+//! non-core clauses sit in two *separate* watch-list sets. Propagation runs
+//! the core clauses to a fixpoint, then scans the non-core lists only until
+//! one non-core clause yields a unit, and goes back to the core lists with
+//! it. Conflicts are thereby found through clauses that are core already,
+//! so fewer lemmas become core and fewer get verified. A clause moves to
+//! the core lists the first time it is marked. (One shared list that
+//! skipped the entries of the other mode would be walked once per mode.)
+//!
+//! # Deletion index
+//!
+//! A deletion names its clause by content, in any literal order. Live
+//! clauses are filed under an order-independent hash of their literal
+//! multiset (a wrapping sum of mixed literal codes) in a bucket array
+//! sized for the whole proof; each bucket chains clause ids most recent
+//! first, and a hit is confirmed by an exact content comparison. A
+//! deletion therefore removes the most recent live copy of a duplicated
+//! clause.
+//!
 //! The checker accepts the RUP fragment of DRAT, and everything `mm-sat`
 //! emits lands in that fragment by construction:
 //!
@@ -34,18 +65,19 @@
 //! * inprocessing (`solver/inprocess.rs`) stays inside the fragment too —
 //!   a vivified clause is exactly what unit propagation proved, a
 //!   self-subsumption-strengthened clause is RUP against its two parents,
-//!   and subsumption only emits *deletions*. All rewrites log Add-before-Delete (with level-0 implied
-//!   units logged ahead of the first deletion that could depend on them),
-//!   so no step ever references a clause the checker has already dropped.
+//!   and subsumption only emits *deletions*. All rewrites log
+//!   Add-before-Delete (with level-0 implied units logged ahead of the
+//!   first deletion that could depend on them), so no step ever
+//!   references a clause the checker has already dropped.
 //!
 //! Completeness for `mm-sat` proofs is therefore by construction, and
 //! soundness needs no assumption about the solver at all —
 //! `tests/drat_negative.rs` pins that corrupted inprocessing deletions,
 //! fabricated additions, and reordered parent deletions are all rejected.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use crate::{CnfFormula, Lit, SatError};
@@ -309,201 +341,373 @@ pub struct CheckStats {
 
 /// How a forward-pass step resolved against the clause database.
 enum Resolved {
-    Add(usize),
-    Delete(usize),
+    Add(u32),
+    Delete(u32),
 }
 
-const UNASSIGNED: i8 = 0;
+/// "No clause": the reason of an assumption or an unassigned variable, and
+/// the end of a deletion-index chain.
+const NONE: u32 = u32::MAX;
+
+const TRUE: i8 = 1;
+const FALSE: i8 = -1;
+
+/// One watch-list entry: a clause and a *blocking* literal of it. When the
+/// blocker is true the clause is satisfied and its literals are not read.
+#[derive(Debug, Clone, Copy)]
+struct Watch {
+    cid: u32,
+    blocker: Lit,
+}
+
+/// What scanning one watch list found.
+enum Scan {
+    /// Every entry was visited without a conflict.
+    Done,
+    /// A non-core clause became unit; resume the list at this index.
+    Unit(usize),
+    /// This clause is falsified.
+    Conflict(u32),
+}
+
+/// The order-independent hash of a literal multiset that the deletion
+/// index files clauses under: a wrapping sum of mixed literal codes.
+fn multiset_hash(lits: &[Lit]) -> u64 {
+    lits.iter().fold(0u64, |h, l| {
+        // splitmix64's finalizer: every code spreads over all 64 bits.
+        let mut z = u64::from(l.code()).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        h.wrapping_add(z ^ (z >> 31))
+    })
+}
 
 struct Checker {
-    /// Clause literals, indexed by clause id (originals first, then proof
-    /// additions in step order).
-    lits: Vec<Vec<Lit>>,
+    /// Every clause's literals back to back, by clause id (originals first,
+    /// then proof additions in step order): clause `id` is
+    /// `lits[start[id]..start[id + 1]]`, its watched literals first.
+    lits: Vec<Lit>,
+    start: Vec<usize>,
     active: Vec<bool>,
     core: Vec<bool>,
-    /// `watches[l.code()]` lists the *active* clauses (len ≥ 2) watching
-    /// literal `l`, each on its first two literals.
-    watches: Vec<Vec<usize>>,
+    /// `watches[1][l.code()]` lists the active *core* clauses (len ≥ 2)
+    /// watching literal `l`, `watches[0][l.code()]` the other active ones.
+    /// A clause moves from the second set to the first when first marked.
+    watches: [Vec<Vec<Watch>>; 2],
     /// Ids of every unit clause ever created; activity is checked at use.
-    units: Vec<usize>,
-    assign: Vec<i8>,
-    reason: Vec<Option<usize>>,
+    units: Vec<u32>,
+    /// Deletion index: `buckets[multiset_hash & mask]` heads a chain of
+    /// live clause ids through `next`, most recent first.
+    buckets: Vec<u32>,
+    mask: u64,
+    next: Vec<u32>,
+    /// Literal values by code.
+    vals: Vec<i8>,
+    /// Reason clause by variable, [`NONE`] for assumptions.
+    reason: Vec<u32>,
     trail: Vec<Lit>,
     seen: Vec<bool>,
+    /// Scratch for deletion matching.
+    key: Vec<Lit>,
+    candidate: Vec<Lit>,
     propagations: u64,
 }
 
 impl Checker {
-    fn new(n_vars: usize) -> Self {
+    /// A checker for `n_vars` variables expecting at most `max_clauses`
+    /// clause records (which sizes the deletion index).
+    fn new(n_vars: usize, max_clauses: usize) -> Self {
+        let n_buckets = max_clauses.max(16).next_power_of_two();
         Self {
             lits: Vec::new(),
+            start: vec![0],
             active: Vec::new(),
             core: Vec::new(),
-            watches: vec![Vec::new(); 2 * n_vars],
+            watches: [vec![Vec::new(); 2 * n_vars], vec![Vec::new(); 2 * n_vars]],
             units: Vec::new(),
-            assign: vec![UNASSIGNED; n_vars],
-            reason: vec![None; n_vars],
+            buckets: vec![NONE; n_buckets],
+            mask: n_buckets as u64 - 1,
+            next: Vec::new(),
+            vals: vec![0; 2 * n_vars],
+            reason: vec![NONE; n_vars],
             trail: Vec::new(),
             seen: vec![false; n_vars],
+            key: Vec::new(),
+            candidate: Vec::new(),
             propagations: 0,
         }
     }
 
-    fn add_record(&mut self, lits: Vec<Lit>) -> usize {
+    /// Where clause `id`'s literals sit in `lits`.
+    fn range(&self, id: u32) -> Range<usize> {
+        self.start[id as usize]..self.start[id as usize + 1]
+    }
+
+    fn clause(&self, id: u32) -> &[Lit] {
+        &self.lits[self.range(id)]
+    }
+
+    /// Stores a non-empty clause, activates it and files it in the
+    /// deletion index.
+    fn add_record(&mut self, lits: &[Lit]) -> u32 {
         debug_assert!(!lits.is_empty());
-        let id = self.lits.len();
+        let id = u32::try_from(self.active.len())
+            .ok()
+            .filter(|&id| id != NONE)
+            .expect("a proof names fewer than 2^32 - 1 clauses");
         if lits.len() == 1 {
             self.units.push(id);
         }
-        self.lits.push(lits);
+        self.lits.extend_from_slice(lits);
+        self.start.push(self.lits.len());
         self.active.push(false);
         self.core.push(false);
+        let bucket = &mut self.buckets[(multiset_hash(lits) & self.mask) as usize];
+        self.next.push(*bucket);
+        *bucket = id;
         self.activate(id);
         id
     }
 
-    /// Marks `id` active and watches it on its first two literals.
-    fn activate(&mut self, id: usize) {
-        debug_assert!(!self.active[id]);
-        self.active[id] = true;
-        if self.lits[id].len() >= 2 {
-            self.watches[self.lits[id][0].code() as usize].push(id);
-            self.watches[self.lits[id][1].code() as usize].push(id);
+    /// Unfiles and returns the most recent live clause whose literals are
+    /// the multiset `lits`, if any.
+    fn take_match(&mut self, lits: &[Lit]) -> Option<u32> {
+        self.key.clear();
+        self.key.extend_from_slice(lits);
+        self.key.sort_unstable();
+        let bucket = (multiset_hash(lits) & self.mask) as usize;
+        let mut prev = NONE;
+        let mut id = self.buckets[bucket];
+        while id != NONE {
+            if self.clause(id).len() == lits.len() {
+                self.candidate.clear();
+                let range = self.range(id);
+                self.candidate.extend_from_slice(&self.lits[range]);
+                self.candidate.sort_unstable();
+                if self.candidate == self.key {
+                    let after = self.next[id as usize];
+                    match prev {
+                        NONE => self.buckets[bucket] = after,
+                        p => self.next[p as usize] = after,
+                    }
+                    return Some(id);
+                }
+            }
+            prev = id;
+            id = self.next[id as usize];
+        }
+        None
+    }
+
+    /// Adds `id`'s watches on its first two literals to `id`'s list set.
+    fn watch(&mut self, id: u32) {
+        let c = self.clause(id);
+        if c.len() >= 2 {
+            let (a, b) = (c[0], c[1]);
+            let lists = &mut self.watches[usize::from(self.core[id as usize])];
+            for (l, blocker) in [(a, b), (b, a)] {
+                lists[l.code() as usize].push(Watch { cid: id, blocker });
+            }
         }
     }
 
-    /// Marks `id` inactive and removes its two watch entries.
-    fn deactivate(&mut self, id: usize) {
-        debug_assert!(self.active[id]);
-        self.active[id] = false;
-        if self.lits[id].len() >= 2 {
-            for k in 0..2 {
-                let ws = &mut self.watches[self.lits[id][k].code() as usize];
+    /// Removes `id`'s two watches from `id`'s list set.
+    fn unwatch(&mut self, id: u32) {
+        let c = self.clause(id);
+        if c.len() >= 2 {
+            let (a, b) = (c[0], c[1]);
+            let lists = &mut self.watches[usize::from(self.core[id as usize])];
+            for l in [a, b] {
+                let ws = &mut lists[l.code() as usize];
                 let p = ws
                     .iter()
-                    .position(|&w| w == id)
+                    .position(|w| w.cid == id)
                     .expect("an active clause is watched on its first two literals");
                 ws.swap_remove(p);
             }
         }
     }
 
-    #[inline]
-    fn value(&self, l: Lit) -> i8 {
-        let v = self.assign[l.var().index() as usize];
-        if l.is_positive() {
-            v
-        } else {
-            -v
+    fn activate(&mut self, id: u32) {
+        debug_assert!(!self.active[id as usize]);
+        self.active[id as usize] = true;
+        self.watch(id);
+    }
+
+    fn deactivate(&mut self, id: u32) {
+        debug_assert!(self.active[id as usize]);
+        self.active[id as usize] = false;
+        self.unwatch(id);
+    }
+
+    /// Marks the active clause `id` core, moving its watches to the core
+    /// lists the first time.
+    fn make_core(&mut self, id: u32) {
+        if !self.core[id as usize] {
+            self.unwatch(id);
+            self.core[id as usize] = true;
+            self.watch(id);
         }
     }
 
-    fn enqueue(&mut self, l: Lit, reason: Option<usize>) {
-        debug_assert_eq!(self.value(l), UNASSIGNED);
-        let v = l.var().index() as usize;
-        self.assign[v] = if l.is_positive() { 1 } else { -1 };
-        self.reason[v] = reason;
+    #[inline]
+    fn value(&self, l: Lit) -> i8 {
+        self.vals[l.code() as usize]
+    }
+
+    fn assign(&mut self, l: Lit, reason: u32) {
+        debug_assert_eq!(self.value(l), 0);
+        self.vals[l.code() as usize] = TRUE;
+        self.vals[(!l).code() as usize] = FALSE;
+        self.reason[l.var().index() as usize] = reason;
         self.trail.push(l);
     }
 
-    /// Two-watched-literal unit propagation over the active clauses;
-    /// returns a conflicting clause id if one arises.
-    fn propagate(&mut self) -> Option<usize> {
-        let mut qhead = 0;
-        while qhead < self.trail.len() {
-            let p = self.trail[qhead];
-            qhead += 1;
-            let false_lit = !p;
-            let fcode = false_lit.code() as usize;
-            let mut i = 0;
-            'watches: while i < self.watches[fcode].len() {
-                let cid = self.watches[fcode][i];
-                debug_assert!(self.active[cid], "inactive clauses are detached");
-                if self.lits[cid][0] == false_lit {
-                    self.lits[cid].swap(0, 1);
-                }
-                debug_assert_eq!(self.lits[cid][1], false_lit);
-                let first = self.lits[cid][0];
-                if self.value(first) == 1 {
-                    i += 1;
-                    continue;
-                }
-                for k in 2..self.lits[cid].len() {
-                    let cand = self.lits[cid][k];
-                    if self.value(cand) != -1 {
-                        self.lits[cid].swap(1, k);
-                        self.watches[cand.code() as usize].push(cid);
-                        self.watches[fcode].swap_remove(i);
-                        continue 'watches;
-                    }
-                }
-                if self.value(first) == -1 {
-                    return Some(cid);
-                }
-                self.propagations += 1;
-                self.enqueue(first, Some(cid));
+    /// Visits the watches of the now-false `false_lit` in the core
+    /// (`core`) or non-core list set from index `i` on, moving watches off
+    /// it and assigning unit literals. A non-core scan stops after its
+    /// first unit so that propagation goes back to the core clauses.
+    fn scan(&mut self, false_lit: Lit, core: bool, mut i: usize) -> Scan {
+        let set = usize::from(core);
+        let code = false_lit.code() as usize;
+        let mut ws = std::mem::take(&mut self.watches[set][code]);
+        let found = loop {
+            let Some(&w) = ws.get(i) else {
+                break Scan::Done;
+            };
+            if self.vals[w.blocker.code() as usize] == TRUE {
                 i += 1;
-            }
-        }
-        None
-    }
-
-    /// Marks `cid` and, transitively, every reason clause of the current
-    /// trail that contributed to it, as core.
-    fn mark_core(&mut self, cid: usize) {
-        self.core[cid] = true;
-        let mut stack = self.lits[cid].clone();
-        let mut touched = Vec::new();
-        while let Some(l) = stack.pop() {
-            let v = l.var().index() as usize;
-            if self.seen[v] {
                 continue;
             }
-            self.seen[v] = true;
-            touched.push(v);
-            if let Some(rid) = self.reason[v] {
-                self.core[rid] = true;
-                stack.extend_from_slice(&self.lits[rid]);
+            let range = self.range(w.cid);
+            let c = &mut self.lits[range];
+            if c[0] == false_lit {
+                c.swap(0, 1);
             }
-        }
-        for v in touched {
-            self.seen[v] = false;
+            let first = c[0];
+            if self.vals[first.code() as usize] == TRUE {
+                ws[i].blocker = first;
+                i += 1;
+                continue;
+            }
+            if let Some(k) = (2..c.len()).find(|&k| self.vals[c[k].code() as usize] != FALSE) {
+                c.swap(1, k);
+                let moved = Watch {
+                    cid: w.cid,
+                    blocker: first,
+                };
+                // `c[1]` is not false, so this is never the list in hand.
+                self.watches[set][c[1].code() as usize].push(moved);
+                ws.swap_remove(i);
+                continue;
+            }
+            if self.vals[first.code() as usize] == FALSE {
+                break Scan::Conflict(w.cid);
+            }
+            self.propagations += 1;
+            self.assign(first, w.cid);
+            i += 1;
+            if !core {
+                break Scan::Unit(i);
+            }
+        };
+        self.watches[set][code] = ws;
+        found
+    }
+
+    /// Core-first unit propagation over the active clauses: the core
+    /// clauses run to a fixpoint before any non-core clause is visited,
+    /// and each unit a non-core clause yields goes back to the core lists
+    /// first. Returns a falsified clause if one arises.
+    fn propagate(&mut self) -> Option<u32> {
+        let mut core_head = 0;
+        // Non-core position: the trail literal whose list is being
+        // scanned, and the index to resume that list at.
+        let (mut head, mut at) = (0, 0);
+        loop {
+            while core_head < self.trail.len() {
+                let p = self.trail[core_head];
+                core_head += 1;
+                if let Scan::Conflict(cid) = self.scan(!p, true, 0) {
+                    return Some(cid);
+                }
+            }
+            loop {
+                if head == self.trail.len() {
+                    return None;
+                }
+                match self.scan(!self.trail[head], false, at) {
+                    Scan::Conflict(cid) => return Some(cid),
+                    Scan::Unit(resume) => {
+                        at = resume;
+                        break;
+                    }
+                    Scan::Done => (head, at) = (head + 1, 0),
+                }
+            }
         }
     }
 
-    /// RUP check: is a conflict derivable by unit propagation after
-    /// assuming the negation of every literal in `clause`? On success the
-    /// conflict's antecedents are core-marked. The trail is fully undone
-    /// either way.
-    fn rup(&mut self, clause: &[Lit]) -> bool {
+    /// Marks the falsified clause `conflict` and, walking the trail
+    /// backwards, every reason clause that contributed to it, as core.
+    fn mark_core(&mut self, conflict: u32) {
+        self.make_core(conflict);
+        for k in self.range(conflict) {
+            self.seen[self.lits[k].var().index() as usize] = true;
+        }
+        for i in (0..self.trail.len()).rev() {
+            let v = self.trail[i].var().index() as usize;
+            if !std::mem::take(&mut self.seen[v]) {
+                continue;
+            }
+            let r = self.reason[v];
+            if r != NONE {
+                self.make_core(r);
+                for k in self.range(r) {
+                    let u = self.lits[k].var().index() as usize;
+                    if u != v {
+                        self.seen[u] = true;
+                    }
+                }
+            }
+        }
+    }
+
+    /// RUP check of the clause stored at `lits[range]` (empty for the empty
+    /// clause, which must be inactive): is a conflict derivable by unit
+    /// propagation after assuming the negation of every literal? On
+    /// success the conflict's antecedents are core-marked. The trail is
+    /// fully undone either way.
+    fn rup(&mut self, range: Range<usize>) -> bool {
         debug_assert!(self.trail.is_empty());
         // `Some(Some(id))` = conflict on clause `id`; `Some(None)` =
         // conflict among the assumptions alone (a tautological clause).
-        let mut conflict: Option<Option<usize>> = None;
-        for &l in clause {
+        let mut conflict: Option<Option<u32>> = None;
+        for k in range {
+            let l = self.lits[k];
             match self.value(!l) {
-                1 => {}
-                -1 => {
+                TRUE => {}
+                FALSE => {
                     conflict = Some(None);
                     break;
                 }
-                _ => self.enqueue(!l, None),
+                _ => self.assign(!l, NONE),
             }
         }
         if conflict.is_none() {
             for idx in 0..self.units.len() {
                 let uid = self.units[idx];
-                if !self.active[uid] {
+                if !self.active[uid as usize] {
                     continue;
                 }
-                let u = self.lits[uid][0];
+                let u = self.clause(uid)[0];
                 match self.value(u) {
-                    1 => {}
-                    -1 => {
+                    TRUE => {}
+                    FALSE => {
                         conflict = Some(Some(uid));
                         break;
                     }
-                    _ => self.enqueue(u, Some(uid)),
+                    _ => self.assign(u, uid),
                 }
             }
         }
@@ -515,19 +719,14 @@ impl Checker {
             self.mark_core(cid);
         }
         for i in 0..self.trail.len() {
-            let v = self.trail[i].var().index() as usize;
-            self.assign[v] = UNASSIGNED;
-            self.reason[v] = None;
+            let l = self.trail[i];
+            self.vals[l.code() as usize] = 0;
+            self.vals[(!l).code() as usize] = 0;
+            self.reason[l.var().index() as usize] = NONE;
         }
         self.trail.clear();
         derived
     }
-}
-
-fn sorted_key(lits: &[Lit]) -> Vec<Lit> {
-    let mut key = lits.to_vec();
-    key.sort_unstable_by_key(|l| l.code());
-    key
 }
 
 /// Verifies that `proof` is a valid DRAT (RUP fragment) refutation of
@@ -544,42 +743,34 @@ fn sorted_key(lits: &[Lit]) -> Vec<Lit> {
 pub fn check(cnf: &CnfFormula, proof: &DratProof) -> Result<CheckStats, DratError> {
     let start = Instant::now();
     let n_vars = cnf.n_vars() as usize;
-    let mut checker = Checker::new(n_vars);
+    let mut checker = Checker::new(n_vars, cnf.n_clauses() + proof.n_steps());
     let mut stats = CheckStats::default();
-
-    // Clause-shape index for deletion matching: sorted literals → ids of
-    // active clauses with that shape (multiset semantics).
-    let mut shapes: HashMap<Vec<Lit>, Vec<usize>> = HashMap::new();
     for clause in cnf.clauses() {
-        let id = checker.add_record(clause.clone());
-        shapes.entry(sorted_key(clause)).or_default().push(id);
+        checker.add_record(clause);
     }
 
     // Forward pass: replay the derivation up to the empty clause.
     let mut resolved: Vec<Resolved> = Vec::new();
     let mut empty_at = None;
     for (s, step) in proof.steps().iter().enumerate() {
+        let lits = match step {
+            ProofStep::Add(lits) | ProofStep::Delete(lits) => lits,
+        };
+        if lits.is_empty() && matches!(step, ProofStep::Add(_)) {
+            empty_at = Some(s);
+            break;
+        }
+        if lits.iter().any(|l| l.var().index() as usize >= n_vars) {
+            return Err(DratError::LiteralOutOfRange { step: s });
+        }
         match step {
-            ProofStep::Add(lits) => {
-                if lits.is_empty() {
-                    empty_at = Some(s);
-                    break;
-                }
-                if lits.iter().any(|l| l.var().index() as usize >= n_vars) {
-                    return Err(DratError::LiteralOutOfRange { step: s });
-                }
-                let id = checker.add_record(lits.clone());
-                shapes.entry(sorted_key(lits)).or_default().push(id);
-                resolved.push(Resolved::Add(id));
+            ProofStep::Add(_) => {
+                resolved.push(Resolved::Add(checker.add_record(lits)));
                 stats.additions += 1;
             }
-            ProofStep::Delete(lits) => {
-                if lits.iter().any(|l| l.var().index() as usize >= n_vars) {
-                    return Err(DratError::LiteralOutOfRange { step: s });
-                }
-                let id = shapes
-                    .get_mut(&sorted_key(lits))
-                    .and_then(Vec::pop)
+            ProofStep::Delete(_) => {
+                let id = checker
+                    .take_match(lits)
                     .ok_or(DratError::DeleteUnknownClause { step: s })?;
                 checker.deactivate(id);
                 resolved.push(Resolved::Delete(id));
@@ -590,7 +781,7 @@ pub fn check(cnf: &CnfFormula, proof: &DratProof) -> Result<CheckStats, DratErro
     let empty_at = empty_at.ok_or(DratError::NoEmptyClause)?;
 
     // The claimed empty clause must follow from the final database.
-    if !checker.rup(&[]) {
+    if !checker.rup(0..0) {
         return Err(DratError::NotRup { step: empty_at });
     }
 
@@ -600,10 +791,9 @@ pub fn check(cnf: &CnfFormula, proof: &DratProof) -> Result<CheckStats, DratErro
         match resolved[s] {
             Resolved::Add(id) => {
                 checker.deactivate(id);
-                if checker.core[id] {
+                if checker.core[id as usize] {
                     stats.core_additions += 1;
-                    let clause = checker.lits[id].clone();
-                    if !checker.rup(&clause) {
+                    if !checker.rup(checker.range(id)) {
                         return Err(DratError::NotRup { step: s });
                     }
                 }
@@ -768,5 +958,95 @@ mod tests {
             check(&cnf, &proof),
             Err(DratError::LiteralOutOfRange { step: 0 })
         );
+    }
+
+    #[test]
+    fn permuted_deletion_matches_its_clause() {
+        // The formula stores (1 2 3) sorted; the deletion names it as
+        // (3 1 2). Matching is by literal multiset, not by order.
+        let cnf =
+            crate::dimacs::parse("p cnf 3 5\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n1 2 3 0\n").unwrap();
+        let proof = DratProof::from_steps(vec![
+            ProofStep::Delete(vec![lit(3), lit(1), lit(2)]),
+            ProofStep::Add(vec![lit(1)]),
+            ProofStep::Add(Vec::new()),
+        ]);
+        let stats = check(&cnf, &proof).expect("the permuted deletion matches");
+        assert_eq!(stats.deletions, 1);
+    }
+
+    #[test]
+    fn deletion_removes_the_most_recent_identical_copy() {
+        let mut checker = Checker::new(2, 4);
+        let original = checker.add_record(&[lit(1), lit(2)]);
+        let copy = checker.add_record(&[lit(2), lit(1)]);
+        assert_eq!(checker.take_match(&[lit(1), lit(2)]), Some(copy));
+        assert_eq!(checker.take_match(&[lit(2), lit(1)]), Some(original));
+        assert_eq!(checker.take_match(&[lit(1), lit(2)]), None);
+
+        // End to end: deleting the re-added copy leaves it out of every
+        // later RUP check, so only (1) is core. Had the original been
+        // deleted instead, verifying (1) would use the copy and make it
+        // core as well.
+        let cnf = crate::dimacs::parse("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n").unwrap();
+        let proof = DratProof::from_steps(vec![
+            ProofStep::Add(vec![lit(2), lit(1)]),
+            ProofStep::Delete(vec![lit(1), lit(2)]),
+            ProofStep::Add(vec![lit(1)]),
+            ProofStep::Add(Vec::new()),
+        ]);
+        let stats = check(&cnf, &proof).expect("valid proof");
+        assert_eq!(stats.core_additions, 1);
+    }
+
+    #[test]
+    fn clause_first_marked_core_is_then_propagated_in_core_mode() {
+        let watchers = |c: &Checker, set: usize, l: Lit| -> Vec<u32> {
+            let mut ids: Vec<u32> = c.watches[set][l.code() as usize]
+                .iter()
+                .map(|w| w.cid)
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        let mut checker = Checker::new(2, 3);
+        let a = checker.add_record(&[lit(1), lit(2)]);
+        let b = checker.add_record(&[lit(1), lit(-2)]);
+        let lemma = checker.add_record(&[lit(1)]);
+        checker.deactivate(lemma);
+        assert_eq!(watchers(&checker, 0, lit(1)), vec![a, b]);
+        assert!(watchers(&checker, 1, lit(1)).is_empty());
+
+        // Verifying (1) conflicts on `a` and `b` and marks both core,
+        // which moves their watches to the core lists.
+        assert!(checker.rup(checker.range(lemma)));
+        assert!(checker.core[a as usize] && checker.core[b as usize]);
+        assert!(watchers(&checker, 0, lit(1)).is_empty());
+        assert_eq!(watchers(&checker, 1, lit(1)), vec![a, b]);
+
+        // A core-mode scan alone now finds the conflict.
+        checker.assign(lit(-1), NONE);
+        assert!(matches!(
+            checker.scan(lit(1), true, 0),
+            Scan::Conflict(id) if id == a || id == b
+        ));
+    }
+
+    #[test]
+    fn distinct_clauses_in_one_hash_chain_are_told_apart() {
+        let mut checker = Checker::new(8, 2);
+        let mask = checker.mask;
+        let bucket = move |c: &[Lit]| multiset_hash(c) & mask;
+        let first = [lit(1), lit(2)];
+        let second = (3..=8)
+            .flat_map(|u| (1..=8).map(move |v| [lit(u), lit(-v)]))
+            .find(|c| bucket(c) == bucket(&first))
+            .expect("48 clauses in 16 buckets share a chain with the first");
+        let f = checker.add_record(&first);
+        let s = checker.add_record(&second);
+        assert_eq!(checker.buckets[bucket(&first) as usize], s, "one chain");
+        assert_eq!(checker.take_match(&first), Some(f));
+        assert_eq!(checker.take_match(&first), None);
+        assert_eq!(checker.take_match(&second), Some(s));
     }
 }

@@ -56,6 +56,10 @@
 //! `--corpus DIR`; `--replay DIR` re-runs an archived corpus instead. The
 //! whole sweep is bit-for-bit reproducible from `--seed`.
 //!
+//! Each subcommand accepts only the flags it reads (plus the telemetry
+//! flags); an unknown flag or a count that does not parse is an error
+//! naming the flag and its value, never a silent default.
+//!
 //! Exit codes: 0 on success (including a proven UNSAT), 1 on errors, and
 //! 2 when the answer is *inconclusive* — a budget or deadline expired
 //! before the search finished, or a repair loop gave up. Degraded runs
@@ -64,7 +68,6 @@
 //! Functions are either named generators (see `mmsynth list`) or comma-
 //! separated truth-table bitstrings (`--function 0110,1000` = two outputs).
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -131,12 +134,14 @@ fn parse_function(spec: &str) -> Result<MultiOutputFn, String> {
 }
 
 struct Args {
-    flags: HashMap<String, String>,
+    /// `--name value` pairs in command-line order; a flag with no value
+    /// reads `"true"`.
+    flags: Vec<(String, String)>,
     bare: Vec<String>,
 }
 
 fn parse_args(argv: &[String]) -> Args {
-    let mut flags = HashMap::new();
+    let mut flags = Vec::new();
     let mut bare = Vec::new();
     let mut it = argv.iter().peekable();
     while let Some(a) = it.next() {
@@ -145,7 +150,7 @@ fn parse_args(argv: &[String]) -> Args {
                 Some(v) if !v.starts_with("--") => it.next().expect("peeked").clone(),
                 _ => String::from("true"),
             };
-            flags.insert(name.to_string(), value);
+            flags.push((name.to_string(), value));
         } else {
             bare.push(a.clone());
         }
@@ -153,19 +158,81 @@ fn parse_args(argv: &[String]) -> Args {
     Args { flags, bare }
 }
 
+/// Flags every subcommand accepts: the telemetry sinks.
+const TELEMETRY_FLAGS: &str = "trace-out report-json progress";
+
+/// The flags `command` reads besides [`TELEMETRY_FLAGS`], space-separated;
+/// `None` for the usage text, which reads none and rejects none.
+fn command_flags(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "synth" => {
+            "function rops r-only legs steps avoid-cells array-size budget conflicts deadline \
+             no-inprocess certify proof stats-json dimacs dot json schedule"
+        }
+        "minimize" => {
+            "function max-rops max-steps r-only adder jobs conflicts deadline no-inprocess \
+             certify proof-dir stats-json cache-dir paranoid dot json schedule"
+        }
+        "faultsim" => {
+            "function rops legs steps stuck flip variability trials seed array-size repair \
+             retries certify out"
+        }
+        "fuzz" => "seed budget corpus replay inject-violation emit-seed-corpus stats-json",
+        "client" => {
+            "socket tcp op function id no-cache max-rops max-steps conflicts rops legs steps \
+             trials seed deadline r-only adder certify stuck-lrs"
+        }
+        "map" => "function dot json schedule",
+        "run" => "function input trace seed",
+        "census" => "inputs pre post tebe",
+        "list" => "",
+        _ => return None,
+    })
+}
+
 impl Args {
     fn get(&self, name: &str) -> Option<&str> {
-        self.flags.get(name).map(String::as_str)
+        self.flags
+            .iter()
+            .rev()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.as_str())
     }
 
-    fn get_usize(&self, name: &str, default: usize) -> usize {
-        self.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// The value of `--name` as a count, `default` when the flag is absent.
+    ///
+    /// # Errors
+    ///
+    /// Names the flag and its value when the value is not a nonnegative
+    /// integer.
+    fn get_usize(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.get(name) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("--{name} expects a nonnegative integer, got {v:?}")),
+        }
     }
 
     fn has(&self, name: &str) -> bool {
-        self.flags.contains_key(name)
+        self.get(name).is_some()
+    }
+
+    /// Rejects the first flag `command` does not read.
+    fn check_flags(&self, command: &str) -> Result<(), String> {
+        let Some(known) = command_flags(command) else {
+            return Ok(());
+        };
+        let accepted = |name: &str| {
+            known
+                .split_whitespace()
+                .chain(TELEMETRY_FLAGS.split_whitespace())
+                .any(|k| k == name)
+        };
+        match self.flags.iter().find(|(n, _)| !accepted(n)) {
+            Some((name, _)) => Err(format!("unknown flag --{name} for `mmsynth {command}`")),
+            None => Ok(()),
+        }
     }
 }
 
@@ -173,7 +240,7 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(&argv);
     let command = args.bare.first().map(String::as_str).unwrap_or("help");
-    match run(command, &args) {
+    match args.check_flags(command).and_then(|()| run(command, &args)) {
         Ok(code) => code,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -312,11 +379,11 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
             Ok(ExitCode::SUCCESS)
         }
         "census" => {
-            let n = args.get_usize("inputs", 3) as u8;
+            let n = args.get_usize("inputs", 3)? as u8;
             let cfg = CensusConfig::new(n)
-                .with_pre(args.get_usize("pre", 0) as u32)
-                .with_post(args.get_usize("post", 0) as u32)
-                .with_tebe(args.get_usize("tebe", 0) as u32);
+                .with_pre(args.get_usize("pre", 0)? as u32)
+                .with_post(args.get_usize("post", 0)? as u32)
+                .with_tebe(args.get_usize("tebe", 0)? as u32);
             let reached = census(&cfg);
             println!(
                 "{reached} of {} {n}-input functions realizable with {cfg:?}",
@@ -332,23 +399,23 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
         }
         "synth" => {
             let f = parse_function(args.get("function").ok_or("--function required")?)?;
-            let rops = args.get_usize("rops", 0);
+            let rops = args.get_usize("rops", 0)?;
             let mut spec = if args.has("r-only") {
-                SynthSpec::r_only(&f, args.get_usize("r-only", 1))
+                SynthSpec::r_only(&f, args.get_usize("r-only", 1)?)
             } else {
                 let legs = args.get_usize(
                     "legs",
                     SynthSpec::paper_legs(&f, rops, f.name().starts_with("adder")),
-                );
-                SynthSpec::mixed_mode(&f, rops, legs, args.get_usize("steps", 3))
+                )?;
+                SynthSpec::mixed_mode(&f, rops, legs, args.get_usize("steps", 3)?)
             }
             .map_err(|e| e.to_string())?;
             if let Some(cells) = args.get("avoid-cells") {
                 let avoid = parse_cells(cells)?;
-                spec = spec.with_cell_avoidance(args.get_usize("array-size", 16), avoid);
+                spec = spec.with_cell_avoidance(args.get_usize("array-size", 16)?, avoid);
             }
             let mut budget = Budget::new()
-                .with_max_time(Duration::from_secs(args.get_usize("budget", 120) as u64));
+                .with_max_time(Duration::from_secs(args.get_usize("budget", 120)? as u64));
             if let Some(extra) = budget_from(args)? {
                 if let Some(c) = extra.max_conflicts() {
                     budget = budget.with_max_conflicts(c);
@@ -438,7 +505,7 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
         }
         "minimize" => {
             let f = parse_function(args.get("function").ok_or("--function required")?)?;
-            let jobs = args.get_usize("jobs", optimize::default_jobs()).max(1);
+            let jobs = args.get_usize("jobs", optimize::default_jobs())?.max(1);
             let options = EncodeOptions::recommended();
             if let Some(dir) = args.get("cache-dir") {
                 return minimize_cached(args, tel, &f, jobs, &options, dir);
@@ -453,14 +520,20 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
                 synth = synth.with_budget(budget);
             }
             let report = if args.has("r-only") {
-                optimize::minimize_r_only(&synth, &f, args.get_usize("max-rops", 8), &options, jobs)
+                optimize::minimize_r_only(
+                    &synth,
+                    &f,
+                    args.get_usize("max-rops", 8)?,
+                    &options,
+                    jobs,
+                )
             } else {
                 let is_adder = args.has("adder") || f.name().starts_with("adder");
                 optimize::minimize_mixed_mode(
                     &synth,
                     &f,
-                    args.get_usize("max-rops", 8),
-                    args.get_usize("max-steps", 6),
+                    args.get_usize("max-rops", 8)?,
+                    args.get_usize("max-steps", 6)?,
                     is_adder,
                     &options,
                     jobs,
@@ -574,7 +647,7 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
             let x = u32::from_str_radix(input, 2).map_err(|e| e.to_string())?;
             let circuit = heuristic::map(&f).map_err(|e| e.to_string())?;
             let schedule = Schedule::compile(&circuit).map_err(|e| e.to_string())?;
-            let seed = args.get_usize("seed", 42) as u64;
+            let seed = args.get_usize("seed", 42)? as u64;
             let mut array = LineArray::bfo(schedule.n_cells(), ElectricalParams::bfo(), seed);
             let out = schedule.execute(x, &mut array);
             array.trace().emit_telemetry(&tel.telemetry);
@@ -664,11 +737,11 @@ fn minimize_cached(
         );
     }
     let mut request = if args.has("r-only") {
-        MinimizeRequest::r_only(args.get_usize("max-rops", 8))
+        MinimizeRequest::r_only(args.get_usize("max-rops", 8)?)
     } else {
         MinimizeRequest::mixed_mode(
-            args.get_usize("max-rops", 8),
-            args.get_usize("max-steps", 6),
+            args.get_usize("max-rops", 8)?,
+            args.get_usize("max-steps", 6)?,
             args.has("adder") || f.name().starts_with("adder"),
         )
     };
@@ -909,8 +982,8 @@ fn render_progress_frame(frame: &Value) {
 fn fuzz(args: &Args) -> Result<ExitCode, String> {
     use memristive_mm::synth::fuzz::{run_fuzz, run_scenario, seed_corpus, Corpus, FuzzConfig};
 
-    let seed = args.get_usize("seed", 42) as u64;
-    let budget = args.get_usize("budget", 25);
+    let seed = args.get_usize("seed", 42)? as u64;
+    let budget = args.get_usize("budget", 25)?;
     let cfg = FuzzConfig {
         inject_violation: args.has("inject-violation"),
     };
@@ -1033,12 +1106,12 @@ fn fuzz(args: &Args) -> Result<ExitCode, String> {
 /// `mmsynth faultsim`: synthesize, place, inject faults, optionally repair.
 fn faultsim(args: &Args, tel: &TelemetrySetup) -> Result<ExitCode, String> {
     let f = parse_function(args.get("function").ok_or("--function required")?)?;
-    let rops = args.get_usize("rops", 1);
+    let rops = args.get_usize("rops", 1)?;
     let legs = args.get_usize(
         "legs",
         SynthSpec::paper_legs(&f, rops, f.name().starts_with("adder")),
-    );
-    let spec = SynthSpec::mixed_mode(&f, rops, legs, args.get_usize("steps", 3))
+    )?;
+    let spec = SynthSpec::mixed_mode(&f, rops, legs, args.get_usize("steps", 3)?)
         .map_err(|e| e.to_string())?;
 
     // Fault plans: an always-present healthy control, plus one injected
@@ -1085,18 +1158,18 @@ fn faultsim(args: &Args, tel: &TelemetrySetup) -> Result<ExitCode, String> {
     }
 
     let mut campaign = CampaignConfig::default();
-    campaign.trials = args.get_usize("trials", campaign.trials as usize) as u32;
-    campaign.seed = args.get_usize("seed", campaign.seed as usize) as u64;
+    campaign.trials = args.get_usize("trials", campaign.trials as usize)? as u32;
+    campaign.seed = args.get_usize("seed", campaign.seed as usize)? as u64;
 
     let synth = Synthesizer::new()
         .with_certification(args.has("certify"))
         .with_telemetry(tel.telemetry.clone());
 
     if args.has("repair") {
-        let array_size = args.get_usize("array-size", 16);
+        let array_size = args.get_usize("array-size", 16)?;
         let config = RepairConfig {
             array_size,
-            max_retries: args.get_usize("retries", 4),
+            max_retries: args.get_usize("retries", 4)?,
             budget_escalation: 2,
             campaign,
         };
@@ -1138,7 +1211,7 @@ fn faultsim(args: &Args, tel: &TelemetrySetup) -> Result<ExitCode, String> {
         };
         let schedule = Schedule::compile(&circuit).map_err(|e| e.to_string())?;
         let n_cells = schedule.n_cells();
-        let array_size = args.get_usize("array-size", n_cells);
+        let array_size = args.get_usize("array-size", n_cells)?;
         let placed = schedule
             .place_avoiding(array_size, &[])
             .map_err(|e| e.to_string())?;

@@ -1,0 +1,60 @@
+//! `mmsynth` rejects what it cannot read: a flag its subcommand does not
+//! know, or a count that does not parse, exits 1 with an error naming the
+//! flag (and the value) instead of running with a default.
+
+use std::process::{Command, Output};
+
+fn mmsynth(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_mmsynth"))
+        .args(args)
+        .output()
+        .expect("mmsynth runs")
+}
+
+fn assert_rejected(output: &Output, needles: &[&str]) {
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    for needle in needles {
+        assert!(
+            stderr.contains(needle),
+            "{needle:?} not in stderr: {stderr}"
+        );
+    }
+    assert!(output.stdout.is_empty(), "nothing ran, so nothing printed");
+}
+
+#[test]
+fn unknown_flags_are_rejected_by_name() {
+    let out = mmsynth(&[
+        "minimize",
+        "--function",
+        "xor2",
+        "--max-rops",
+        "3",
+        "--max-steps",
+        "2",
+        "--certfy",
+        "--bogus-flag",
+    ]);
+    assert_rejected(&out, &["--certfy", "minimize"]);
+    // A flag another subcommand reads is still foreign here.
+    let out = mmsynth(&["run", "--function", "xor2", "--input", "01", "--jobs", "2"]);
+    assert_rejected(&out, &["--jobs", "run"]);
+}
+
+#[test]
+fn malformed_numbers_are_rejected_with_flag_and_value() {
+    let out = mmsynth(&["minimize", "--function", "xor2", "--max-rops", "abc"]);
+    assert_rejected(&out, &["--max-rops", "\"abc\""]);
+    let out = mmsynth(&["fuzz", "--seed", "-3"]);
+    assert_rejected(&out, &["--seed", "\"-3\""]);
+}
+
+#[test]
+fn every_subcommand_still_takes_the_telemetry_flags() {
+    let out = mmsynth(&["list", "--progress"]);
+    assert_eq!(out.status.code(), Some(0));
+    let out = mmsynth(&["run", "--function", "xor2", "--input", "01", "--progress"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("xor2(01) = 1"));
+}

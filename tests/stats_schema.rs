@@ -80,8 +80,18 @@ fn synth_stats_schema_is_stable() {
 
 #[test]
 fn minimize_stats_schema_is_stable() {
+    // One worker: with more, a rung can be cancelled by a cheaper SAT rung
+    // before its first propagation and truthfully record zero work.
     let (output, stats) = run_with_stats(
-        &["minimize", "--function", "xor2", "--max-rops", "2"],
+        &[
+            "minimize",
+            "--function",
+            "xor2",
+            "--max-rops",
+            "2",
+            "--jobs",
+            "1",
+        ],
         "minimize",
     );
     assert!(output.status.success());
