@@ -1,11 +1,12 @@
 //! Emits the performance-trajectory report (`BENCH_<n>.json`).
 //!
 //! Runs a fixed probe set — single-worker synthesis ladders with telemetry
-//! attached, a seeded fuzz sweep, a Monte-Carlo device sweep, and a DRAT
-//! re-check of certified ladders' proofs — and folds the results into a
-//! [`BenchReport`]: deterministic workload counters (solver conflicts, CNF
-//! sizes, synthesis-call and rung counts, degraded-scenario counts,
-//! checker work) plus advisory wall-clock timings. CI diffs
+//! attached, a seeded fuzz sweep, a Monte-Carlo device sweep, a DRAT
+//! re-check of certified ladders' proofs, and stuck-cell fault campaigns —
+//! and folds the results into a [`BenchReport`]: deterministic workload
+//! counters (solver conflicts, CNF sizes, synthesis-call and rung counts,
+//! degraded-scenario counts, checker work, campaign failures) plus advisory
+//! wall-clock timings. CI diffs
 //! the emitted file against the committed baseline with
 //! `scripts/bench_diff.py`.
 //!
@@ -33,6 +34,13 @@ const FUZZ_BUDGET: usize = 20;
 /// Monte-Carlo probe size.
 const MC_TRIALS: u32 = 256;
 const MC_SEED: u64 = 7;
+
+/// Fault-campaign probe: functions, synthesis budget and trials per plan
+/// (the daemon's `faultsim` requests in the `serve` benchmark workload).
+const CAMPAIGN_FUNCTIONS: usize = 16;
+const CAMPAIGN_ROPS: usize = 4;
+const CAMPAIGN_STEPS: usize = 3;
+const CAMPAIGN_TRIALS: u32 = 256;
 
 /// `(max_rops, max_vsteps)` budgets of the aggregate inprocessing probe.
 const INPROCESS_LADDER_BUDGETS: [(usize, usize); 5] = [(2, 2), (3, 3), (4, 4), (4, 3), (3, 4)];
@@ -435,6 +443,70 @@ fn drat_check_probe(report: &mut BenchReport) {
     );
 }
 
+/// Fault-campaign probe: the daemon's `faultsim` shape — a circuit
+/// synthesized at 4 R-ops and 3 steps per leg, then a control plan and one
+/// stuck-at-LRS cell, 256 trials each — over [`CAMPAIGN_FUNCTIONS`] 3-input
+/// functions. The summed failures and masked divergences are deterministic
+/// (seeded trials, variation-free corner); the campaigns' wall time,
+/// synthesis excluded, is advisory.
+fn fault_campaign_probe(report: &mut BenchReport) {
+    use mm_boolfn::TruthTable;
+    use mm_circuit::campaign::{run_campaign, CampaignConfig};
+    use mm_circuit::{DeviceState, FaultPlan, Schedule};
+    use mm_synth::{SynthResult, SynthSpec};
+
+    let synth = Synthesizer::new();
+    let (mut failures, mut masked) = (0u64, 0u64);
+    let mut campaign_time = std::time::Duration::ZERO;
+    for i in 0..CAMPAIGN_FUNCTIONS {
+        // Every 16th truth table, skipping the constant 0.
+        let bits = format!("{:08b}", 16 * i + 1);
+        let table = TruthTable::from_bitstring(&bits).expect("8 bits are a 3-input table");
+        let f = MultiOutputFn::new("probe", vec![table]).expect("one output");
+        let legs = SynthSpec::paper_legs(&f, CAMPAIGN_ROPS, false);
+        let spec = SynthSpec::mixed_mode(&f, CAMPAIGN_ROPS, legs, CAMPAIGN_STEPS)
+            .expect("probe budget is a valid spec");
+        let SynthResult::Realizable(circuit) = synth.run(&spec).expect("probe solves").result
+        else {
+            panic!("every 3-input function is realizable at the probe budget");
+        };
+        let schedule = Schedule::compile(&circuit).expect("synthesized circuits compile");
+        let plans = [
+            FaultPlan::named("control"),
+            FaultPlan::named("injected").with_stuck(i % 3, DeviceState::Lrs),
+        ];
+        let config = CampaignConfig {
+            trials: CAMPAIGN_TRIALS,
+            seed: i as u64,
+            ..CampaignConfig::default()
+        };
+        let started = Instant::now();
+        let campaign = run_campaign(&schedule, &plans, &config).expect("plans are in range");
+        campaign_time += started.elapsed();
+        assert_eq!(campaign.plans[0].failures, 0, "control plan {bits} failed");
+        for plan in &campaign.plans {
+            failures += u64::from(plan.failures);
+            masked += u64::from(plan.masked_divergences);
+        }
+    }
+    let none = Direction::None;
+    report.push(
+        "fault_campaign_failures",
+        failures as f64,
+        "count",
+        none,
+        true,
+    );
+    report.push("fault_campaign_masked", masked as f64, "count", none, true);
+    report.push(
+        "fault_campaign_time_us",
+        campaign_time.as_micros() as f64,
+        "us",
+        Direction::Lower,
+        false,
+    );
+}
+
 /// Metrics-registry overhead probe: the hot-path cost the observability
 /// layer adds to every job — one counter increment and one histogram
 /// observation per attempt — plus a full Prometheus render with the
@@ -544,6 +616,7 @@ fn main() {
     device_probe(&mut report);
     service_cache_probe(&mut report);
     drat_check_probe(&mut report);
+    fault_campaign_probe(&mut report);
     metrics_overhead_probe(&mut report);
 
     let json = report.to_json().expect("bench report serializes");

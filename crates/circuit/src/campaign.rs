@@ -71,6 +71,13 @@ pub enum FaultClass {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignConfig {
     /// Seeded trials per plan.
+    ///
+    /// A plan whose effective corner (its override, else `params`') draws
+    /// nothing from the RNG ([`mm_device::Variability::is_deterministic`])
+    /// gives the same result in every trial, so the campaign simulates one
+    /// trial of it and weights that trial's counts by `trials`; the report
+    /// is the same as if every trial had run. `trials × 2^n` must fit a
+    /// `u32` (the report's `executions`).
     pub trials: u32,
     /// Base RNG seed; trial `t` reseeds the array with
     /// [`mm_device::seeds::trial_seed`] — `seed + (t << 16)` (wrapping), the
@@ -184,7 +191,9 @@ impl CampaignReport {
 /// # Errors
 ///
 /// Returns [`CircuitError::FaultPlanOutOfRange`] when a plan references a
-/// cell the schedule's array does not have.
+/// cell the schedule's array does not have, and
+/// [`CircuitError::CampaignTooLarge`] when `trials × 2^n` executions per
+/// plan do not fit a `u32`.
 pub fn run_campaign(
     schedule: &Schedule,
     plans: &[FaultPlan],
@@ -200,8 +209,7 @@ pub fn run_campaign(
 ///
 /// # Errors
 ///
-/// Returns [`CircuitError::FaultPlanOutOfRange`] when a plan references a
-/// cell the schedule's array does not have.
+/// As [`run_campaign`].
 pub fn run_campaign_traced(
     schedule: &Schedule,
     plans: &[FaultPlan],
@@ -218,6 +226,17 @@ pub fn run_campaign_traced(
             });
         }
     }
+    let too_large = || CircuitError::CampaignTooLarge {
+        trials: config.trials,
+        n_inputs: schedule.n_inputs(),
+    };
+    let n_assignments = 1u32
+        .checked_shl(u32::from(schedule.n_inputs()))
+        .ok_or_else(too_large)?;
+    let executions = config
+        .trials
+        .checked_mul(n_assignments)
+        .ok_or_else(too_large)?;
     let _campaign_span = telemetry.span_with(
         "campaign",
         vec![
@@ -226,7 +245,6 @@ pub fn run_campaign_traced(
             kv("n_cells", n),
         ],
     );
-    let n_assignments = 1u32 << schedule.n_inputs();
     let used = schedule.used_cells();
 
     // Healthy reference: expected outputs and per-cycle state snapshots for
@@ -247,6 +265,14 @@ pub fn run_campaign_traced(
         // One array per plan, reseeded per trial (stuck cells survive the
         // reseed and keep the healthy cells' draws aligned).
         let mut array = plan.build_array(n, config.params, config.seed);
+        // Without variation every trial replays the same executions: run
+        // the first and count each of its outcomes `trials` times.
+        let corner = plan.variability.unwrap_or(config.params.variability);
+        let (simulated, weight) = if corner.is_deterministic() {
+            (config.trials.min(1), config.trials)
+        } else {
+            (config.trials, 1)
+        };
         let mut failures = 0u32;
         let mut masked = 0u32;
         let mut class_failures = [0u32; 3]; // Stuck, Transient, Variability
@@ -255,7 +281,7 @@ pub fn run_campaign_traced(
         let mut per_cell: std::collections::BTreeMap<usize, (u32, usize)> =
             std::collections::BTreeMap::new();
 
-        for t in 0..config.trials {
+        for t in 0..simulated {
             array.reseed(mm_device::seeds::trial_seed(config.seed, t));
             for x in 0..n_assignments {
                 let mut divergence: Option<(usize, Vec<usize>)> = None;
@@ -281,17 +307,17 @@ pub fn run_campaign_traced(
                     }
                     for &c in cells {
                         let entry = per_cell.entry(c).or_insert((0, *cycle));
-                        entry.0 += 1;
+                        entry.0 += weight;
                         entry.1 = entry.1.min(*cycle);
                     }
                     if !failed {
-                        masked += 1;
+                        masked += weight;
                     }
                 }
                 if failed {
-                    failures += 1;
+                    failures += weight;
                     let class = classify(divergence.as_ref(), &stuck, plan);
-                    class_failures[class as usize] += 1;
+                    class_failures[class as usize] += weight;
                 }
             }
         }
@@ -307,7 +333,6 @@ pub fn run_campaign_traced(
             .collect();
         attribution.sort_by(|a, b| b.divergences.cmp(&a.divergences).then(a.cell.cmp(&b.cell)));
 
-        let executions = config.trials * n_assignments;
         telemetry.point(
             "campaign.plan",
             vec![
@@ -480,6 +505,212 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// `x1 x2 x3 → NOR(NOR(x1, x2), x3)`: two chained R-ops over three
+    /// inputs, so divergences can start at several cycles and cells.
+    fn chain_schedule() -> Schedule {
+        let circuit = MmCircuit::builder(3)
+            .leg(VLeg::new(vec![VOp::new(Literal::Pos(1), Literal::Const0)]))
+            .leg(VLeg::new(vec![VOp::new(Literal::Pos(2), Literal::Const0)]))
+            .leg(VLeg::new(vec![VOp::new(Literal::Pos(3), Literal::Const0)]))
+            .rop(ROp::nor(Signal::Leg(0), Signal::Leg(1)))
+            .rop(ROp::nor(Signal::ROp(0), Signal::Leg(2)))
+            .output(Signal::ROp(1))
+            .build()
+            .unwrap();
+        Schedule::compile(&circuit).unwrap()
+    }
+
+    /// The report a campaign must give, built by simulating every trial:
+    /// trial `t` runs as a one-trial campaign at the seed the full campaign
+    /// derives for it, and the per-trial reports are folded together
+    /// (counts summed, cycles minimized, attribution re-sorted).
+    fn trial_by_trial(
+        schedule: &Schedule,
+        plans: &[FaultPlan],
+        config: &CampaignConfig,
+    ) -> (CampaignReport, Vec<CampaignReport>) {
+        let singles: Vec<CampaignReport> = (0..config.trials)
+            .map(|t| {
+                let single = CampaignConfig {
+                    trials: 1,
+                    seed: mm_device::seeds::trial_seed(config.seed, t),
+                    ..*config
+                };
+                run_campaign(schedule, plans, &single).unwrap()
+            })
+            .collect();
+        let executions = config.trials << schedule.n_inputs();
+        let folded = plans
+            .iter()
+            .enumerate()
+            .map(|(p, plan)| {
+                let runs: Vec<&PlanReport> = singles.iter().map(|r| &r.plans[p]).collect();
+                let sum = |count: fn(&PlanReport) -> u32| runs.iter().map(|r| count(r)).sum();
+                let mut per_cell = std::collections::BTreeMap::<usize, CellAttribution>::new();
+                for a in runs.iter().flat_map(|r| &r.attribution) {
+                    per_cell
+                        .entry(a.cell)
+                        .and_modify(|m| {
+                            m.divergences += a.divergences;
+                            m.first_cycle = m.first_cycle.min(a.first_cycle);
+                        })
+                        .or_insert_with(|| a.clone());
+                }
+                let mut attribution: Vec<CellAttribution> = per_cell.into_values().collect();
+                attribution
+                    .sort_by(|a, b| b.divergences.cmp(&a.divergences).then(a.cell.cmp(&b.cell)));
+                let failures = sum(|r| r.failures);
+                PlanReport {
+                    plan: plan.clone(),
+                    executions,
+                    failures,
+                    error_rate: f64::from(failures) / f64::from(executions.max(1)),
+                    masked_divergences: sum(|r| r.masked_divergences),
+                    first_divergence_cycle: runs
+                        .iter()
+                        .filter_map(|r| r.first_divergence_cycle)
+                        .min(),
+                    stuck_failures: sum(|r| r.stuck_failures),
+                    transient_failures: sum(|r| r.transient_failures),
+                    variability_failures: sum(|r| r.variability_failures),
+                    attribution,
+                }
+            })
+            .collect();
+        let report = CampaignReport {
+            n_cells: schedule.n_cells(),
+            n_inputs: schedule.n_inputs(),
+            trials: config.trials,
+            seed: config.seed,
+            plans: folded,
+        };
+        (report, singles)
+    }
+
+    /// Stuck, transient and mixed plans on the default (variation-free)
+    /// corner, for both schedules.
+    fn deterministic_plans(schedule: &Schedule) -> Vec<FaultPlan> {
+        let out = schedule.n_cells() - 1;
+        vec![
+            FaultPlan::named("control"),
+            FaultPlan::named("stuck").with_stuck(0, DeviceState::Lrs),
+            FaultPlan::named("stuck-out").with_stuck(out, DeviceState::Hrs),
+            FaultPlan::named("transient")
+                .with_transient(out, 1)
+                .with_transient(1, 0),
+            FaultPlan::named("mixed")
+                .with_stuck(1, DeviceState::Hrs)
+                .with_transient(0, 0)
+                .with_transient(out, 2),
+            FaultPlan::named("none-override").with_variability(Variability::NONE),
+        ]
+    }
+
+    #[test]
+    fn deterministic_corners_report_every_trial_exactly() {
+        for schedule in [nor_schedule(), chain_schedule()] {
+            let plans = deterministic_plans(&schedule);
+            let one = run_campaign(
+                &schedule,
+                &plans,
+                &CampaignConfig {
+                    trials: 1,
+                    ..CampaignConfig::default()
+                },
+            )
+            .unwrap();
+            assert!(one.any_failures(), "the plans must break something");
+            for trials in [0, 1, 2, 7, 64] {
+                let config = CampaignConfig {
+                    trials,
+                    ..CampaignConfig::default()
+                };
+                let report = run_campaign(&schedule, &plans, &config).unwrap();
+                let (expected, singles) = trial_by_trial(&schedule, &plans, &config);
+                assert_eq!(report, expected, "{trials} trials");
+                assert_eq!(report.to_json(), expected.to_json());
+                // Every trial of a variation-free plan is the same trial.
+                for single in &singles {
+                    assert_eq!(single.plans, one.plans);
+                }
+                for (p, o) in report.plans.iter().zip(&one.plans) {
+                    assert_eq!(p.executions, trials * o.executions);
+                    assert_eq!(p.failures, trials * o.failures);
+                    assert_eq!(p.masked_divergences, trials * o.masked_divergences);
+                    assert_eq!(p.stuck_failures, trials * o.stuck_failures);
+                    assert_eq!(p.transient_failures, trials * o.transient_failures);
+                    assert_eq!(p.variability_failures, trials * o.variability_failures);
+                    if trials == 0 {
+                        continue; // `expected` already pinned the empty report
+                    }
+                    assert_eq!(p.first_divergence_cycle, o.first_divergence_cycle);
+                    assert_eq!(p.implicated_cells(), o.implicated_cells());
+                    for (a, b) in p.attribution.iter().zip(&o.attribution) {
+                        assert_eq!(a.divergences, trials * b.divergences);
+                        assert_eq!((a.class, a.first_cycle), (b.class, b.first_cycle));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn variable_corners_still_simulate_every_trial_seed() {
+        let schedule = nor_schedule();
+        let plans = vec![
+            FaultPlan::named("low").with_variability(Variability::LOW),
+            FaultPlan::named("low-stuck")
+                .with_variability(Variability::LOW)
+                .with_stuck(1, DeviceState::Hrs),
+        ];
+        let config = CampaignConfig {
+            trials: 64,
+            seed: 1,
+            ..CampaignConfig::default()
+        };
+        let report = run_campaign(&schedule, &plans, &config).unwrap();
+        let (expected, singles) = trial_by_trial(&schedule, &plans, &config);
+        assert_eq!(report, expected);
+        // A mild corner breaks a few trials and leaves most alone, so the
+        // per-trial outcomes depend on the seed and the totals are not a
+        // multiple of the trial count.
+        let low: Vec<u32> = singles
+            .iter()
+            .map(|r| r.plans[0].failures + r.plans[0].masked_divergences)
+            .collect();
+        assert!(low.contains(&0) && low.iter().any(|&d| d > 0));
+        let low = &report.plans[0];
+        assert!(low.failures > 0 && !low.failures.is_multiple_of(config.trials));
+        assert_eq!(low.variability_failures, low.failures);
+    }
+
+    #[test]
+    fn campaigns_too_large_for_the_counts_are_rejected() {
+        let schedule = nor_schedule();
+        let plans = [FaultPlan::named("stuck-out").with_stuck(2, DeviceState::Lrs)];
+        // 2 inputs: 4 executions per trial, so a quarter of u32::MAX fits.
+        let config = CampaignConfig {
+            trials: u32::MAX / 4,
+            ..CampaignConfig::default()
+        };
+        let report = run_campaign(&schedule, &plans, &config).unwrap();
+        assert_eq!(report.plans[0].executions, config.trials * 4);
+        assert_eq!(report.plans[0].failures, config.trials * 3);
+        let config = CampaignConfig {
+            trials: u32::MAX / 4 + 1,
+            ..config
+        };
+        let err = run_campaign(&schedule, &plans, &config).unwrap_err();
+        assert_eq!(
+            err,
+            CircuitError::CampaignTooLarge {
+                trials: u32::MAX / 4 + 1,
+                n_inputs: 2,
+            }
+        );
+        assert!(err.to_string().contains("1073741824 trials"), "{err}");
     }
 
     #[test]

@@ -75,6 +75,13 @@ pub enum CircuitError {
         /// The schedule's cell count.
         n_cells: usize,
     },
+    /// A campaign's `trials × 2^n` executions per plan do not fit a `u32`.
+    CampaignTooLarge {
+        /// Requested trials per plan.
+        trials: u32,
+        /// The schedule's input count.
+        n_inputs: u8,
+    },
     /// The schedule backend does not implement this R-op family.
     UnsupportedROpKind {
         /// Index of the offending R-op.
@@ -144,6 +151,12 @@ impl fmt::Display for CircuitError {
             } => write!(
                 f,
                 "fault plan {plan:?} references cell {cell}, but the schedule has {n_cells} cells"
+            ),
+            Self::CampaignTooLarge { trials, n_inputs } => write!(
+                f,
+                "a campaign of {trials} trials over {n_inputs} inputs needs more than {} \
+                 executions per plan",
+                u32::MAX
             ),
             Self::UnsupportedROpKind { rop, kind } => {
                 write!(

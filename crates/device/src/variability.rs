@@ -42,6 +42,14 @@ impl Variability {
         c2c_sigma: 0.08,
     };
 
+    /// Whether this corner draws nothing from an RNG: both factors are
+    /// exactly 1.0 without a draw, so devices at this corner behave the same
+    /// under every seed. Fault campaigns rely on this to simulate one trial
+    /// of such a corner instead of `trials` identical ones.
+    pub fn is_deterministic(&self) -> bool {
+        draws_nothing(self.d2d_sigma) && draws_nothing(self.c2c_sigma)
+    }
+
     /// Draws a log-normal multiplicative factor `exp(σ·Z)` for D2D.
     pub fn d2d_factor(&self, rng: &mut impl Rng) -> f64 {
         lognormal_factor(self.d2d_sigma, rng)
@@ -59,10 +67,15 @@ impl Default for Variability {
     }
 }
 
+/// Whether [`lognormal_factor`] returns 1.0 for `sigma` without drawing.
+fn draws_nothing(sigma: f64) -> bool {
+    sigma == 0.0
+}
+
 /// `exp(σ·Z)` with `Z ~ N(0,1)` via Box–Muller (avoids an extra dependency
 /// on a distributions crate).
 fn lognormal_factor(sigma: f64, rng: &mut impl Rng) -> f64 {
-    if sigma == 0.0 {
+    if draws_nothing(sigma) {
         return 1.0;
     }
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
@@ -82,6 +95,24 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         assert_eq!(Variability::NONE.d2d_factor(&mut rng), 1.0);
         assert_eq!(Variability::NONE.c2c_factor(&mut rng), 1.0);
+    }
+
+    #[test]
+    fn only_zero_sigma_corners_are_deterministic() {
+        assert!(Variability::NONE.is_deterministic());
+        assert!(!Variability::LOW.is_deterministic());
+        assert!(!Variability::HIGH.is_deterministic());
+        let c2c_only = Variability {
+            d2d_sigma: 0.0,
+            c2c_sigma: 0.01,
+        };
+        assert!(!c2c_only.is_deterministic());
+        // A deterministic corner leaves the RNG stream untouched.
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut fresh = SmallRng::seed_from_u64(3);
+        Variability::NONE.d2d_factor(&mut rng);
+        Variability::NONE.c2c_factor(&mut rng);
+        assert_eq!(rng.gen::<u64>(), fresh.gen::<u64>());
     }
 
     #[test]

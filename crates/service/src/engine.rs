@@ -672,6 +672,28 @@ mod tests {
     }
 
     #[test]
+    fn faultsim_too_large_for_the_counts_is_an_error_response() {
+        let engine = Arc::new(Engine::new(1));
+        let faultsim = |trials: u32| Op::Faultsim {
+            tables: vec!["0001".into()],
+            n_rops: 1,
+            n_vsteps: 3,
+            trials,
+            seed: 7,
+            stuck_lrs: vec![0],
+        };
+        // 2 inputs: 4 executions per trial, counted in a u32.
+        let resp = done(engine.run_attempt("f", &faultsim(u32::MAX / 4), &attempt0(None)));
+        assert_eq!(resp.status, "ok");
+        let campaign = resp.campaign.expect("campaign report");
+        assert_eq!(campaign.plans[1].executions, u32::MAX / 4 * 4);
+        let resp = done(engine.run_attempt("f", &faultsim(u32::MAX / 4 + 1), &attempt0(None)));
+        assert_eq!(resp.status, "error");
+        let message = resp.error.expect("error message");
+        assert!(message.contains("1073741824 trials"), "{message}");
+    }
+
+    #[test]
     fn bad_tables_yield_error_responses_not_panics() {
         let engine = Arc::new(Engine::new(1));
         let op = minimize_op(vec!["junk".into()]);

@@ -127,6 +127,20 @@ fn as_u64(v: Option<&Value>) -> Option<u64> {
     }
 }
 
+/// The unsigned field `field` of `value`, `default` when absent.
+///
+/// # Errors
+///
+/// Names the field when its value does not fit a `u32`, instead of
+/// truncating it.
+fn u32_field(value: &Value, field: &str, default: u32) -> Result<u32, String> {
+    match as_u64(value.get(field)) {
+        None => Ok(default),
+        Some(x) => u32::try_from(x)
+            .map_err(|_| format!("\"{field}\" must be at most {}, got {x}", u32::MAX)),
+    }
+}
+
 fn as_bool(v: Option<&Value>) -> Option<bool> {
     match v {
         Some(Value::Bool(b)) => Some(*b),
@@ -228,7 +242,7 @@ impl JobRequest {
                     .ok_or("faultsim needs \"tables\": [bits]")?,
                 n_rops: as_u64(value.get("rops")).unwrap_or(1) as usize,
                 n_vsteps: as_u64(value.get("steps")).unwrap_or(3) as usize,
-                trials: as_u64(value.get("trials")).unwrap_or(16) as u32,
+                trials: u32_field(&value, "trials", 16)?,
                 seed: as_u64(value.get("seed")).unwrap_or(42),
                 stuck_lrs: usize_array(value.get("stuck_lrs")),
             },
@@ -440,6 +454,21 @@ mod tests {
         assert!(JobRequest::parse(r#"{"op":"warp"}"#)
             .unwrap_err()
             .contains("unknown op"));
+    }
+
+    #[test]
+    fn out_of_range_trials_are_rejected_by_name() {
+        let line = |trials: u64| {
+            format!(r#"{{"op":"faultsim","id":"f","tables":["0110"],"trials":{trials}}}"#)
+        };
+        let req = JobRequest::parse(&line(u64::from(u32::MAX))).unwrap();
+        assert!(matches!(req.op, Op::Faultsim { trials, .. } if trials == u32::MAX));
+        // 2^32 + 1 used to truncate to 1 trial.
+        let err = JobRequest::parse(&line(4_294_967_297)).unwrap_err();
+        assert!(
+            err.contains("\"trials\"") && err.contains("4294967297"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -57,8 +57,10 @@
 //! whole sweep is bit-for-bit reproducible from `--seed`.
 //!
 //! Each subcommand accepts only the flags it reads (plus the telemetry
-//! flags); an unknown flag or a count that does not parse is an error
-//! naming the flag and its value, never a silent default.
+//! flags); an unknown flag, a count given no value, or a count that does
+//! not parse or does not fit is an error naming the flag and its value,
+//! never a silent default. An unknown subcommand is an error too; `help`
+//! or no subcommand prints the usage text.
 //!
 //! Exit codes: 0 on success (including a proven UNSAT), 1 on errors, and
 //! 2 when the answer is *inconclusive* — a budget or deadline expired
@@ -134,9 +136,9 @@ fn parse_function(spec: &str) -> Result<MultiOutputFn, String> {
 }
 
 struct Args {
-    /// `--name value` pairs in command-line order; a flag with no value
-    /// reads `"true"`.
-    flags: Vec<(String, String)>,
+    /// `--name value` pairs in command-line order; `None` for a flag given
+    /// with no value.
+    flags: Vec<(String, Option<String>)>,
     bare: Vec<String>,
 }
 
@@ -147,8 +149,8 @@ fn parse_args(argv: &[String]) -> Args {
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
             let value = match it.peek() {
-                Some(v) if !v.starts_with("--") => it.next().expect("peeked").clone(),
-                _ => String::from("true"),
+                Some(v) if !v.starts_with("--") => Some(it.next().expect("peeked").clone()),
+                _ => None,
             };
             flags.push((name.to_string(), value));
         } else {
@@ -162,7 +164,8 @@ fn parse_args(argv: &[String]) -> Args {
 const TELEMETRY_FLAGS: &str = "trace-out report-json progress";
 
 /// The flags `command` reads besides [`TELEMETRY_FLAGS`], space-separated;
-/// `None` for the usage text, which reads none and rejects none.
+/// `None` for `help` (the usage text, which reads none and rejects none)
+/// and for a word that is no command.
 fn command_flags(command: &str) -> Option<&'static str> {
     Some(match command {
         "synth" => {
@@ -191,37 +194,61 @@ fn command_flags(command: &str) -> Option<&'static str> {
 }
 
 impl Args {
-    fn get(&self, name: &str) -> Option<&str> {
+    /// The last `--name`: `Some(None)` when it was given with no value.
+    fn flag(&self, name: &str) -> Option<Option<&str>> {
         self.flags
             .iter()
             .rev()
             .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v.as_deref())
+    }
+
+    /// The value of `--name`; a flag given with no value reads `"true"`.
+    fn get(&self, name: &str) -> Option<&str> {
+        self.flag(name).map(|v| v.unwrap_or("true"))
     }
 
     /// The value of `--name` as a count, `default` when the flag is absent.
     ///
     /// # Errors
     ///
-    /// Names the flag and its value when the value is not a nonnegative
-    /// integer.
+    /// Names the flag when it has no value, and the flag and its value when
+    /// the value is not a nonnegative integer.
     fn get_usize(&self, name: &str, default: usize) -> Result<usize, String> {
-        match self.get(name) {
+        match self.flag(name) {
             None => Ok(default),
-            Some(v) => v
+            Some(None) => Err(format!("--{name} needs a value")),
+            Some(Some(v)) => v
                 .parse()
                 .map_err(|_| format!("--{name} expects a nonnegative integer, got {v:?}")),
         }
+    }
+
+    /// [`get_usize`](Self::get_usize) for a count that must fit a `u32`.
+    ///
+    /// # Errors
+    ///
+    /// As `get_usize`, and names the flag and its value when the count
+    /// exceeds `u32::MAX`.
+    fn get_u32(&self, name: &str, default: u32) -> Result<u32, String> {
+        let n = self.get_usize(name, default as usize)?;
+        u32::try_from(n).map_err(|_| format!("--{name} must be at most {}, got {n}", u32::MAX))
     }
 
     fn has(&self, name: &str) -> bool {
         self.get(name).is_some()
     }
 
-    /// Rejects the first flag `command` does not read.
+    /// Rejects a word that is no command, and the first flag `command`
+    /// does not read.
     fn check_flags(&self, command: &str) -> Result<(), String> {
         let Some(known) = command_flags(command) else {
-            return Ok(());
+            return match command {
+                "help" => Ok(()),
+                _ => Err(format!(
+                    "unknown command `{command}`; `mmsynth help` lists the commands"
+                )),
+            };
         };
         let accepted = |name: &str| {
             known
@@ -381,9 +408,9 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
         "census" => {
             let n = args.get_usize("inputs", 3)? as u8;
             let cfg = CensusConfig::new(n)
-                .with_pre(args.get_usize("pre", 0)? as u32)
-                .with_post(args.get_usize("post", 0)? as u32)
-                .with_tebe(args.get_usize("tebe", 0)? as u32);
+                .with_pre(args.get_u32("pre", 0)?)
+                .with_post(args.get_u32("post", 0)?)
+                .with_tebe(args.get_u32("tebe", 0)?);
             let reached = census(&cfg);
             println!(
                 "{reached} of {} {n}-input functions realizable with {cfg:?}",
@@ -661,6 +688,7 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
         "faultsim" => faultsim(args, tel),
         "fuzz" => fuzz(args),
         "client" => client(args),
+        // `help`, or no command: `check_flags` rejected every other word.
         _ => {
             println!(
                 "usage: mmsynth <synth|minimize|faultsim|fuzz|map|run|census|list|client> [--function NAME|BITS,...]\n\
@@ -1158,7 +1186,7 @@ fn faultsim(args: &Args, tel: &TelemetrySetup) -> Result<ExitCode, String> {
     }
 
     let mut campaign = CampaignConfig::default();
-    campaign.trials = args.get_usize("trials", campaign.trials as usize)? as u32;
+    campaign.trials = args.get_u32("trials", campaign.trials)?;
     campaign.seed = args.get_usize("seed", campaign.seed as usize)? as u64;
 
     let synth = Synthesizer::new()

@@ -1,6 +1,7 @@
-//! `mmsynth` rejects what it cannot read: a flag its subcommand does not
-//! know, or a count that does not parse, exits 1 with an error naming the
-//! flag (and the value) instead of running with a default.
+//! `mmsynth` rejects what it cannot read: a subcommand it does not have, a
+//! flag its subcommand does not know, or a count that is missing, does not
+//! parse or does not fit, exits 1 with an error naming the word, flag (and
+//! value) instead of running with a default.
 
 use std::process::{Command, Output};
 
@@ -48,6 +49,43 @@ fn malformed_numbers_are_rejected_with_flag_and_value() {
     assert_rejected(&out, &["--max-rops", "\"abc\""]);
     let out = mmsynth(&["fuzz", "--seed", "-3"]);
     assert_rejected(&out, &["--seed", "\"-3\""]);
+}
+
+#[test]
+fn count_flags_without_a_value_say_so() {
+    let out = mmsynth(&["minimize", "--function", "xor2", "--max-rops"]);
+    assert_rejected(&out, &["--max-rops needs a value"]);
+    let out = mmsynth(&["faultsim", "--function", "xor2", "--trials", "--seed", "3"]);
+    assert_rejected(&out, &["--trials needs a value"]);
+}
+
+#[test]
+fn counts_too_large_for_their_field_are_rejected() {
+    // 2^32 + 1 trials used to truncate to one.
+    let out = mmsynth(&[
+        "faultsim",
+        "--function",
+        "xor2",
+        "--rops",
+        "1",
+        "--trials",
+        "4294967297",
+    ]);
+    assert_rejected(&out, &["--trials", "4294967297"]);
+}
+
+#[test]
+fn unknown_subcommands_are_rejected_by_name() {
+    let out = mmsynth(&["minimise", "--function", "xor2"]);
+    assert_rejected(&out, &["minimise"]);
+    let out = mmsynth(&["frobnicate"]);
+    assert_rejected(&out, &["frobnicate"]);
+    // No subcommand, `help` and `--help` still print the usage text.
+    for args in [&[][..], &["help"], &["--help"]] {
+        let out = mmsynth(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: mmsynth"));
+    }
 }
 
 #[test]
