@@ -5,13 +5,14 @@
 //! # Serve loop shape
 //!
 //! Each connection gets a *reader* (the calling thread) and a *writer*
-//! thread joined by a channel of pending replies. The reader parses a
-//! line, admits the job (or sheds it), and forwards either a ready reply
-//! or the supervisor's verdict receiver; the writer resolves pendings
-//! **in submission order** and writes one response line per request.
-//! Decoupling the two lets a client pipeline requests — which is also
-//! what makes the bounded admission queue (and the `overloaded` shed
-//! response) actually reachable from a single connection.
+//! thread joined by one channel that the writer blocks on. The reader
+//! numbers and parses each request line and sends inline replies
+//! itself; a submitted job's worker sends its progress frames, then its
+//! final, on the same channel. The writer writes frames as they arrive
+//! and finals **in submission order**, one line per request. Decoupling
+//! the two lets a client pipeline requests — which is also what makes
+//! the bounded admission queue (and the `overloaded` shed response)
+//! actually reachable from a single connection.
 //!
 //! # Shutdown
 //!
@@ -20,11 +21,12 @@
 //! job, flush the cache index, checkpoint telemetry. Accepted jobs are
 //! never abandoned — each gets exactly one response line.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::collections::HashMap;
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,10 +43,6 @@ use crate::progress::ProgressFrameSink;
 use crate::proto::{JobRequest, JobResponse, Op, PROTO_VERSION};
 use crate::signal;
 use crate::supervisor::{JobVerdict, Submission, Supervisor, SupervisorConfig};
-
-/// How often the writer thread checks an outstanding verdict while it
-/// interleaves progress frames.
-const FRAME_POLL: Duration = Duration::from_millis(5);
 
 /// Lifetime counter snapshot next to the cache index.
 const LIFETIME_FILE: &str = "metrics.json";
@@ -101,17 +99,29 @@ pub struct Daemon {
     lifetime_prior: Vec<(String, String, u64)>,
 }
 
-/// One reply owed to the client, in submission order.
+/// One final reply owed to the client.
 enum Pending {
     /// Already-final response line.
     Ready(String),
     /// A response rendered only when its turn to be written comes — a
     /// `metrics` snapshot resolved here observes every job answered
-    /// before it, not the moment its request was parsed.
+    /// before it, not the moment its request was parsed — and on the
+    /// writer thread, so a job's worker does not serialize its verdict.
     Lazy(Box<dyn FnOnce() -> String + Send>),
-    /// Supervisor verdict still in flight; `id` rebuilds a response if
-    /// the channel dies.
-    Waiting(Receiver<JobVerdict<JobResponse>>, String),
+}
+
+/// What a connection's writer receives on its one channel.
+enum Out {
+    /// A progress frame, written as soon as it arrives.
+    Frame(String),
+    /// Request `n`'s final reply, written once finals `0..n` are out.
+    Final(u64, Pending),
+}
+
+impl From<String> for Out {
+    fn from(frame: String) -> Self {
+        Self::Frame(frame)
+    }
 }
 
 impl Daemon {
@@ -179,11 +189,6 @@ impl Daemon {
         })
     }
 
-    /// The daemon's metrics registry (shared with the HTTP exporter).
-    pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
     /// Where `GET /metrics` answers, when the exporter is enabled
     /// (resolves a requested port 0).
     pub fn metrics_local_addr(&self) -> Option<SocketAddr> {
@@ -195,18 +200,19 @@ impl Daemon {
         &self.recovery
     }
 
-    /// Handles one request line: cheap ops answer inline (they must stay
+    /// Handles request line `n`: cheap ops answer inline (they must stay
     /// responsive under overload), solve ops go through the supervisor.
-    /// `frames` is the connection's progress channel; subscribed solve
-    /// jobs stream lifecycle frames into it.
-    fn admit(&self, line: &str, frames: &Sender<String>) -> Pending {
+    /// Returns the inline reply, or `None` when a worker will send the
+    /// final — and, for subscribed jobs, the progress frames before it —
+    /// on `conn`, the connection's channel.
+    fn admit(&self, line: &str, n: u64, conn: &Sender<Out>) -> Option<Pending> {
         let request = match JobRequest::parse(line) {
             Ok(r) => r,
-            Err(e) => return Pending::Ready(JobResponse::error("", e).to_line()),
+            Err(e) => return Some(Pending::Ready(JobResponse::error("", e).to_line())),
         };
         let id = request.id.clone();
         match &request.op {
-            Op::Ping | Op::Stats => Pending::Ready(
+            Op::Ping | Op::Stats => Some(Pending::Ready(
                 match request.op {
                     Op::Stats => self.engine.stats_response(&id),
                     _ => JobResponse {
@@ -215,7 +221,7 @@ impl Daemon {
                     },
                 }
                 .to_line(),
-            ),
+            )),
             // Answered with a hand-built line, not through `JobResponse`:
             // the response's derived serializer emits every field, so
             // growing it would change the bytes of *all* responses.
@@ -223,20 +229,22 @@ impl Daemon {
             // jobs submitted ahead of it have answered.
             Op::Metrics => {
                 let registry = self.registry.clone();
-                Pending::Lazy(Box::new(move || metrics_line(&registry, &id)))
+                Some(Pending::Lazy(Box::new(move || {
+                    metrics_line(&registry, &id)
+                })))
             }
             Op::Shutdown => {
                 signal::request_termination();
-                Pending::Ready(JobResponse::new(&id, "ok").to_line())
+                Some(Pending::Ready(JobResponse::new(&id, "ok").to_line()))
             }
             Op::Minimize { request: min, .. } => {
                 let deadline = min.deadline.map(|d| Instant::now() + d);
-                self.submit(request.clone(), min.max_conflicts, deadline, frames)
+                self.submit(request.clone(), min.max_conflicts, deadline, n, conn)
             }
             Op::Synthesize { max_conflicts, .. } => {
-                self.submit(request.clone(), *max_conflicts, None, frames)
+                self.submit(request.clone(), *max_conflicts, None, n, conn)
             }
-            Op::Faultsim { .. } => self.submit(request.clone(), None, None, frames),
+            Op::Faultsim { .. } => self.submit(request.clone(), None, None, n, conn),
         }
     }
 
@@ -245,34 +253,33 @@ impl Daemon {
         request: JobRequest,
         base_conflicts: Option<u64>,
         deadline: Option<Instant>,
-        frames: &Sender<String>,
-    ) -> Pending {
+        n: u64,
+        conn: &Sender<Out>,
+    ) -> Option<Pending> {
         let id = request.id.clone();
         let engine = self.engine.clone();
         let seed = id_seed(&id);
-        let progress: Option<Arc<dyn TelemetrySink>> = if request.subscribe {
-            Some(Arc::new(ProgressFrameSink::new(
-                &id,
-                frames.clone(),
-                self.metrics.progress_frames.clone(),
-            )))
-        } else {
-            None
-        };
-        let submission = self.supervisor.submit(seed, base_conflicts, deadline, {
-            let id = id.clone();
-            move |attempt| engine.run_attempt_with(&id, &request.op, attempt, progress.clone())
+        let progress = request.subscribe.then(|| -> Arc<dyn TelemetrySink> {
+            let emitted = self.metrics.progress_frames.clone();
+            Arc::new(ProgressFrameSink::new(&id, conn.clone(), emitted))
         });
-        match submission {
-            Submission::Queued(rx) => Pending::Waiting(rx, id),
+        let job = {
+            let id = id.clone();
+            move |attempt: &_| engine.run_attempt_with(&id, &request.op, attempt, progress.clone())
+        };
+        match self
+            .supervisor
+            .submit(seed, base_conflicts, deadline, job, reply_to(conn, n, &id))
+        {
+            Submission::Queued => None,
             Submission::Overloaded => {
                 self.telemetry
                     .point("daemon.shed", vec![kv("id", id.as_str())]);
-                Pending::Ready(JobResponse::overloaded(&id).to_line())
+                Some(Pending::Ready(JobResponse::overloaded(&id).to_line()))
             }
-            Submission::ShuttingDown => {
-                Pending::Ready(JobResponse::new(&id, "shutting_down").to_line())
-            }
+            Submission::ShuttingDown => Some(Pending::Ready(
+                JobResponse::new(&id, "shutting_down").to_line(),
+            )),
         }
     }
 
@@ -285,12 +292,12 @@ impl Daemon {
         R: BufRead,
         W: Write + Send + 'static,
     {
-        let (tx, rx) = channel::<Pending>();
-        let (frame_tx, frame_rx) = channel::<String>();
+        let (tx, rx) = channel::<Out>();
         let writer_thread = std::thread::Builder::new()
             .name("mmsynthd-writer".into())
-            .spawn(move || write_loop(rx, frame_rx, writer))
+            .spawn(move || write_loop(rx, writer))
             .expect("spawn writer");
+        let mut n = 0;
         for line in reader.lines() {
             let line = match line {
                 Ok(l) => l,
@@ -301,15 +308,18 @@ impl Daemon {
             if line.trim().is_empty() {
                 continue;
             }
-            if tx.send(self.admit(&line, &frame_tx)).is_err() {
-                break; // writer gone (client hung up)
+            if let Some(pending) = self.admit(&line, n, &tx) {
+                if tx.send(Out::Final(n, pending)).is_err() {
+                    break; // writer gone (client hung up)
+                }
             }
+            n += 1;
             if signal::termination_requested() {
                 break;
             }
         }
+        // The writer ends once this sender and every job's are gone.
         drop(tx);
-        drop(frame_tx);
         writer_thread.join().expect("writer thread panicked")
     }
 
@@ -323,53 +333,51 @@ impl Daemon {
 
     /// Accepts connections on a Unix socket until termination, then
     /// drains. Each connection is served on its own thread.
-    pub fn serve_unix(self, path: &std::path::Path) -> io::Result<()> {
+    pub fn serve_unix(self, path: &Path) -> io::Result<()> {
         // A stale socket file from a killed predecessor must not block
         // restart.
         let _ = std::fs::remove_file(path);
         let listener = UnixListener::bind(path)?;
         listener.set_nonblocking(true)?;
-        let daemon = Arc::new(self);
-        let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !signal::termination_requested() {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let daemon = daemon.clone();
-                    stream.set_nonblocking(false)?;
-                    let read_half = stream.try_clone()?;
-                    conns.push(std::thread::spawn(move || {
-                        let _ = daemon.serve(BufReader::new(read_half), stream);
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        for conn in conns {
-            let _ = conn.join();
-        }
+        let daemon = self.accept_until_termination(|| {
+            let (stream, _) = listener.accept()?;
+            stream.set_nonblocking(false)?;
+            Ok((stream.try_clone()?, stream))
+        })?;
         let _ = std::fs::remove_file(path);
-        Arc::try_unwrap(daemon)
-            .unwrap_or_else(|_| panic!("connection threads joined"))
-            .drain()
+        daemon.drain()
     }
 
     /// Accepts TCP connections until termination, then drains.
     pub fn serve_tcp(self, addr: &str) -> io::Result<()> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
+        self.accept_until_termination(|| {
+            let (stream, _) = listener.accept()?;
+            stream.set_nonblocking(false)?;
+            Ok((stream.try_clone()?, stream))
+        })?
+        .drain()
+    }
+
+    /// Polls a nonblocking listener's `accept` — a connection's read and
+    /// write halves — until termination, serving each connection on its
+    /// own thread, then joins them and hands the daemon back to drain.
+    fn accept_until_termination<S>(
+        self,
+        mut accept: impl FnMut() -> io::Result<(S, S)>,
+    ) -> io::Result<Self>
+    where
+        S: Read + Write + Send + 'static,
+    {
         let daemon = Arc::new(self);
         let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
         while !signal::termination_requested() {
-            match listener.accept() {
-                Ok((stream, _)) => {
+            match accept() {
+                Ok((read_half, write_half)) => {
                     let daemon = daemon.clone();
-                    stream.set_nonblocking(false)?;
-                    let read_half = stream.try_clone()?;
                     conns.push(std::thread::spawn(move || {
-                        let _ = daemon.serve(BufReader::new(read_half), stream);
+                        let _ = daemon.serve(BufReader::new(read_half), write_half);
                     }));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -381,9 +389,7 @@ impl Daemon {
         for conn in conns {
             let _ = conn.join();
         }
-        Arc::try_unwrap(daemon)
-            .unwrap_or_else(|_| panic!("connection threads joined"))
-            .drain()
+        Ok(Arc::try_unwrap(daemon).unwrap_or_else(|_| panic!("connection threads joined")))
     }
 
     /// The drain sequence: finish accepted jobs, flush the cache index,
@@ -497,57 +503,56 @@ fn persist_lifetime_totals(
     std::fs::rename(&tmp, path)
 }
 
-/// Resolves pendings in order; every accepted request gets exactly one
-/// final line. Progress frames are forwarded as they arrive, always
-/// ahead of their own job's final: a sink sends every frame before the
-/// worker sends the verdict, so once a verdict is in hand a non-blocking
-/// drain of `frames` is guaranteed to surface that job's stragglers.
-fn write_loop<W: Write>(
-    rx: Receiver<Pending>,
-    frames: Receiver<String>,
-    mut writer: W,
-) -> io::Result<()> {
-    for pending in rx {
-        let line = match pending {
-            Pending::Ready(line) => line,
-            Pending::Lazy(render) => render(),
-            Pending::Waiting(verdict, id) => {
-                let outcome = loop {
-                    match verdict.try_recv() {
-                        Ok(v) => break Ok(v),
-                        Err(TryRecvError::Disconnected) => break Err(()),
-                        Err(TryRecvError::Empty) => match frames.recv_timeout(FRAME_POLL) {
-                            Ok(frame) => {
-                                writeln!(writer, "{frame}")?;
-                                writer.flush()?;
-                            }
-                            Err(RecvTimeoutError::Timeout) => {}
-                            // Reader and all sinks gone: no more frames
-                            // can arrive, the verdict alone is left.
-                            Err(RecvTimeoutError::Disconnected) => {
-                                break verdict.recv().map_err(drop)
-                            }
-                        },
-                    }
-                };
-                for frame in frames.try_iter() {
-                    writeln!(writer, "{frame}")?;
-                }
-                match outcome {
-                    Ok(JobVerdict::Done(resp)) => resp.to_line(),
-                    Ok(JobVerdict::Degraded { partial, reason }) => {
-                        let mut resp = partial.unwrap_or_else(|| JobResponse::new(&id, "degraded"));
-                        resp.status = "degraded".into();
-                        if resp.degraded_reason.is_none() {
-                            resp.degraded_reason = Some(reason);
-                        }
-                        resp.to_line()
-                    }
-                    Err(()) => JobResponse::error(&id, "job was dropped during shutdown").to_line(),
-                }
+/// The supervisor reply for request `n`, job `id`: sends its verdict on
+/// the connection's channel, to be rendered as the final line when its
+/// turn comes.
+fn reply_to(
+    conn: &Sender<Out>,
+    n: u64,
+    id: &str,
+) -> impl FnOnce(JobVerdict<JobResponse>) + Send + 'static {
+    let (conn, id) = (conn.clone(), id.to_string());
+    move |verdict| {
+        let render = move || match verdict {
+            JobVerdict::Done(resp) => resp.to_line(),
+            JobVerdict::Degraded { partial, reason } => {
+                let mut resp = partial.unwrap_or_else(|| JobResponse::new(&id, "degraded"));
+                resp.status = "degraded".into();
+                resp.degraded_reason.get_or_insert(reason);
+                resp.to_line()
+            }
+            JobVerdict::Dropped => {
+                JobResponse::error(&id, "job was dropped during shutdown").to_line()
             }
         };
-        writeln!(writer, "{line}")?;
+        // A gone writer means the client hung up; the job still ran.
+        let _ = conn.send(Out::Final(n, Pending::Lazy(Box::new(render))));
+    }
+}
+
+/// Writes a connection's output until its channel closes: frames as they
+/// arrive, finals in submission order, so every accepted request gets
+/// exactly one final line. A job's worker sends its frames before its
+/// final on this same channel, so each frame precedes its own job's
+/// final; a final that arrives before an earlier one waits in `early`.
+fn write_loop<W: Write>(rx: Receiver<Out>, mut writer: W) -> io::Result<()> {
+    let mut early = HashMap::new();
+    let mut next = 0;
+    for out in rx {
+        match out {
+            Out::Frame(frame) => writeln!(writer, "{frame}")?,
+            Out::Final(n, pending) => {
+                early.insert(n, pending);
+                while let Some(pending) = early.remove(&next) {
+                    let line = match pending {
+                        Pending::Ready(line) => line,
+                        Pending::Lazy(render) => render(),
+                    };
+                    writeln!(writer, "{line}")?;
+                    next += 1;
+                }
+            }
+        }
         writer.flush()?;
     }
     Ok(())
@@ -573,6 +578,17 @@ mod tests {
         dir
     }
 
+    /// A writer whose bytes stay readable by the test.
+    struct Shared(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+    impl Write for Shared {
+        fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().write(data)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     fn run_lines(config: DaemonConfig, input: &str) -> Vec<String> {
         // The termination latch is process-global, so tests touching the
         // daemon serialize against the signal test.
@@ -580,15 +596,6 @@ mod tests {
         let daemon = Daemon::start(config, Telemetry::disabled()).unwrap();
         let out: Vec<u8> = Vec::new();
         let buf = std::sync::Arc::new(std::sync::Mutex::new(out));
-        struct Shared(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-                self.0.lock().unwrap().write(data)
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
         daemon
             .serve(io::Cursor::new(input.to_string()), Shared(buf.clone()))
             .unwrap();
@@ -768,5 +775,61 @@ mod tests {
             second[0]
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn writer_orders_finals_and_writes_frames_as_they_arrive() {
+        let buf = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let lines_out = {
+            let buf = buf.clone();
+            move || buf.lock().unwrap().iter().filter(|b| **b == b'\n').count()
+        };
+        let (tx, rx) = channel();
+        for message in [
+            // Job 1 streams and resolves before job 0: its frame goes out
+            // at once, its final waits for job 0's.
+            Out::Frame("frame 1".into()),
+            Out::Final(1, Pending::Ready("final 1".into())),
+            Out::Frame("frame 0".into()),
+            // A metrics-style final renders only when its turn comes.
+            Out::Final(
+                2,
+                Pending::Lazy(Box::new(move || format!("final 2 after {}", lines_out()))),
+            ),
+            Out::Frame("frame 3".into()),
+            Out::Final(0, Pending::Ready("final 0".into())),
+            Out::Final(3, Pending::Ready("final 3".into())),
+        ] {
+            tx.send(message).unwrap();
+        }
+        drop(tx);
+        write_loop(rx, Shared(buf.clone())).unwrap();
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        assert_eq!(
+            text,
+            "frame 1\nframe 0\nframe 3\nfinal 0\nfinal 1\nfinal 2 after 5\nfinal 3\n"
+        );
+    }
+
+    #[test]
+    fn a_dropped_job_still_gets_exactly_one_line() {
+        let buf = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let (tx, rx) = channel();
+        // The supervisor answers a job its worker lost with `Dropped`;
+        // the finals behind it must not stall.
+        reply_to(&tx, 0, "lost")(JobVerdict::Dropped);
+        tx.send(Out::Final(1, Pending::Ready("final 1".into())))
+            .unwrap();
+        drop(tx);
+        write_loop(rx, Shared(buf.clone())).unwrap();
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert!(lines[0].contains(r#""id":"lost""#), "{text}");
+        assert!(
+            lines[0].contains("job was dropped during shutdown"),
+            "{text}"
+        );
+        assert_eq!(lines[1], "final 1");
     }
 }

@@ -12,16 +12,14 @@
 //!
 //! The sink forwards only the *lifecycle* points an operator can act on
 //! ([`FRAME_EVENTS`]); span plumbing and raw counters stay in the trace.
-//! Frames travel over the connection's frame channel to the writer
-//! thread, which interleaves them ahead of their job's final response
-//! (see `daemon::write_loop`). Frame sends are sequenced before the
-//! job's verdict send on the worker thread, so a writer that has seen
-//! the verdict can drain every frame of that job non-blockingly before
-//! writing the final — order within a job is deterministic even though
-//! frames of concurrent jobs interleave freely.
+//! Frames travel over the connection's one channel to the writer thread,
+//! which writes each as it arrives (see `daemon::write_loop`). The job's
+//! final reply is sent on the same channel by the same worker thread
+//! after its last frame, so every frame of a job reaches the writer
+//! ahead of that job's final — order within a job is deterministic even
+//! though frames of concurrent jobs interleave freely.
 
 use std::sync::mpsc::Sender;
-use std::sync::Mutex;
 
 use mm_telemetry::metrics::Counter;
 use mm_telemetry::{AttrValue, Event, EventKind, TelemetrySink};
@@ -39,22 +37,21 @@ pub const FRAME_EVENTS: &[&str] = &[
 ];
 
 /// A [`TelemetrySink`] that serializes whitelisted points as `progress`
-/// frames for one job and sends them to the connection's writer thread.
-pub struct ProgressFrameSink {
+/// frames for one job and sends them, as `T::from(line)`, to the
+/// connection's writer thread.
+pub struct ProgressFrameSink<T> {
     id: String,
-    // `Sender` is `Send` but not `Sync`; frames are low-rate (one per
-    // rung/round, never per conflict), so a mutex is fine here.
-    frames: Mutex<Sender<String>>,
+    frames: Sender<T>,
     emitted: Counter,
 }
 
-impl ProgressFrameSink {
+impl<T> ProgressFrameSink<T> {
     /// A sink streaming `id`'s lifecycle points into `frames`, counting
     /// emitted frames into `emitted` (`mmsynth_progress_frames_total`).
-    pub fn new(id: &str, frames: Sender<String>, emitted: Counter) -> Self {
+    pub fn new(id: &str, frames: Sender<T>, emitted: Counter) -> Self {
         Self {
             id: id.to_string(),
-            frames: Mutex::new(frames),
+            frames,
             emitted,
         }
     }
@@ -70,7 +67,7 @@ fn attr_value(v: &AttrValue) -> Value {
     }
 }
 
-impl TelemetrySink for ProgressFrameSink {
+impl<T: From<String> + Send> TelemetrySink for ProgressFrameSink<T> {
     fn record(&self, event: &Event) {
         let EventKind::Point { name, attrs } = &event.kind else {
             return;
@@ -93,13 +90,7 @@ impl TelemetrySink for ProgressFrameSink {
         let line = serde_json::to_string(&Value::Object(fields)).expect("frame serializes");
         // A gone writer means the client hung up; the job still runs to
         // its verdict, it just streams to nobody.
-        if self
-            .frames
-            .lock()
-            .expect("frame sender poisoned")
-            .send(line)
-            .is_ok()
-        {
+        if self.frames.send(T::from(line)).is_ok() {
             self.emitted.inc();
         }
     }
@@ -145,7 +136,7 @@ mod tests {
 
     #[test]
     fn hung_up_client_does_not_kill_the_job() {
-        let (tx, rx) = channel();
+        let (tx, rx) = channel::<String>();
         drop(rx);
         let emitted = Counter::detached();
         let sink = ProgressFrameSink::new("gone", tx, emitted.clone());

@@ -119,67 +119,67 @@ fn as_str(v: Option<&Value>) -> Option<&str> {
     }
 }
 
-fn as_u64(v: Option<&Value>) -> Option<u64> {
-    match v {
-        Some(Value::UInt(x)) => Some(*x),
-        Some(Value::Int(x)) if *x >= 0 => Some(*x as u64),
-        _ => None,
-    }
-}
+/// How to read one request field: what it must be (for the error) and a
+/// reader that yields `None` for a value of any other type.
+type Reader<T> = (&'static str, fn(&Value) -> Option<T>);
 
-/// The unsigned field `field` of `value`, `default` when absent.
+const UINT: Reader<u64> = ("a nonnegative integer", |v| match v {
+    Value::UInt(x) => Some(*x),
+    Value::Int(x) => u64::try_from(*x).ok(),
+    _ => None,
+});
+const USIZE: Reader<usize> = ("a nonnegative integer", |v| {
+    (UINT.1)(v).and_then(|x| usize::try_from(x).ok())
+});
+const BOOL: Reader<bool> = ("true or false", |v| match v {
+    Value::Bool(b) => Some(*b),
+    _ => None,
+});
+const NUMBER: Reader<f64> = ("a number", |v| match v {
+    Value::Float(x) => Some(*x),
+    Value::UInt(x) => Some(*x as f64),
+    Value::Int(x) => Some(*x as f64),
+    _ => None,
+});
+const STRINGS: Reader<Vec<String>> = ("an array of strings", |v| match v {
+    Value::Array(items) => items
+        .iter()
+        .map(|item| as_str(Some(item)).map(str::to_string))
+        .collect(),
+    _ => None,
+});
+const USIZES: Reader<Vec<usize>> = ("an array of nonnegative integers", |v| match v {
+    Value::Array(items) => items.iter().map(USIZE.1).collect(),
+    _ => None,
+});
+
+/// The field `name` of `value`: `None` when absent or `null`.
 ///
 /// # Errors
 ///
-/// Names the field when its value does not fit a `u32`, instead of
-/// truncating it.
-fn u32_field(value: &Value, field: &str, default: u32) -> Result<u32, String> {
-    match as_u64(value.get(field)) {
+/// Names the field, what it must be and its value when it holds another
+/// type, instead of falling back to a default.
+fn field<T>(value: &Value, name: &str, (expected, read): Reader<T>) -> Result<Option<T>, String> {
+    match value.get(name) {
+        None | Some(Value::Null) => Ok(None),
+        Some(v) => read(v).map(Some).ok_or_else(|| {
+            let got = serde_json::to_string(v).unwrap_or_default();
+            format!("\"{name}\" must be {expected}, got {got}")
+        }),
+    }
+}
+
+/// The unsigned field `name` of `value`, `default` when absent.
+///
+/// # Errors
+///
+/// As [`field`], and names the field when its value does not fit a
+/// `u32`, instead of truncating it.
+fn u32_field(value: &Value, name: &str, default: u32) -> Result<u32, String> {
+    match field(value, name, UINT)? {
         None => Ok(default),
         Some(x) => u32::try_from(x)
-            .map_err(|_| format!("\"{field}\" must be at most {}, got {x}", u32::MAX)),
-    }
-}
-
-fn as_bool(v: Option<&Value>) -> Option<bool> {
-    match v {
-        Some(Value::Bool(b)) => Some(*b),
-        _ => None,
-    }
-}
-
-fn as_f64(v: Option<&Value>) -> Option<f64> {
-    match v {
-        Some(Value::Float(x)) => Some(*x),
-        Some(Value::UInt(x)) => Some(*x as f64),
-        Some(Value::Int(x)) => Some(*x as f64),
-        _ => None,
-    }
-}
-
-fn string_array(v: Option<&Value>) -> Option<Vec<String>> {
-    match v {
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|item| match item {
-                Value::Str(s) => Some(s.clone()),
-                _ => None,
-            })
-            .collect(),
-        _ => None,
-    }
-}
-
-fn usize_array(v: Option<&Value>) -> Vec<usize> {
-    match v {
-        Some(Value::Array(items)) => items
-            .iter()
-            .filter_map(|item| match item {
-                Value::UInt(x) => Some(*x as usize),
-                _ => None,
-            })
-            .collect(),
-        _ => Vec::new(),
+            .map_err(|_| format!("\"{name}\" must be at most {}, got {x}", u32::MAX)),
     }
 }
 
@@ -203,52 +203,52 @@ impl JobRequest {
             "shutdown" => Op::Shutdown,
             "minimize" => {
                 let tables =
-                    string_array(value.get("tables")).ok_or("minimize needs \"tables\": [bits]")?;
-                let max_rops = as_u64(value.get("max_rops")).unwrap_or(4) as usize;
-                let max_vsteps = as_u64(value.get("max_steps")).unwrap_or(3) as usize;
-                let mode = if as_bool(value.get("r_only")).unwrap_or(false) {
+                    field(&value, "tables", STRINGS)?.ok_or("minimize needs \"tables\": [bits]")?;
+                let max_rops = field(&value, "max_rops", USIZE)?.unwrap_or(4);
+                let max_vsteps = field(&value, "max_steps", USIZE)?.unwrap_or(3);
+                let mode = if field(&value, "r_only", BOOL)?.unwrap_or(false) {
                     MinimizeMode::ROnly { max_rops }
                 } else {
                     MinimizeMode::MixedMode {
                         max_rops,
                         max_vsteps,
-                        is_adder: as_bool(value.get("adder")).unwrap_or(false),
+                        is_adder: field(&value, "adder", BOOL)?.unwrap_or(false),
                     }
                 };
-                let deadline = as_f64(value.get("deadline_secs"))
+                let deadline = field(&value, "deadline_secs", NUMBER)?
                     .filter(|s| s.is_finite() && *s >= 0.0)
                     .map(Duration::from_secs_f64);
                 Op::Minimize {
                     tables,
                     request: MinimizeRequest {
                         mode,
-                        max_conflicts: as_u64(value.get("max_conflicts")),
+                        max_conflicts: field(&value, "max_conflicts", UINT)?,
                         deadline,
-                        certify: as_bool(value.get("certify")).unwrap_or(false),
+                        certify: field(&value, "certify", BOOL)?.unwrap_or(false),
                     },
-                    no_cache: as_bool(value.get("no_cache")).unwrap_or(false),
+                    no_cache: field(&value, "no_cache", BOOL)?.unwrap_or(false),
                 }
             }
             "synthesize" => Op::Synthesize {
-                tables: string_array(value.get("tables"))
+                tables: field(&value, "tables", STRINGS)?
                     .ok_or("synthesize needs \"tables\": [bits]")?,
-                n_rops: as_u64(value.get("rops")).ok_or("synthesize needs \"rops\"")? as usize,
-                n_legs: as_u64(value.get("legs")).map(|x| x as usize),
-                n_vsteps: as_u64(value.get("steps")).unwrap_or(3) as usize,
-                max_conflicts: as_u64(value.get("max_conflicts")),
+                n_rops: field(&value, "rops", USIZE)?.ok_or("synthesize needs \"rops\"")?,
+                n_legs: field(&value, "legs", USIZE)?,
+                n_vsteps: field(&value, "steps", USIZE)?.unwrap_or(3),
+                max_conflicts: field(&value, "max_conflicts", UINT)?,
             },
             "faultsim" => Op::Faultsim {
-                tables: string_array(value.get("tables"))
+                tables: field(&value, "tables", STRINGS)?
                     .ok_or("faultsim needs \"tables\": [bits]")?,
-                n_rops: as_u64(value.get("rops")).unwrap_or(1) as usize,
-                n_vsteps: as_u64(value.get("steps")).unwrap_or(3) as usize,
+                n_rops: field(&value, "rops", USIZE)?.unwrap_or(1),
+                n_vsteps: field(&value, "steps", USIZE)?.unwrap_or(3),
                 trials: u32_field(&value, "trials", 16)?,
-                seed: as_u64(value.get("seed")).unwrap_or(42),
-                stuck_lrs: usize_array(value.get("stuck_lrs")),
+                seed: field(&value, "seed", UINT)?.unwrap_or(42),
+                stuck_lrs: field(&value, "stuck_lrs", USIZES)?.unwrap_or_default(),
             },
             other => return Err(format!("unknown op {other:?}")),
         };
-        let subscribe = as_bool(value.get("subscribe")).unwrap_or(false);
+        let subscribe = field(&value, "subscribe", BOOL)?.unwrap_or(false);
         Ok(Self { id, op, subscribe })
     }
 }
@@ -469,6 +469,60 @@ mod tests {
             err.contains("\"trials\"") && err.contains("4294967297"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn wrong_typed_fields_are_rejected_by_name() {
+        // Each used to fall back to its default: 16 trials, no stuck
+        // plan, 4 R-ops, an uncertified run.
+        let rejected = |line: &str, field: &str| {
+            let err = JobRequest::parse(line).unwrap_err();
+            assert!(err.contains(&format!("\"{field}\"")), "{line}: {err}");
+        };
+        rejected(
+            r#"{"op":"faultsim","id":"f","tables":["0110"],"trials":"999","stuck_lrs":["x",-1]}"#,
+            "trials",
+        );
+        rejected(
+            r#"{"op":"faultsim","id":"f","tables":["0110"],"stuck_lrs":["x",-1]}"#,
+            "stuck_lrs",
+        );
+        rejected(
+            r#"{"op":"faultsim","id":"f","tables":["0110"],"stuck_lrs":[-1]}"#,
+            "stuck_lrs",
+        );
+        rejected(
+            r#"{"op":"minimize","id":"m","tables":["0110"],"max_rops":"3"}"#,
+            "max_rops",
+        );
+        rejected(
+            r#"{"op":"minimize","id":"m","tables":["0110"],"certify":"yes"}"#,
+            "certify",
+        );
+        rejected(
+            r#"{"op":"minimize","id":"m","tables":["0110"],"deadline_secs":"1"}"#,
+            "deadline_secs",
+        );
+        rejected(r#"{"op":"minimize","id":"m","tables":"0110"}"#, "tables");
+        rejected(r#"{"op":"minimize","id":"m","tables":[6]}"#, "tables");
+        rejected(
+            r#"{"op":"synthesize","id":"s","tables":["0110"],"rops":2.5}"#,
+            "rops",
+        );
+        rejected(r#"{"op":"ping","id":"p","subscribe":1}"#, "subscribe");
+        // The message carries the value, and null reads as absent.
+        let err =
+            JobRequest::parse(r#"{"op":"faultsim","id":"f","tables":["0110"],"trials":"999"}"#)
+                .unwrap_err();
+        assert!(err.contains(r#""999""#), "{err}");
+        let req = JobRequest::parse(
+            r#"{"op":"faultsim","id":"f","tables":["0110"],"trials":null,"stuck_lrs":[2,0]}"#,
+        )
+        .unwrap();
+        assert!(matches!(
+            req.op,
+            Op::Faultsim { trials: 16, ref stuck_lrs, .. } if *stuck_lrs == [2, 0]
+        ));
     }
 
     #[test]

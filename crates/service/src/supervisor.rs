@@ -19,12 +19,12 @@
 //! * **Drain** — [`shutdown`](Supervisor::shutdown) stops admission,
 //!   lets every accepted job finish (skipping any remaining backoff),
 //!   and joins the workers, so an accepted job always gets exactly one
-//!   verdict.
+//!   verdict: its reply callback is called once, with
+//!   [`JobVerdict::Dropped`] if the job is lost before it resolves.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -60,6 +60,9 @@ pub enum JobVerdict<R> {
         /// The last inconclusive reason.
         reason: String,
     },
+    /// The job was dropped before it resolved: its worker died outside
+    /// the attempt's `catch_unwind`.
+    Dropped,
 }
 
 /// One unit of queued work. Boxed `FnMut` so a retry re-invokes the same
@@ -74,13 +77,26 @@ struct QueuedJob<R> {
     base_conflicts: Option<u64>,
     /// Absolute deadline; jobs past it degrade without launching.
     deadline: Option<Instant>,
-    reply: Sender<JobVerdict<R>>,
+    /// Taken when the verdict is sent; still here when the job is
+    /// dropped unresolved, so [`Drop`] answers [`JobVerdict::Dropped`].
+    reply: Option<ReplyFn<R>>,
+}
+
+/// Receives a job's verdict, exactly once.
+type ReplyFn<R> = Box<dyn FnOnce(JobVerdict<R>) + Send>;
+
+impl<R> Drop for QueuedJob<R> {
+    fn drop(&mut self) {
+        if let Some(reply) = self.reply.take() {
+            reply(JobVerdict::Dropped);
+        }
+    }
 }
 
 /// Admission decision for one [`submit`](Supervisor::submit) call.
-pub enum Submission<R> {
-    /// Accepted; the receiver yields exactly one verdict.
-    Queued(Receiver<JobVerdict<R>>),
+pub enum Submission {
+    /// Accepted; its reply will be called exactly once.
+    Queued,
     /// The queue is full — shed instead of buffering.
     Overloaded,
     /// The supervisor is draining and admits nothing new.
@@ -117,8 +133,6 @@ struct Shared<R> {
     wake: Condvar,
     draining: AtomicBool,
     config: SupervisorConfig,
-    /// Jobs accepted and not yet resolved (queued + running).
-    outstanding: AtomicU64,
 }
 
 /// A fixed pool of supervised workers. Dropping without
@@ -136,7 +150,6 @@ impl<R: Send + 'static> Supervisor<R> {
             wake: Condvar::new(),
             draining: AtomicBool::new(false),
             config,
-            outstanding: AtomicU64::new(0),
         });
         let handles = (0..shared.config.workers.max(1))
             .map(|i| {
@@ -153,14 +166,17 @@ impl<R: Send + 'static> Supervisor<R> {
     /// Offers a job to the queue. `seed` feeds the deterministic backoff
     /// jitter; `base_conflicts` is the request's own conflict limit;
     /// `deadline`, when given, degrades the job if it is still queued
-    /// past that instant.
+    /// past that instant. An accepted job's `reply` is called exactly
+    /// once, on the worker thread, with its verdict; a refused job's
+    /// `reply` is dropped uncalled.
     pub fn submit(
         &self,
         seed: u64,
         base_conflicts: Option<u64>,
         deadline: Option<Instant>,
         job: impl FnMut(&Attempt) -> AttemptResult<R> + Send + 'static,
-    ) -> Submission<R> {
+        reply: impl FnOnce(JobVerdict<R>) + Send + 'static,
+    ) -> Submission {
         if self.shared.draining.load(Ordering::SeqCst) {
             return Submission::ShuttingDown;
         }
@@ -169,15 +185,13 @@ impl<R: Send + 'static> Supervisor<R> {
             self.shared.config.metrics.sheds.inc();
             return Submission::Overloaded;
         }
-        let (reply, verdict) = channel();
         queue.push_back(QueuedJob {
             job: Box::new(job),
             seed,
             base_conflicts,
             deadline,
-            reply,
+            reply: Some(Box::new(reply)),
         });
-        self.shared.outstanding.fetch_add(1, Ordering::SeqCst);
         self.shared.config.metrics.admissions.inc();
         self.shared
             .config
@@ -186,12 +200,7 @@ impl<R: Send + 'static> Supervisor<R> {
             .set(queue.len() as i64);
         drop(queue);
         self.shared.wake.notify_one();
-        Submission::Queued(verdict)
-    }
-
-    /// Jobs accepted and not yet resolved (queued + running).
-    pub fn outstanding(&self) -> u64 {
-        self.shared.outstanding.load(Ordering::SeqCst)
+        Submission::Queued
     }
 
     /// Stops admission, waits for every accepted job to resolve, and
@@ -224,7 +233,7 @@ impl<R: Send + 'static> Drop for Supervisor<R> {
 
 fn worker_loop<R: Send + 'static>(shared: &Shared<R>) {
     loop {
-        let job = {
+        let mut job = {
             let mut queue = shared.queue.lock().expect("queue poisoned");
             loop {
                 if let Some(job) = queue.pop_front() {
@@ -238,26 +247,21 @@ fn worker_loop<R: Send + 'static>(shared: &Shared<R>) {
             }
         };
         shared.config.metrics.jobs_inflight.add(1);
-        let verdict = run_job(shared, job.job, job.seed, job.base_conflicts, job.deadline);
+        let verdict = run_job(shared, &mut job);
         shared.config.metrics.jobs_inflight.sub(1);
-        shared.outstanding.fetch_sub(1, Ordering::SeqCst);
-        // A gone receiver just means the client hung up; the job still ran.
-        let _ = job.reply.send(verdict);
+        if let Some(reply) = job.reply.take() {
+            reply(verdict);
+        }
     }
 }
 
-fn run_job<R>(
-    shared: &Shared<impl Send>,
-    mut job: JobFn<R>,
-    seed: u64,
-    base_conflicts: Option<u64>,
-    deadline: Option<Instant>,
-) -> JobVerdict<R> {
+fn run_job<R>(shared: &Shared<R>, job: &mut QueuedJob<R>) -> JobVerdict<R> {
+    let deadline = job.deadline;
     let policy = &shared.config.retry;
     let mut partial: Option<R> = None;
     let mut reason = String::from("retry schedule exhausted");
     for index in 0.. {
-        let Some(attempt) = policy.attempt(index, base_conflicts, seed) else {
+        let Some(attempt) = policy.attempt(index, job.base_conflicts, job.seed) else {
             return JobVerdict::Degraded { partial, reason };
         };
         if index > 0 {
@@ -280,7 +284,7 @@ fn run_job<R>(
                 .unwrap_or(attempt.backoff);
             std::thread::sleep(capped);
         }
-        match catch_unwind(AssertUnwindSafe(|| job(&attempt))) {
+        match catch_unwind(AssertUnwindSafe(|| (job.job)(&attempt))) {
             Ok(AttemptResult::Done(r)) => return JobVerdict::Done(r),
             Ok(AttemptResult::Retry {
                 partial: p,
@@ -308,6 +312,7 @@ fn run_job<R>(
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::AtomicU32;
+    use std::sync::mpsc::{channel, Receiver};
 
     use super::*;
 
@@ -325,17 +330,30 @@ mod tests {
         }
     }
 
-    fn recv<R>(s: Submission<R>) -> JobVerdict<R> {
-        match s {
-            Submission::Queued(rx) => rx.recv().expect("verdict"),
-            _ => panic!("expected admission"),
-        }
+    /// Submits with a reply that forwards the verdict into a channel.
+    fn submit<R: Send + 'static>(
+        sup: &Supervisor<R>,
+        seed: u64,
+        base_conflicts: Option<u64>,
+        deadline: Option<Instant>,
+        job: impl FnMut(&Attempt) -> AttemptResult<R> + Send + 'static,
+    ) -> (Submission, Receiver<JobVerdict<R>>) {
+        let (tx, rx) = channel();
+        let submission = sup.submit(seed, base_conflicts, deadline, job, move |v| {
+            tx.send(v).expect("test holds the receiver");
+        });
+        (submission, rx)
+    }
+
+    fn recv<R>((s, rx): (Submission, Receiver<JobVerdict<R>>)) -> JobVerdict<R> {
+        assert!(matches!(s, Submission::Queued), "expected admission");
+        rx.recv().expect("verdict")
     }
 
     #[test]
     fn jobs_complete_and_report() {
         let sup = Supervisor::start(quick_policy(1));
-        let v = recv(sup.submit(0, None, None, |_| AttemptResult::Done(7)));
+        let v = recv(submit(&sup, 0, None, None, |_| AttemptResult::Done(7)));
         assert_eq!(v, JobVerdict::Done(7));
         sup.shutdown();
     }
@@ -345,7 +363,7 @@ mod tests {
         let sup = Supervisor::start(quick_policy(2));
         let tries = Arc::new(AtomicU32::new(0));
         let t = tries.clone();
-        let v = recv(sup.submit(1, None, None, move |_| {
+        let v = recv(submit(&sup, 1, None, None, move |_| {
             if t.fetch_add(1, Ordering::SeqCst) == 0 {
                 panic!("first attempt explodes");
             }
@@ -354,7 +372,7 @@ mod tests {
         assert_eq!(v, JobVerdict::Done(99));
         assert_eq!(tries.load(Ordering::SeqCst), 2);
         // The pool still serves after the panic.
-        let v = recv(sup.submit(2, None, None, |_| AttemptResult::Done(1)));
+        let v = recv(submit(&sup, 2, None, None, |_| AttemptResult::Done(1)));
         assert_eq!(v, JobVerdict::Done(1));
         sup.shutdown();
     }
@@ -362,12 +380,12 @@ mod tests {
     #[test]
     fn exhausted_schedule_degrades_with_best_partial() {
         let sup = Supervisor::start(quick_policy(3));
-        let v = recv(
-            sup.submit(3, Some(10), None, |attempt| AttemptResult::Retry {
+        let v = recv(submit(&sup, 3, Some(10), None, |attempt| {
+            AttemptResult::Retry {
                 partial: Some(attempt.max_conflicts),
                 reason: format!("attempt {} exhausted", attempt.index),
-            }),
-        );
+            }
+        }));
         let JobVerdict::Degraded { partial, reason } = v else {
             panic!("expected degraded");
         };
@@ -383,7 +401,7 @@ mod tests {
         let sup: Supervisor<()> = Supervisor::start(quick_policy(3));
         let seen = Arc::new(Mutex::new(Vec::new()));
         let s = seen.clone();
-        let _ = recv(sup.submit(4, Some(100), None, move |attempt| {
+        let _ = recv(submit(&sup, 4, Some(100), None, move |attempt| {
             s.lock().unwrap().push(attempt.max_conflicts);
             AttemptResult::Retry {
                 partial: None,
@@ -420,7 +438,7 @@ mod tests {
         let opener = OpenOnDrop(gate.clone());
         let started = Arc::new(AtomicU32::new(0));
         let (g, st) = (gate.clone(), started.clone());
-        let busy = sup.submit(0, None, None, move |_| {
+        let busy = submit(&sup, 0, None, None, move |_| {
             st.store(1, Ordering::SeqCst);
             let (lock, cv) = &*g;
             let mut open = lock.lock().unwrap();
@@ -429,16 +447,15 @@ mod tests {
             }
             AttemptResult::Done(0)
         });
-        assert!(matches!(busy, Submission::Queued(_)));
-        // Wait until the worker has actually *popped* the job (submit alone
-        // already bumps `outstanding`, so that counter can't tell us).
+        assert!(matches!(busy.0, Submission::Queued));
+        // Wait until the worker has actually *popped* the job.
         while started.load(Ordering::SeqCst) == 0 {
             std::thread::yield_now();
         }
-        let queued = sup.submit(1, None, None, |_| AttemptResult::Done(1));
-        assert!(matches!(queued, Submission::Queued(_)));
-        let shed = sup.submit(2, None, None, |_| AttemptResult::Done(2));
-        assert!(matches!(shed, Submission::Overloaded));
+        let queued = submit(&sup, 1, None, None, |_| AttemptResult::Done(1));
+        assert!(matches!(queued.0, Submission::Queued));
+        let shed = submit(&sup, 2, None, None, |_| AttemptResult::Done(2));
+        assert!(matches!(shed.0, Submission::Overloaded));
         drop(opener);
         assert_eq!(recv(busy), JobVerdict::Done(0));
         assert_eq!(recv(queued), JobVerdict::Done(1));
@@ -449,7 +466,7 @@ mod tests {
     fn expired_deadline_degrades_without_running() {
         let sup: Supervisor<u8> = Supervisor::start(quick_policy(3));
         let past = Instant::now() - Duration::from_secs(1);
-        let v = recv(sup.submit(5, None, Some(past), |_| {
+        let v = recv(submit(&sup, 5, None, Some(past), |_| {
             panic!("must not launch");
         }));
         assert_eq!(
@@ -469,7 +486,7 @@ mod tests {
         let sup = Supervisor::start(config);
         let tries = Arc::new(AtomicU32::new(0));
         let t = tries.clone();
-        let v = recv(sup.submit(0, None, None, move |_| {
+        let v = recv(submit(&sup, 0, None, None, move |_| {
             if t.fetch_add(1, Ordering::SeqCst) == 0 {
                 panic!("first attempt explodes");
             }
@@ -493,12 +510,11 @@ mod tests {
             ..quick_policy(1)
         });
         let receivers: Vec<_> = (0..4)
-            .map(
-                |i| match sup.submit(i, None, None, move |_| AttemptResult::Done(i)) {
-                    Submission::Queued(rx) => rx,
-                    _ => panic!("admission"),
-                },
-            )
+            .map(|i| {
+                let (s, rx) = submit(&sup, i, None, None, move |_| AttemptResult::Done(i));
+                assert!(matches!(s, Submission::Queued), "admission");
+                rx
+            })
             .collect();
         sup.shutdown();
         for (i, rx) in receivers.into_iter().enumerate() {
@@ -507,5 +523,26 @@ mod tests {
                 JobVerdict::Done(i as u64)
             );
         }
+    }
+
+    #[test]
+    fn a_job_whose_worker_dies_still_replies_once() {
+        // A panic payload that panics again when dropped escapes the
+        // attempt's `catch_unwind` and kills the worker mid-job.
+        struct PanicsOnDrop;
+        impl Drop for PanicsOnDrop {
+            fn drop(&mut self) {
+                panic!("payload drop panics");
+            }
+        }
+        let sup: Supervisor<u8> = Supervisor::start(SupervisorConfig {
+            workers: 1,
+            ..quick_policy(1)
+        });
+        let (s, rx) = submit(&sup, 0, None, None, |_| std::panic::panic_any(PanicsOnDrop));
+        assert!(matches!(s, Submission::Queued));
+        assert_eq!(rx.recv().expect("one verdict"), JobVerdict::Dropped);
+        sup.shutdown();
+        assert!(rx.recv().is_err(), "exactly one verdict");
     }
 }

@@ -406,7 +406,10 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
             Ok(ExitCode::SUCCESS)
         }
         "census" => {
-            let n = args.get_usize("inputs", 3)? as u8;
+            let n = match args.get_usize("inputs", 3)? {
+                n @ 1..=5 => n as u8,
+                n => return Err(format!("--inputs must be 1..=5, got {n}")),
+            };
             let cfg = CensusConfig::new(n)
                 .with_pre(args.get_u32("pre", 0)?)
                 .with_post(args.get_u32("post", 0)?)

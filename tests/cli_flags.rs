@@ -75,6 +75,18 @@ fn counts_too_large_for_their_field_are_rejected() {
 }
 
 #[test]
+fn census_inputs_outside_one_to_five_are_rejected() {
+    // 258 used to truncate to a 2-input census; 0 and 6 panicked.
+    for n in ["0", "6", "258"] {
+        let out = mmsynth(&["census", "--inputs", n]);
+        assert_rejected(&out, &["--inputs", n]);
+    }
+    let out = mmsynth(&["census", "--inputs", "2"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("2-input functions"));
+}
+
+#[test]
 fn unknown_subcommands_are_rejected_by_name() {
     let out = mmsynth(&["minimise", "--function", "xor2"]);
     assert_rejected(&out, &["minimise"]);
