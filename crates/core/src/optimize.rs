@@ -639,23 +639,29 @@ pub fn minimize_mixed_mode(
         });
     };
 
-    // Phase 2: shrink the V-step budget at that N_R.
+    // Phase 2: shrink the V-step budget at that N_R, below the witness's
+    // own point (N_R, N_L, max_vsteps), which phase 1 already solved.
     let n_rops = rop_idx; // ladder index 0 is N_R = 0
     let n_legs = SynthSpec::paper_legs(f, n_rops, is_adder);
-    let vs_specs = (1..=max_vsteps)
+    let vs_specs = (1..max_vsteps)
         .map(|vs| Ok(SynthSpec::mixed_mode(f, n_rops, n_legs, vs)?.with_options(options.clone())))
         .collect::<Result<Vec<_>, SynthError>>()?;
     let inner = run_ladder(synth, &vs_specs, jobs)?;
     calls.extend(inner.calls);
+    // Without a cheaper witness the phase-1 one stands. It is N_VS-minimal
+    // when the inner ladder did not degrade: with no SAT point, every
+    // inner point then completed UNSAT or was closed by one (an empty
+    // ladder, at max_vsteps = 1, trivially).
+    let (best, inner_proven) = match inner.best {
+        Some((_, circuit)) => (circuit, inner.proven),
+        None => (outer_circuit, inner.degrade.is_none()),
+    };
     let status = status_of(outer.degrade.or(inner.degrade));
     Ok(OptimizeReport {
-        // The inner ladder re-solves the outer witness's point; under a
-        // deadline it may come back empty, in which case the outer witness
-        // is still a valid upper bound.
-        best: inner.best.map(|(_, c)| c).or(Some(outer_circuit)),
+        best: Some(best),
         // N_R minimality comes from the outer ladder's closure, N_VS
         // minimality from the inner one.
-        proven_optimal: outer.proven && inner.proven && !status.is_degraded(),
+        proven_optimal: outer.proven && inner_proven && !status.is_degraded(),
         status,
         calls,
     })
@@ -735,6 +741,37 @@ mod tests {
         for pair in reports.windows(2) {
             reports_agree(&pair[0], &pair[1]);
         }
+    }
+
+    #[test]
+    fn mixed_mode_solves_each_point_once() {
+        // XOR2 at max_steps 2: the optimum sits at the top N_VS, the point
+        // phase 1 already solved, so phase 2 must not solve it again.
+        let f = generators::xor_gate(2);
+        let opts = EncodeOptions::recommended();
+        for jobs in [1, 2] {
+            let report =
+                minimize_mixed_mode(&Synthesizer::new(), &f, 3, 2, false, &opts, jobs).unwrap();
+            let mut points: Vec<_> = report
+                .calls
+                .iter()
+                .map(|c| (c.n_rops, c.n_legs, c.n_vsteps))
+                .collect();
+            points.sort_unstable();
+            let solved = points.len();
+            points.dedup();
+            assert_eq!(points.len(), solved, "a point solved twice: {points:?}");
+            let best = report.best.expect("XOR2 is MM-realizable");
+            assert!(best.implements(&f));
+            let m = best.metrics();
+            assert_eq!((m.n_rops, m.n_legs, m.n_vsteps), (1, 2, 2));
+            assert!(report.proven_optimal);
+            assert_eq!(report.status, OptimizeStatus::Complete);
+        }
+        // An empty inner ladder (max_steps 1) is proven by phase 1 alone.
+        let report = minimize_mixed_mode(&Synthesizer::new(), &f, 3, 1, false, &opts, 1).unwrap();
+        assert!(report.best.is_some());
+        assert!(report.proven_optimal);
     }
 
     #[test]

@@ -2,16 +2,22 @@
 //!
 //! # Key derivation
 //!
-//! A cache key identifies the *verdict-determining facet* of a minimize
-//! job: the canonical representative of the function under the
-//! cost-preserving NPN subgroup ([`mm_boolfn::npn::canonicalize`]) plus
-//! the ladder shape and conflict limit
-//! ([`MinimizeRequest::cache_facet`]). The key is the FNV-1a hash (two
-//! independent 64-bit streams, 32 hex chars) of that facet's canonical
-//! JSON serialization. Hashes only *address* entries — every entry stores
-//! its full key material, and [`lookup`](ResultCache::lookup) compares it
-//! against the request, so a hash collision degrades into a miss, never a
-//! wrong answer.
+//! A cache key identifies the *verdict-determining facet* of a job: the
+//! canonical representative of the function under the cost-preserving NPN
+//! subgroup ([`mm_boolfn::npn::canonicalize`]) plus one of two facets:
+//!
+//! - a minimize job's ladder shape and conflict limit
+//!   ([`MinimizeRequest::cache_facet`]), answered by a [`CacheEntry`];
+//! - a single `Rung` `(N_R, N_L, N_VS)`, the fixed-budget decision a
+//!   `faultsim` job synthesizes its circuit under, answered by a
+//!   `RungEntry` (with no circuit when the rung is UNSAT).
+//!
+//! The key is the FNV-1a hash (two independent 64-bit streams, 32 hex
+//! chars) of the facet's canonical JSON serialization; the two facets
+//! serialize different fields, so they never share key material. Hashes
+//! only *address* entries — every entry stores its full key material, and
+//! a lookup compares it against the request, so a hash collision degrades
+//! into a miss, never a wrong answer.
 //!
 //! # On-disk format
 //!
@@ -29,6 +35,11 @@
 //! [`ResultCache::open`] runs the same validation as a *recovery scan*
 //! over every entry, deleting in-flight temp files a killed process left
 //! behind ([`mm_telemetry::atomic::is_temp_artifact`]).
+//!
+//! A stored DRAT proof is parsed only by lookups that serve it: an
+//! uncertified [`lookup`](ResultCache::lookup) checks the whole payload's
+//! checksum but returns `proof: None` without parsing the proof text,
+//! which on a megabyte proof is most of a hit's time.
 //!
 //! # Paranoid mode
 //!
@@ -81,13 +92,25 @@ impl CacheKey {
     /// Derives the key for `(canonical function, request facet)`.
     pub fn derive(canonical: &MultiOutputFn, request: &MinimizeRequest) -> Self {
         let (mode, max_conflicts) = request.cache_facet();
-        let material = serde_json::to_string(&KeyMaterial {
+        Self::hash(&KeyMaterial {
             tables: table_bits(canonical),
             n_inputs: u64::from(canonical.n_inputs()),
             mode,
             max_conflicts,
         })
-        .expect("key material serializes");
+    }
+
+    /// Derives the key for `(canonical function, rung)`.
+    pub(crate) fn derive_rung(canonical: &MultiOutputFn, rung: Rung) -> Self {
+        Self::hash(&RungKeyMaterial {
+            tables: table_bits(canonical),
+            n_inputs: u64::from(canonical.n_inputs()),
+            rung,
+        })
+    }
+
+    fn hash(material: &impl Serialize) -> Self {
+        let material = serde_json::to_string(material).expect("key material serializes");
         let a = fnv1a64(material.as_bytes(), 0xcbf2_9ce4_8422_2325);
         let b = fnv1a64(material.as_bytes(), 0x6c62_272e_07bb_0142);
         Self(format!("{a:016x}{b:016x}"))
@@ -99,13 +122,33 @@ impl CacheKey {
     }
 }
 
-/// What the key hashes: canonical truth tables + ladder facet.
+/// What a minimize key hashes: canonical truth tables + ladder facet.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 struct KeyMaterial {
     tables: Vec<String>,
     n_inputs: u64,
     mode: MinimizeMode,
     max_conflicts: Option<u64>,
+}
+
+/// What a rung key hashes: canonical truth tables + rung.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+struct RungKeyMaterial {
+    tables: Vec<String>,
+    n_inputs: u64,
+    rung: Rung,
+}
+
+/// One fixed-budget point of the mixed-mode lattice: `N_R` R-ops, `N_L`
+/// legs, `N_VS` V-steps per leg.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub(crate) struct Rung {
+    /// R-op budget.
+    pub(crate) n_rops: usize,
+    /// Leg budget.
+    pub(crate) n_legs: usize,
+    /// Steps-per-leg budget.
+    pub(crate) n_vsteps: usize,
 }
 
 /// A function's output tables as bitstrings (row 0 first), the stable
@@ -173,6 +216,59 @@ impl CacheEntry {
             && self.canonical.outputs() == canonical.outputs()
             && self.mode == mode
             && self.max_conflicts == max_conflicts
+    }
+}
+
+/// One cached rung verdict: the circuit a cold solve of `rung` found for
+/// `canonical`, or `None` when the rung is UNSAT.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub(crate) struct RungEntry {
+    /// The canonical representative the solver actually ran on.
+    pub(crate) canonical: MultiOutputFn,
+    /// The rung it was solved at.
+    pub(crate) rung: Rung,
+    /// The rung's witness, `None` for an UNSAT rung.
+    pub(crate) circuit: Option<MmCircuit>,
+}
+
+impl RungEntry {
+    /// Whether the stored key material matches the lookup, as
+    /// [`CacheEntry`]'s collision guard compares it.
+    fn answers(&self, canonical: &MultiOutputFn, rung: Rung) -> bool {
+        self.canonical.n_inputs() == canonical.n_inputs()
+            && self.canonical.outputs() == canonical.outputs()
+            && self.rung == rung
+    }
+}
+
+/// A validated entry file of either facet.
+enum Stored {
+    Minimize(CacheEntry),
+    Rung(RungEntry),
+}
+
+impl Stored {
+    /// Reads a checksummed payload. Rung entries are the ones with a
+    /// `rung` field. A minimize entry's proof is parsed only when `proof`
+    /// is set and reads as `None` otherwise.
+    fn from_payload(mut value: Value, proof: bool) -> Result<Self, serde::Error> {
+        if value.get("rung").is_some() {
+            return RungEntry::from_value(&value).map(Self::Rung);
+        }
+        if let (false, Value::Object(fields)) = (proof, &mut value) {
+            if let Some((_, text)) = fields.iter_mut().find(|(name, _)| name == "proof") {
+                *text = Value::Null;
+            }
+        }
+        CacheEntry::from_value(&value).map(Self::Minimize)
+    }
+
+    /// The stored function and the circuit claimed to implement it.
+    fn function_and_circuit(&self) -> (&MultiOutputFn, Option<&MmCircuit>) {
+        match self {
+            Self::Minimize(e) => (&e.canonical, e.circuit.as_ref()),
+            Self::Rung(e) => (&e.canonical, e.circuit.as_ref()),
+        }
     }
 }
 
@@ -349,7 +445,7 @@ impl ResultCache {
             if !path.is_file() {
                 continue;
             }
-            match self.read_entry(&path) {
+            match self.read_entry(&path, true) {
                 Ok(_) => report.valid += 1,
                 Err(fault) => {
                     self.quarantine_file(&path, &fault);
@@ -365,8 +461,8 @@ impl ResultCache {
     }
 
     /// Parses + validates one entry file: header schema, payload
-    /// checksum, payload shape.
-    fn read_entry(&self, path: &Path) -> Result<CacheEntry, EntryFault> {
+    /// checksum, payload shape (the proof's only when `proof` is set).
+    fn read_entry(&self, path: &Path, proof: bool) -> Result<Stored, EntryFault> {
         let text = fs::read_to_string(path).map_err(EntryFault::Io)?;
         let (header, payload) = text
             .split_once('\n')
@@ -395,7 +491,7 @@ impl ResultCache {
         }
         let value: Value = serde_json::from_str(payload)
             .map_err(|e| EntryFault::Malformed(format!("bad payload json: {e}")))?;
-        CacheEntry::from_value(&value)
+        Stored::from_payload(value, proof)
             .map_err(|e| EntryFault::Malformed(format!("bad payload shape: {e}")))
     }
 
@@ -423,20 +519,47 @@ impl ResultCache {
     /// Looks up the entry answering `(canonical, request)`. Invalid or
     /// mismatching entries are quarantined and reported as a miss; in
     /// paranoid mode the stored circuit must additionally reproduce
-    /// `canonical` on the device model.
+    /// `canonical` on the device model. The stored proof is parsed and
+    /// returned only for a certified `request`.
     pub fn lookup(
         &self,
         canonical: &MultiOutputFn,
         request: &MinimizeRequest,
     ) -> Option<CacheEntry> {
         let key = CacheKey::derive(canonical, request);
-        let path = self.entry_path(&key);
+        self.fetch(&key, request.certify, |stored| match stored {
+            Stored::Minimize(entry) if entry.answers(canonical, request) => Some(entry),
+            _ => None,
+        })
+    }
+
+    /// Looks up the verdict of `rung` for `canonical`, validated as
+    /// [`lookup`](Self::lookup) validates a minimize entry.
+    pub(crate) fn lookup_rung(&self, canonical: &MultiOutputFn, rung: Rung) -> Option<RungEntry> {
+        let key = CacheKey::derive_rung(canonical, rung);
+        self.fetch(&key, false, |stored| match stored {
+            Stored::Rung(entry) if entry.answers(canonical, rung) => Some(entry),
+            _ => None,
+        })
+    }
+
+    /// Reads the entry stored under `key` and `pick`s the answer from it,
+    /// counting a hit or a miss. A missing entry, one that fails
+    /// validation (quarantined) and one `pick` rejects (a hash collision,
+    /// left for its rightful owner) are misses.
+    fn fetch<T>(
+        &self,
+        key: &CacheKey,
+        proof: bool,
+        pick: impl FnOnce(Stored) -> Option<T>,
+    ) -> Option<T> {
+        let path = self.entry_path(key);
         if !path.exists() {
             self.metrics.cache_misses.inc();
             return None;
         }
-        let entry = match self.read_entry(&path) {
-            Ok(entry) => entry,
+        let stored = match self.read_entry(&path, proof) {
+            Ok(stored) => stored,
             Err(fault) => {
                 self.quarantine_file(&path, &fault);
                 self.note_quarantine();
@@ -444,13 +567,8 @@ impl ResultCache {
                 return None;
             }
         };
-        if !entry.answers(canonical, request) {
-            // A hash collision: the entry is valid, just not ours. Leave
-            // it for its rightful owner and miss.
-            self.metrics.cache_misses.inc();
-            return None;
-        }
-        if self.paranoid && !paranoid_check(&entry) {
+        let (f, circuit) = stored.function_and_circuit();
+        if self.paranoid && !paranoid_check(f, circuit) {
             let fault = EntryFault::Malformed(
                 "paranoid re-execution: circuit does not implement its function".into(),
             );
@@ -459,8 +577,12 @@ impl ResultCache {
             self.metrics.cache_misses.inc();
             return None;
         }
+        let Some(answer) = pick(stored) else {
+            self.metrics.cache_misses.inc();
+            return None;
+        };
         self.metrics.cache_hits.inc();
-        Some(entry)
+        Some(answer)
     }
 
     /// Atomically persists `entry` under its derived key.
@@ -469,7 +591,19 @@ impl ResultCache {
     ///
     /// Propagates serialization and I/O failures.
     pub fn store(&self, request: &MinimizeRequest, entry: &CacheEntry) -> io::Result<()> {
-        let key = CacheKey::derive(&entry.canonical, request);
+        self.write(&CacheKey::derive(&entry.canonical, request), entry)
+    }
+
+    /// Atomically persists a rung verdict under its derived key.
+    ///
+    /// # Errors
+    ///
+    /// Propagates serialization and I/O failures.
+    pub(crate) fn store_rung(&self, entry: &RungEntry) -> io::Result<()> {
+        self.write(&CacheKey::derive_rung(&entry.canonical, entry.rung), entry)
+    }
+
+    fn write(&self, key: &CacheKey, entry: &impl Serialize) -> io::Result<()> {
         let payload = serde_json::to_string(entry).map_err(io::Error::other)?;
         let checksum = format!(
             "{:016x}",
@@ -483,7 +617,7 @@ impl ResultCache {
             ]))
             .map_err(io::Error::other)?
         );
-        atomic_write(self.entry_path(&key), text)?;
+        atomic_write(self.entry_path(key), text)?;
         self.metrics.cache_stores.inc();
         self.refresh_disk_gauges();
         Ok(())
@@ -520,16 +654,15 @@ pub fn device_trace(circuit: &MmCircuit) -> Option<MeasurementTrace> {
 }
 
 /// Exhaustive device-model re-execution: every input row must reproduce
-/// the stored canonical function. Entries without a circuit pass
+/// the stored canonical function `f`. Entries without a circuit pass
 /// trivially (there is nothing executable to poison).
-fn paranoid_check(entry: &CacheEntry) -> bool {
-    let Some(circuit) = &entry.circuit else {
+fn paranoid_check(f: &MultiOutputFn, circuit: Option<&MmCircuit>) -> bool {
+    let Some(circuit) = circuit else {
         return true;
     };
     let Ok(schedule) = Schedule::compile(circuit) else {
         return false;
     };
-    let f = &entry.canonical;
     for q in 0..f.n_rows() as u32 {
         let mut array = LineArray::bfo(schedule.n_cells(), ElectricalParams::bfo(), DEVICE_SEED);
         let got = schedule.execute(q, &mut array);
@@ -631,6 +764,91 @@ mod tests {
         assert_eq!(
             CacheKey::derive(&canonical, &unlimited),
             CacheKey::derive(&canonical, &with_deadline)
+        );
+    }
+
+    #[test]
+    fn proofs_are_parsed_only_for_certified_lookups() {
+        let dir = temp_dir("lazy_proof");
+        let (cache, _) = ResultCache::open(&dir).unwrap();
+        let f = generators::xor_gate(2);
+        let mut request = MinimizeRequest::mixed_mode(3, 3, false);
+        let proof = DratProof::from_steps(vec![
+            mm_sat::drat::ProofStep::Add(vec![mm_sat::Lit::from_dimacs(1).expect("nonzero")]),
+            mm_sat::drat::ProofStep::Add(vec![]),
+        ]);
+        let entry = CacheEntry {
+            proof: Some(proof.clone()),
+            ..solved_entry(&f, &request)
+        };
+        cache.store(&request, &entry).unwrap();
+        let (canonical, _) = canonicalize(&f);
+        let plain = cache.lookup(&canonical, &request).expect("hit");
+        assert_eq!(plain.proof, None, "an uncertified lookup leaves the proof");
+        assert_eq!(plain.circuit, entry.circuit);
+        request.certify = true;
+        let certified = cache.lookup(&canonical, &request).expect("hit");
+        assert_eq!(certified.proof, Some(proof), "the stored proof, unchanged");
+        assert_eq!(cache.stats().hits, 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rung_entries_roundtrip_beside_minimize_entries() {
+        let dir = temp_dir("rungs");
+        let (cache, _) = ResultCache::open(&dir).unwrap();
+        let f = generators::xor_gate(2);
+        let request = MinimizeRequest::mixed_mode(3, 3, false);
+        let minimized = solved_entry(&f, &request);
+        cache.store(&request, &minimized).unwrap();
+        let (canonical, _) = canonicalize(&f);
+        let sat = Rung {
+            n_rops: 3,
+            n_legs: 4,
+            n_vsteps: 3,
+        };
+        let unsat = Rung { n_rops: 0, ..sat };
+        assert!(cache.lookup_rung(&canonical, sat).is_none());
+        let stored = RungEntry {
+            canonical: canonical.clone(),
+            rung: sat,
+            circuit: minimized.circuit.clone(),
+        };
+        cache.store_rung(&stored).unwrap();
+        cache
+            .store_rung(&RungEntry {
+                rung: unsat,
+                circuit: None,
+                ..stored.clone()
+            })
+            .unwrap();
+        assert_eq!(cache.lookup_rung(&canonical, sat), Some(stored));
+        let unsat_hit = cache
+            .lookup_rung(&canonical, unsat)
+            .expect("UNSAT is stored");
+        assert_eq!(unsat_hit.circuit, None);
+        // The facets never answer each other, and recovery accepts both.
+        assert!(cache
+            .lookup_rung(&canonical, Rung { n_vsteps: 2, ..sat })
+            .is_none());
+        assert!(cache.lookup(&canonical, &request).is_some());
+        let (reopened, recovery) = ResultCache::open(&dir).unwrap();
+        assert_eq!((recovery.valid, recovery.quarantined), (3, 0));
+        assert!(reopened.lookup_rung(&canonical, unsat).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn minimize_keys_are_pinned() {
+        // Existing cache directories must keep hitting: this hex is the
+        // on-disk name of xnor2's (3, 3) mixed-mode entry at 10 000
+        // conflicts per call.
+        let (canonical, _) = canonicalize(&generators::xnor_gate(2));
+        let mut request = MinimizeRequest::mixed_mode(3, 3, false);
+        request.max_conflicts = Some(10_000);
+        assert_eq!(
+            CacheKey::derive(&canonical, &request).as_hex(),
+            "0d2317ab48d1a6bbe4feb17c026faa00"
         );
     }
 

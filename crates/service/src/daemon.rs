@@ -206,9 +206,9 @@ impl Daemon {
     /// final — and, for subscribed jobs, the progress frames before it —
     /// on `conn`, the connection's channel.
     fn admit(&self, line: &str, n: u64, conn: &Sender<Out>) -> Option<Pending> {
-        let request = match JobRequest::parse(line) {
+        let request = match JobRequest::parse_keeping_id(line) {
             Ok(r) => r,
-            Err(e) => return Some(Pending::Ready(JobResponse::error("", e).to_line())),
+            Err((id, e)) => return Some(Pending::Ready(JobResponse::error(&id, e).to_line())),
         };
         let id = request.id.clone();
         match &request.op {
@@ -667,6 +667,34 @@ mod tests {
             lines[0]
         );
         assert!(lines[1].contains(r#""id":"after""#));
+    }
+
+    #[test]
+    fn unparsable_requests_echo_their_readable_id() {
+        let lines = run_lines(
+            DaemonConfig::default(),
+            concat!(
+                r#"{"op":"faultsim","id":"f","tables":["0110"],"trials":"999"}"#,
+                "\n",
+                r#"{"op":"warp","id":"w"}"#,
+                "\n",
+                r#"{"op":"ping","id":7}"#,
+                "\n",
+            ),
+        );
+        assert_eq!(lines.len(), 3);
+        for (line, id) in lines
+            .iter()
+            .zip([r#""id":"f""#, r#""id":"w""#, r#""id":"""#])
+        {
+            assert!(line.contains(id), "line: {line}");
+            assert!(line.contains(r#""status":"error""#), "line: {line}");
+        }
+        assert!(
+            lines[2].contains(r#"\"id\" must be a string"#),
+            "{}",
+            lines[2]
+        );
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //! are worker-count-invariant for conflict-limited budgets (see
 //! `mm_synth::optimize`), that identity holds at any `--jobs`.
 //!
+//! `faultsim` follows the same rule one level down: it synthesizes its
+//! circuit under test at one canonical `Rung`, cached under the rung
+//! facet, and de-canonicalizes it before compiling and running the
+//! campaign. Hit or miss, cache or none, the campaign sees the same
+//! circuit.
+//!
 //! # What gets cached
 //!
 //! Only *deterministic, conclusive, first-attempt* results: no deadline
@@ -19,7 +25,8 @@
 //! request's own conflict budget (a supervisor retry's escalated budget
 //! answers a different question than the key describes). Degraded results
 //! are served but never stored, so the cache can only contain verdicts a
-//! cold solve would reproduce.
+//! cold solve would reproduce. A faultsim rung has no budget, so its SAT
+//! or UNSAT verdict is always stored.
 
 use std::sync::Arc;
 
@@ -33,7 +40,7 @@ use mm_synth::{EncodeOptions, SynthResult, Synthesizer};
 use mm_telemetry::{kv, Telemetry, TelemetrySink};
 
 use crate::backoff::Attempt;
-use crate::cache::{device_trace, CacheEntry, ResultCache};
+use crate::cache::{device_trace, CacheEntry, ResultCache, Rung, RungEntry};
 use crate::metrics::ServiceMetrics;
 use crate::proto::{function_from_tables, CacheOutcome, JobResponse, Op, PROTO_VERSION};
 use crate::supervisor::AttemptResult;
@@ -359,49 +366,116 @@ impl Engine {
             Ok(f) => f,
             Err(e) => return JobResponse::error(id, e.to_string()),
         };
-        let n_legs = mm_synth::SynthSpec::paper_legs(&f, n_rops, false);
-        let spec = match mm_synth::SynthSpec::mixed_mode(&f, n_rops, n_legs, n_vsteps) {
-            Ok(spec) => spec.with_options(self.options.clone()),
-            Err(e) => return JobResponse::error(id, e.to_string()),
+        let (canonical, transform) = canonicalize(&f);
+        let rung = Rung {
+            n_rops,
+            n_legs: mm_synth::SynthSpec::paper_legs(&canonical, n_rops, false),
+            n_vsteps,
         };
-        let outcome = match Synthesizer::new()
-            .with_telemetry(telemetry.clone())
-            .run(&spec)
-        {
-            Ok(outcome) => outcome,
-            Err(e) => return JobResponse::error(id, e.to_string()),
+        let (circuit, outcome) = match self.canonical_rung(id, &canonical, rung, telemetry) {
+            Ok(solved) => solved,
+            Err(e) => return JobResponse::error(id, e),
         };
-        let SynthResult::Realizable(circuit) = outcome.result else {
-            return JobResponse::error(
+        let mut resp = match circuit {
+            Some(circuit) => {
+                let circuit = decanonicalize_circuit(&circuit, &transform)
+                    .expect("solved circuits are structurally valid");
+                campaign_response(id, &circuit, trials, seed, stuck_lrs, telemetry)
+            }
+            None => JobResponse::error(
                 id,
                 "faultsim needs a realizable circuit at the given budgets",
+            ),
+        };
+        resp.cache = Some(outcome);
+        resp
+    }
+
+    /// The verdict of `rung` for `canonical`: its circuit, or `None` when
+    /// the rung is UNSAT. Served from the cache when it holds the rung,
+    /// otherwise solved cold and stored.
+    fn canonical_rung(
+        &self,
+        id: &str,
+        canonical: &mm_boolfn::MultiOutputFn,
+        rung: Rung,
+        telemetry: &Telemetry,
+    ) -> Result<(Option<MmCircuit>, CacheOutcome), String> {
+        if let Some(entry) = self
+            .cache
+            .as_ref()
+            .and_then(|cache| cache.lookup_rung(canonical, rung))
+        {
+            telemetry.point("job.cache", vec![kv("id", id), kv("outcome", "hit")]);
+            return Ok((entry.circuit, CacheOutcome::Hit));
+        }
+        let spec =
+            mm_synth::SynthSpec::mixed_mode(canonical, rung.n_rops, rung.n_legs, rung.n_vsteps)
+                .map_err(|e| e.to_string())?
+                .with_options(self.options.clone());
+        let outcome = Synthesizer::new()
+            .with_telemetry(telemetry.clone())
+            .run(&spec)
+            .map_err(|e| e.to_string())?;
+        let circuit = match outcome.result {
+            SynthResult::Realizable(circuit) => Some(circuit),
+            SynthResult::Unrealizable => None,
+            // No budget is set, so this only follows a cancellation.
+            SynthResult::Unknown => return Err("faultsim synthesis was inconclusive".into()),
+        };
+        let Some(cache) = &self.cache else {
+            return Ok((circuit, CacheOutcome::Bypass));
+        };
+        let entry = RungEntry {
+            canonical: canonical.clone(),
+            rung,
+            circuit,
+        };
+        if let Err(e) = cache.store_rung(&entry) {
+            telemetry.point(
+                "job.cache",
+                vec![kv("id", id), kv("store_error", e.to_string())],
             );
-        };
-        let schedule = match Schedule::compile(&circuit) {
-            Ok(s) => s,
-            Err(e) => return JobResponse::error(id, e.to_string()),
-        };
-        let mut plans = vec![FaultPlan::named("control")];
-        if !stuck_lrs.is_empty() {
-            let mut injected = FaultPlan::named("injected");
-            for &cell in stuck_lrs {
-                injected = injected.with_stuck(cell, DeviceState::Lrs);
-            }
-            plans.push(injected);
         }
-        let config = CampaignConfig {
-            trials,
-            seed,
-            ..CampaignConfig::default()
-        };
-        match run_campaign_traced(&schedule, &plans, &config, telemetry) {
-            Ok(campaign) => JobResponse {
-                campaign: Some(campaign),
-                metrics: Some(circuit.metrics()),
-                ..JobResponse::new(id, "ok")
-            },
-            Err(e) => JobResponse::error(id, e.to_string()),
+        telemetry.point("job.cache", vec![kv("id", id), kv("outcome", "miss")]);
+        Ok((entry.circuit, CacheOutcome::Miss))
+    }
+}
+
+/// Compiles `circuit` and runs the faultsim campaign on it: a clean
+/// control plan, plus an injected plan when `stuck_lrs` names cells.
+fn campaign_response(
+    id: &str,
+    circuit: &MmCircuit,
+    trials: u32,
+    seed: u64,
+    stuck_lrs: &[usize],
+    telemetry: &Telemetry,
+) -> JobResponse {
+    let schedule = match Schedule::compile(circuit) {
+        Ok(s) => s,
+        Err(e) => return JobResponse::error(id, e.to_string()),
+    };
+    let mut plans = vec![FaultPlan::named("control")];
+    if !stuck_lrs.is_empty() {
+        let mut injected = FaultPlan::named("injected");
+        for &cell in stuck_lrs {
+            injected = injected.with_stuck(cell, DeviceState::Lrs);
         }
+        plans.push(injected);
+    }
+    let config = CampaignConfig {
+        trials,
+        seed,
+        ..CampaignConfig::default()
+    };
+    match run_campaign_traced(&schedule, &plans, &config, telemetry) {
+        Ok(campaign) => JobResponse {
+            campaign: Some(campaign),
+            metrics: Some(circuit.metrics()),
+            ..JobResponse::new(id, "ok")
+        },
+        Err(e) => JobResponse::error(id, e.to_string()),
     }
 }
 
@@ -669,6 +743,52 @@ mod tests {
         let campaign = resp.campaign.expect("campaign report");
         assert_eq!(campaign.plans.len(), 2);
         let _ = &campaign;
+    }
+
+    #[test]
+    fn faultsim_hits_answer_as_cold_solves() {
+        let dir = temp_dir("faultsim_hit");
+        let (cache, _) = ResultCache::open(&dir).unwrap();
+        let cached = Arc::new(Engine::new(1).with_cache(cache));
+        let uncached = Arc::new(Engine::new(1));
+        let faultsim = |table: &str, n_rops: usize| Op::Faultsim {
+            tables: vec![table.into()],
+            n_rops,
+            n_vsteps: 2,
+            trials: 8,
+            seed: 7,
+            stuck_lrs: vec![1],
+        };
+        // XOR solves the canonical rung; XNOR is its NPN variant and hits.
+        let miss = done(cached.run_attempt("f", &faultsim("0110", 1), &attempt0(None)));
+        assert_eq!(miss.cache, Some(CacheOutcome::Miss));
+        assert_eq!(miss.status, "ok");
+        let mut hit = done(cached.run_attempt("f", &faultsim("1001", 1), &attempt0(None)));
+        assert_eq!(hit.cache, Some(CacheOutcome::Hit));
+        let mut cold = done(uncached.run_attempt("f", &faultsim("1001", 1), &attempt0(None)));
+        assert_eq!(cold.cache, Some(CacheOutcome::Bypass));
+        for resp in [&mut hit, &mut cold] {
+            resp.cache = None;
+        }
+        assert_eq!(
+            hit.to_line(),
+            cold.to_line(),
+            "a hit answers as a cold solve"
+        );
+        let campaign = hit.campaign.expect("campaign report");
+        assert_eq!(campaign.plans[0].failures, 0, "the control plan is clean");
+
+        // An UNSAT rung is stored too, and its hit answers the same error.
+        let miss = done(cached.run_attempt("u", &faultsim("0110", 0), &attempt0(None)));
+        assert_eq!(
+            (miss.status.as_str(), miss.cache),
+            ("error", Some(CacheOutcome::Miss))
+        );
+        let hit = done(cached.run_attempt("u", &faultsim("1001", 0), &attempt0(None)));
+        assert_eq!(hit.cache, Some(CacheOutcome::Hit));
+        assert_eq!(hit.error, miss.error);
+        assert_eq!(cached.cache.as_ref().unwrap().len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -135,12 +135,16 @@ const BOOL: Reader<bool> = ("true or false", |v| match v {
     Value::Bool(b) => Some(*b),
     _ => None,
 });
-const NUMBER: Reader<f64> = ("a number", |v| match v {
-    Value::Float(x) => Some(*x),
-    Value::UInt(x) => Some(*x as f64),
-    Value::Int(x) => Some(*x as f64),
-    _ => None,
+const SECONDS: Reader<Duration> = ("a finite nonnegative number of seconds", |v| {
+    let secs = match v {
+        Value::Float(x) => *x,
+        Value::UInt(x) => *x as f64,
+        Value::Int(x) => *x as f64,
+        _ => return None,
+    };
+    Duration::try_from_secs_f64(secs).ok()
 });
+const STRING: Reader<String> = ("a string", |v| as_str(Some(v)).map(str::to_string));
 const STRINGS: Reader<Vec<String>> = ("an array of strings", |v| match v {
     Value::Array(items) => items
         .iter()
@@ -192,9 +196,30 @@ impl JobRequest {
     ///
     /// Returns a human-readable description of the first problem found.
     pub fn parse(line: &str) -> Result<Self, String> {
-        let value: Value =
-            serde_json::from_str(line).map_err(|e| format!("bad request json: {e}"))?;
-        let id = as_str(value.get("id")).unwrap_or_default().to_string();
+        Self::parse_keeping_id(line).map_err(|(_, e)| e)
+    }
+
+    /// Like [`parse`](Self::parse), but a failure also carries the
+    /// request's `id` when it could be read (`""` otherwise), so the
+    /// error reply can still echo it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the id and a description of the first problem found.
+    pub fn parse_keeping_id(line: &str) -> Result<Self, (String, String)> {
+        let value: Value = serde_json::from_str(line)
+            .map_err(|e| (String::new(), format!("bad request json: {e}")))?;
+        let id = field(&value, "id", STRING)
+            .map_err(|e| (String::new(), e))?
+            .unwrap_or_default();
+        match Self::parse_op(&value) {
+            Ok((op, subscribe)) => Ok(Self { id, op, subscribe }),
+            Err(e) => Err((id, e)),
+        }
+    }
+
+    /// The op and the `subscribe` flag of a request whose `id` was read.
+    fn parse_op(value: &Value) -> Result<(Op, bool), String> {
         let op = as_str(value.get("op")).ok_or("missing \"op\"")?;
         let op = match op {
             "ping" => Op::Ping,
@@ -203,53 +228,50 @@ impl JobRequest {
             "shutdown" => Op::Shutdown,
             "minimize" => {
                 let tables =
-                    field(&value, "tables", STRINGS)?.ok_or("minimize needs \"tables\": [bits]")?;
-                let max_rops = field(&value, "max_rops", USIZE)?.unwrap_or(4);
-                let max_vsteps = field(&value, "max_steps", USIZE)?.unwrap_or(3);
-                let mode = if field(&value, "r_only", BOOL)?.unwrap_or(false) {
+                    field(value, "tables", STRINGS)?.ok_or("minimize needs \"tables\": [bits]")?;
+                let max_rops = field(value, "max_rops", USIZE)?.unwrap_or(4);
+                let max_vsteps = field(value, "max_steps", USIZE)?.unwrap_or(3);
+                let mode = if field(value, "r_only", BOOL)?.unwrap_or(false) {
                     MinimizeMode::ROnly { max_rops }
                 } else {
                     MinimizeMode::MixedMode {
                         max_rops,
                         max_vsteps,
-                        is_adder: field(&value, "adder", BOOL)?.unwrap_or(false),
+                        is_adder: field(value, "adder", BOOL)?.unwrap_or(false),
                     }
                 };
-                let deadline = field(&value, "deadline_secs", NUMBER)?
-                    .filter(|s| s.is_finite() && *s >= 0.0)
-                    .map(Duration::from_secs_f64);
                 Op::Minimize {
                     tables,
                     request: MinimizeRequest {
                         mode,
-                        max_conflicts: field(&value, "max_conflicts", UINT)?,
-                        deadline,
-                        certify: field(&value, "certify", BOOL)?.unwrap_or(false),
+                        max_conflicts: field(value, "max_conflicts", UINT)?,
+                        deadline: field(value, "deadline_secs", SECONDS)?,
+                        certify: field(value, "certify", BOOL)?.unwrap_or(false),
                     },
-                    no_cache: field(&value, "no_cache", BOOL)?.unwrap_or(false),
+                    no_cache: field(value, "no_cache", BOOL)?.unwrap_or(false),
                 }
             }
             "synthesize" => Op::Synthesize {
-                tables: field(&value, "tables", STRINGS)?
+                tables: field(value, "tables", STRINGS)?
                     .ok_or("synthesize needs \"tables\": [bits]")?,
-                n_rops: field(&value, "rops", USIZE)?.ok_or("synthesize needs \"rops\"")?,
-                n_legs: field(&value, "legs", USIZE)?,
-                n_vsteps: field(&value, "steps", USIZE)?.unwrap_or(3),
-                max_conflicts: field(&value, "max_conflicts", UINT)?,
+                n_rops: field(value, "rops", USIZE)?.ok_or("synthesize needs \"rops\"")?,
+                n_legs: field(value, "legs", USIZE)?,
+                n_vsteps: field(value, "steps", USIZE)?.unwrap_or(3),
+                max_conflicts: field(value, "max_conflicts", UINT)?,
             },
             "faultsim" => Op::Faultsim {
-                tables: field(&value, "tables", STRINGS)?
+                tables: field(value, "tables", STRINGS)?
                     .ok_or("faultsim needs \"tables\": [bits]")?,
-                n_rops: field(&value, "rops", USIZE)?.unwrap_or(1),
-                n_vsteps: field(&value, "steps", USIZE)?.unwrap_or(3),
-                trials: u32_field(&value, "trials", 16)?,
-                seed: field(&value, "seed", UINT)?.unwrap_or(42),
-                stuck_lrs: field(&value, "stuck_lrs", USIZES)?.unwrap_or_default(),
+                n_rops: field(value, "rops", USIZE)?.unwrap_or(1),
+                n_vsteps: field(value, "steps", USIZE)?.unwrap_or(3),
+                trials: u32_field(value, "trials", 16)?,
+                seed: field(value, "seed", UINT)?.unwrap_or(42),
+                stuck_lrs: field(value, "stuck_lrs", USIZES)?.unwrap_or_default(),
             },
             other => return Err(format!("unknown op {other:?}")),
         };
-        let subscribe = field(&value, "subscribe", BOOL)?.unwrap_or(false);
-        Ok(Self { id, op, subscribe })
+        let subscribe = field(value, "subscribe", BOOL)?.unwrap_or(false);
+        Ok((op, subscribe))
     }
 }
 
@@ -266,7 +288,7 @@ pub fn function_from_tables(tables: &[String]) -> Result<MultiOutputFn, BoolFnEr
     MultiOutputFn::new("wire", outputs)
 }
 
-/// How a minimize response was produced.
+/// How a minimize or faultsim response was produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
     /// Served from the persistent cache.
@@ -321,7 +343,7 @@ pub struct JobResponse {
     pub id: String,
     /// `ok` | `degraded` | `overloaded` | `error` | `shutting_down`.
     pub status: String,
-    /// How a minimize answer was produced.
+    /// How a minimize or faultsim answer was produced.
     pub cache: Option<CacheOutcome>,
     /// Why a `degraded` response degraded (mirrors exit code 2).
     pub degraded_reason: Option<String>,
@@ -510,6 +532,17 @@ mod tests {
             "rops",
         );
         rejected(r#"{"op":"ping","id":"p","subscribe":1}"#, "subscribe");
+        rejected(r#"{"op":"ping","id":7}"#, "id");
+        rejected(r#"{"op":"ping","id":["p"]}"#, "id");
+        // Wrong values too: each used to mean "no deadline".
+        for deadline in ["-1", "-0.5", "1e999", "1e300"] {
+            rejected(
+                &format!(
+                    r#"{{"op":"minimize","id":"m","tables":["0110"],"deadline_secs":{deadline}}}"#
+                ),
+                "deadline_secs",
+            );
+        }
         // The message carries the value, and null reads as absent.
         let err =
             JobRequest::parse(r#"{"op":"faultsim","id":"f","tables":["0110"],"trials":"999"}"#)
@@ -523,6 +556,35 @@ mod tests {
             req.op,
             Op::Faultsim { trials: 16, ref stuck_lrs, .. } if *stuck_lrs == [2, 0]
         ));
+    }
+
+    #[test]
+    fn parse_failures_keep_a_readable_id() {
+        let (id, err) = JobRequest::parse_keeping_id(
+            r#"{"op":"faultsim","id":"f","tables":["0110"],"trials":"999"}"#,
+        )
+        .unwrap_err();
+        assert_eq!(id, "f");
+        assert!(err.contains("\"trials\""), "{err}");
+        let (id, err) = JobRequest::parse_keeping_id(r#"{"op":"ping","id":7}"#).unwrap_err();
+        assert_eq!(id, "", "a non-string id is not echoed");
+        assert!(err.contains("\"id\" must be a string, got 7"), "{err}");
+        assert_eq!(JobRequest::parse_keeping_id("not json").unwrap_err().0, "");
+        assert_eq!(
+            JobRequest::parse_keeping_id(r#"{"id":"x"}"#).unwrap_err().0,
+            "x"
+        );
+        // Absent and null ids still read as "".
+        assert_eq!(
+            JobRequest::parse(r#"{"op":"ping","id":null}"#).unwrap().id,
+            ""
+        );
+        let req =
+            JobRequest::parse(r#"{"op":"minimize","id":"m","tables":["0110"],"deadline_secs":0}"#)
+                .unwrap();
+        assert!(
+            matches!(req.op, Op::Minimize { request, .. } if request.deadline == Some(Duration::ZERO))
+        );
     }
 
     #[test]
