@@ -48,10 +48,8 @@ const INPROCESS_LADDER_BUDGETS: [(usize, usize); 5] = [(2, 2), (3, 3), (4, 4), (
 fn ladder_probe(report: &mut BenchReport, tag: &str, f: &MultiOutputFn, max_rops: usize) {
     let sink = Arc::new(MemorySink::new());
     let synth = Synthesizer::new().with_telemetry(Telemetry::new(sink.clone()));
-    let started = Instant::now();
     let out = minimize_mixed_mode(&synth, f, max_rops, 3, false, &EncodeOptions::default(), 1)
         .expect("probe ladder must synthesize");
-    let elapsed = started.elapsed();
     assert!(out.proven_optimal, "probe ladder must prove optimality");
     let run = RunReport::from_events(&sink.snapshot());
 
@@ -91,13 +89,6 @@ fn ladder_probe(report: &mut BenchReport, tag: &str, f: &MultiOutputFn, max_rops
         "count",
         lower,
         true,
-    );
-    report.push(
-        format!("ladder_{tag}_time_us"),
-        elapsed.as_micros() as f64,
-        "us",
-        lower,
-        false,
     );
 }
 
@@ -173,7 +164,7 @@ fn device_probe(report: &mut BenchReport) {
 /// three ways — cold miss, warm hit, and warm hit with `--paranoid`
 /// device re-execution. Deterministic gates: a hit must not invoke the
 /// solver, and a hit must serve the same circuit step count as the cold
-/// solve. The timings are advisory wall-clock.
+/// solve. The paranoid hit's timing is advisory wall-clock.
 fn service_cache_probe(report: &mut BenchReport) {
     let dir = std::env::temp_dir().join(format!("bench_service_cache_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -184,26 +175,24 @@ fn service_cache_probe(report: &mut BenchReport) {
         max_conflicts: None,
         backoff: std::time::Duration::ZERO,
     };
-    let run = |engine: &Arc<Engine>| {
-        let started = Instant::now();
-        let response = match engine.run_attempt("bench", &request.op, &attempt) {
-            AttemptResult::Done(r) => r,
-            AttemptResult::Retry { reason, .. } => {
-                panic!("probe request must be conclusive, got retry: {reason}")
-            }
-        };
-        (response, started.elapsed())
+    let run = |engine: &Arc<Engine>| match engine.run_attempt("bench", &request.op, &attempt) {
+        AttemptResult::Done(r) => r,
+        AttemptResult::Retry { reason, .. } => {
+            panic!("probe request must be conclusive, got retry: {reason}")
+        }
     };
 
     let (cache, _) = ResultCache::open(&dir).expect("probe cache opens");
     let engine = Arc::new(Engine::new(1).with_cache(cache));
-    let (cold, cold_t) = run(&engine);
-    let (warm, warm_t) = run(&engine);
+    let cold = run(&engine);
+    let warm = run(&engine);
     drop(engine);
     let (cache, recovery) = ResultCache::open(&dir).expect("probe cache reopens");
     assert_eq!(recovery.quarantined, 0, "probe cache must survive reopen");
     let engine = Arc::new(Engine::new(1).with_cache(cache.with_paranoid(true)));
-    let (paranoid, paranoid_t) = run(&engine);
+    let started = Instant::now();
+    let paranoid = run(&engine);
+    let paranoid_t = started.elapsed();
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(cold.cache.map(|c| c.as_str()), Some("miss"));
@@ -233,20 +222,6 @@ fn service_cache_probe(report: &mut BenchReport) {
         true,
     );
     report.push("service_cache_steps", steps(&cold), "count", lower, true);
-    report.push(
-        "service_cache_cold_us",
-        cold_t.as_micros() as f64,
-        "us",
-        lower,
-        false,
-    );
-    report.push(
-        "service_cache_hit_us",
-        warm_t.as_micros() as f64,
-        "us",
-        lower,
-        false,
-    );
     report.push(
         "service_cache_paranoid_hit_us",
         paranoid_t.as_micros() as f64,
@@ -324,13 +299,6 @@ fn inprocess_probe(report: &mut BenchReport) {
         "count",
         Direction::Lower,
         true,
-    );
-    report.push(
-        "inprocess_adder1_time_us",
-        on_t.as_micros() as f64,
-        "us",
-        Direction::Lower,
-        false,
     );
     report.push(
         "inprocess_adder1_speedup",

@@ -11,7 +11,7 @@
 //!
 //! * **Jobs invariance** — the cold portfolio reports the same best circuit
 //!   and `proven_optimal` for every job count (the lattice argument in
-//!   [`optimize`](crate::optimize)).
+//!   [`optimize`]).
 //! * **Inprocessing invariance** — disabling solver inprocessing (the
 //!   `--no-inprocess` regime) never changes a verdict or `proven_optimal`.
 //! * **Degraded honesty** — `proven_optimal` is never claimed on a degraded

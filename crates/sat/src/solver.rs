@@ -80,14 +80,12 @@ const UNASSIGNED: i8 = 0;
 
 /// A conflict-driven clause-learning (CDCL) SAT solver.
 ///
-/// Construct with a finished [`CnfFormula`] and call [`solve`](Self::solve)
-/// or [`solve_with_budget`](Self::solve_with_budget) for a one-shot answer,
-/// or keep the solver alive and call
-/// [`solve_under_assumptions`](Self::solve_under_assumptions) repeatedly:
-/// each call reuses the clause database, VSIDS activities and saved phases
-/// accumulated by the previous ones. Because assumptions are enqueued as
-/// *decisions* (never resolved as clauses), every learnt clause is a
-/// consequence of the base formula alone and stays valid across calls.
+/// One-shot: construct with a finished [`CnfFormula`], then call one of
+/// [`solve`](Self::solve), [`solve_with_budget`](Self::solve_with_budget)
+/// or [`solve_certified`](Self::solve_certified), each of which consumes
+/// the solver. No clause is added after construction and nothing carries
+/// over between solves; a constraint such as a cube of fixed literals
+/// goes into the formula as unit clauses.
 ///
 /// # Example
 ///
@@ -149,8 +147,6 @@ pub struct Solver {
     /// Inprocess-counter values already emitted to telemetry
     /// (subsumed+strengthened, vivified, visits).
     tel_inprocess: (u64, u64, u64),
-    /// Failed-assumption set of the last UNSAT-under-assumptions call.
-    failed: Vec<Lit>,
     /// Long clauses from this arena offset on were learnt or added since
     /// the previous inprocessing pass: the next pass's subsumption
     /// candidates.
@@ -201,7 +197,6 @@ impl Solver {
             telemetry: Telemetry::disabled(),
             tel_emitted: (0, 0, 0, 0),
             tel_inprocess: (0, 0, 0),
-            failed: Vec::new(),
             subsume_from: 0,
             bin_mark: vec![0; 2 * n],
             next_inprocess: INPROCESS_FIRST_AT,
@@ -243,75 +238,10 @@ impl Solver {
         self
     }
 
-    /// Cumulative statistics across every call made on this solver.
+    /// Statistics of the work done so far, such as an explicit
+    /// [`inprocess_now`](Self::inprocess_now) pass before the solve.
     pub fn stats(&self) -> SolverStats {
         self.stats
-    }
-
-    /// The subset of the most recent call's assumptions that the solver
-    /// proved incompatible with the formula.
-    ///
-    /// Populated when [`solve_under_assumptions`](Self::solve_under_assumptions)
-    /// returns [`SatResult::Unsat`]; empty when the formula is
-    /// unsatisfiable on its own (the empty subset already suffices).
-    pub fn failed_assumptions(&self) -> &[Lit] {
-        &self.failed
-    }
-
-    /// Adds a clause between solve calls.
-    ///
-    /// The clause is simplified against the top-level assignment and takes
-    /// effect on the next call. Must not be combined with proof logging:
-    /// an externally injected clause is not RUP with respect to this
-    /// solver's derivation, so the DRAT log would no longer check.
-    pub fn add_clause(&mut self, lits: &[Lit]) {
-        debug_assert!(!lits.is_empty());
-        debug_assert!(
-            self.proof.is_none(),
-            "post-solve add_clause would poison the DRAT log"
-        );
-        self.backtrack_to(0);
-        self.add_simplified_clause(lits, false);
-    }
-
-    /// Solves under `assumptions`, reusing all state learned by earlier
-    /// calls on this solver.
-    ///
-    /// Assumptions are enqueued as the first decisions — assumption `i`
-    /// owns decision level `i + 1` — so conflict analysis treats them like
-    /// any other decision and learnt clauses never depend on them as
-    /// clauses. On [`SatResult::Sat`] the model satisfies every assumption;
-    /// on [`SatResult::Unsat`],
-    /// [`failed_assumptions`](Self::failed_assumptions) names a subset of
-    /// `assumptions` that is already incompatible with the formula.
-    ///
-    /// Per-call [`Budget`] limits (conflicts, time) are measured from this
-    /// call's entry, and the `cancelled` / `deadline_expired` flags in
-    /// [`stats`](Self::stats) describe the latest call; all other counters
-    /// accumulate across calls.
-    ///
-    /// A DRAT proof is concluded only when an UNSAT answer is reached with
-    /// *no* assumptions — "UNSAT under assumptions" is not refutation of
-    /// the formula, so certified optimality ladders must fall back to
-    /// one-shot solves.
-    pub fn solve_under_assumptions(&mut self, assumptions: &[Lit], budget: Budget) -> SatResult {
-        let start = Instant::now();
-        self.stats.cancelled = false;
-        self.stats.deadline_expired = false;
-        self.failed.clear();
-        self.backtrack_to(0);
-        self.maybe_inprocess(&budget);
-        let result = self.search(assumptions, budget, start);
-        self.backtrack_to(0);
-        self.emit_counter_deltas();
-        if result.is_unsat() && assumptions.is_empty() {
-            if let Some(w) = self.proof.as_mut() {
-                w.conclude_unsat();
-                self.stats.proof_steps += 1;
-            }
-        }
-        self.stats.solve_time += start.elapsed();
-        result
     }
 
     /// Solves the formula to completion (no budget).
@@ -321,9 +251,7 @@ impl Solver {
 
     /// Solves under a [`Budget`], also returning the search statistics.
     pub fn solve_with_budget(mut self, budget: Budget) -> (SatResult, SolverStats) {
-        // An empty assumption set makes the reusable path a one-shot call
-        // (solve_time starts at zero, so `+=` is `=`).
-        let result = self.solve_under_assumptions(&[], budget);
+        let result = self.run(budget);
         (result, self.stats)
     }
 
@@ -339,8 +267,24 @@ impl Solver {
         budget: Budget,
     ) -> (SatResult, SolverStats, Option<DratProof>) {
         self.proof.get_or_insert_with(DratProof::new);
-        let result = self.solve_under_assumptions(&[], budget);
+        let result = self.run(budget);
         (result, self.stats, self.proof)
+    }
+
+    /// The one search behind every public entry: flushes the telemetry
+    /// deltas, concludes the proof log on UNSAT and records the wall time.
+    fn run(&mut self, budget: Budget) -> SatResult {
+        let start = Instant::now();
+        let result = self.search(budget, start);
+        self.emit_counter_deltas();
+        if result.is_unsat() {
+            if let Some(w) = self.proof.as_mut() {
+                w.conclude_unsat();
+                self.stats.proof_steps += 1;
+            }
+        }
+        self.stats.solve_time = start.elapsed();
+        result
     }
 
     /// Sends counter deltas accumulated since the previous emission. No-op
@@ -441,93 +385,6 @@ impl Solver {
         let c = self.arena.alloc(lits, learnt, lbd, activity);
         self.attach_watches(c);
         c
-    }
-
-    /// Adds a clause at decision level 0, simplifying it against the
-    /// top-level assignment first.
-    ///
-    /// This is the post-construction twin of `add_original_clause`: by the
-    /// time it runs, `qhead` is already past the level-0 trail, so a watch
-    /// placed on an already-false literal would never be repaired by
-    /// propagation. Simplification (drop false literals, skip satisfied
-    /// clauses) restores the watch invariant instead.
-    fn add_simplified_clause(&mut self, lits: &[Lit], learnt: bool) {
-        debug_assert_eq!(self.current_level(), 0);
-        if !self.ok {
-            return;
-        }
-        let mut reduced: Vec<Lit> = Vec::with_capacity(lits.len());
-        for &l in lits {
-            debug_assert!((l.var().index() as usize) < self.n_vars);
-            match self.value(l) {
-                1 => return, // satisfied at level 0
-                -1 => {}     // falsified at level 0: drop
-                _ => {
-                    if reduced.contains(&!l) {
-                        return; // tautology
-                    }
-                    if !reduced.contains(&l) {
-                        reduced.push(l);
-                    }
-                }
-            }
-        }
-        match reduced.len() {
-            0 => self.ok = false,
-            1 => self.enqueue(reduced[0], Reason::Decision),
-            2 => self.add_binary(reduced[0], reduced[1]),
-            _ => {
-                let lbd = reduced.len() as u32;
-                self.push_clause(&reduced, learnt, self.cla_inc, lbd);
-                if learnt {
-                    self.stats.learnt_clauses += 1;
-                }
-            }
-        }
-    }
-
-    /// Final-conflict analysis (MiniSat's `analyzeFinal`): called when
-    /// assumption `p` is found false while enqueuing the assumption
-    /// prefix. Walks the implication trail backwards from the assumption
-    /// levels, collecting into `self.failed` the assumptions (= decisions
-    /// at levels > 0) that together force `!p`.
-    fn analyze_final(&mut self, p: Lit) {
-        self.failed.clear();
-        self.failed.push(p);
-        if self.current_level() == 0 {
-            // `!p` is a top-level consequence of the formula itself.
-            return;
-        }
-        let pv = p.var().index() as usize;
-        self.seen[pv] = true;
-        for i in (self.trail_lim[0]..self.trail.len()).rev() {
-            let l = self.trail[i];
-            let v = l.var().index() as usize;
-            if !self.seen[v] {
-                continue;
-            }
-            self.seen[v] = false;
-            match self.reason[v] {
-                // Decisions above level 0 are exactly the enqueued
-                // assumptions.
-                Reason::Decision => self.failed.push(l),
-                Reason::Binary(other) => {
-                    let ov = other.var().index() as usize;
-                    if self.level[ov] > 0 {
-                        self.seen[ov] = true;
-                    }
-                }
-                Reason::Clause(c) => {
-                    for &q in self.arena.lits(c) {
-                        let qv = q.var().index() as usize;
-                        if qv != v && self.level[qv] > 0 {
-                            self.seen[qv] = true;
-                        }
-                    }
-                }
-            }
-        }
-        self.seen[pv] = false;
     }
 
     #[inline]
@@ -994,24 +851,14 @@ impl Solver {
         Model::new(self.vals.iter().step_by(2).map(|&x| x == 1).collect())
     }
 
-    fn search(&mut self, assumptions: &[Lit], budget: Budget, start: Instant) -> SatResult {
-        if !self.ok {
-            return SatResult::Unsat;
-        }
-        if self.propagate().is_some() {
-            // A top-level conflict refutes the base formula itself;
-            // remember that across calls.
-            self.ok = false;
+    fn search(&mut self, budget: Budget, start: Instant) -> SatResult {
+        if !self.ok || self.propagate().is_some() {
             return SatResult::Unsat;
         }
 
-        // Budget limits and the reduce_db schedule are measured from this
-        // call's entry so that reusing a solver does not shrink later
-        // calls' budgets (counters in `stats` accumulate across calls).
-        let conflicts_at_entry = self.stats.conflicts;
         let mut restart_idx: u64 = 0;
         let mut conflicts_until_restart = restart_interval(restart_idx);
-        let mut next_reduce: u64 = conflicts_at_entry + 4000;
+        let mut next_reduce: u64 = 4000;
 
         // Cancellation is polled every `CANCEL_POLL_INTERVAL` propagate/decide
         // rounds — far more often than restarts — so an external cancel()
@@ -1049,7 +896,6 @@ impl Solver {
             if let Some(conflict) = self.propagate() {
                 self.stats.conflicts += 1;
                 if self.current_level() == 0 {
-                    self.ok = false;
                     return SatResult::Unsat;
                 }
                 let bt = self.analyze(conflict);
@@ -1060,15 +906,14 @@ impl Solver {
 
                 conflicts_until_restart = conflicts_until_restart.saturating_sub(1);
                 if self.stats.conflicts >= next_reduce {
-                    next_reduce +=
-                        4000 + 600 * ((self.stats.conflicts - conflicts_at_entry) / 4000);
+                    next_reduce += 4000 + 600 * (self.stats.conflicts / 4000);
                     self.reduce_db();
                 }
             } else {
                 if conflicts_until_restart == 0 {
                     // Budget checks piggyback on restarts.
                     if let Some(max) = budget.max_conflicts() {
-                        if self.stats.conflicts - conflicts_at_entry >= max {
+                        if self.stats.conflicts >= max {
                             return SatResult::Unknown;
                         }
                     }
@@ -1087,25 +932,6 @@ impl Solver {
                     self.maybe_inprocess(&budget);
                     if !self.ok {
                         return SatResult::Unsat;
-                    }
-                    continue;
-                }
-                // The assumption prefix: assumption `i` owns decision
-                // level `i + 1` (an already-satisfied assumption holds an
-                // empty level open), so final-conflict analysis can treat
-                // every decision above level 0 as an assumption.
-                if (self.current_level() as usize) < assumptions.len() {
-                    let p = assumptions[self.current_level() as usize];
-                    match self.value(p) {
-                        1 => self.trail_lim.push(self.trail.len()),
-                        -1 => {
-                            self.analyze_final(p);
-                            return SatResult::Unsat;
-                        }
-                        _ => {
-                            self.trail_lim.push(self.trail.len());
-                            self.enqueue(p, Reason::Decision);
-                        }
                     }
                     continue;
                 }
@@ -1554,136 +1380,6 @@ mod tests {
         assert!(stats.conflicts > 0);
         assert!(stats.propagations > 0);
         assert!(stats.solve_time.as_nanos() > 0);
-    }
-
-    #[test]
-    fn assumptions_drive_reusable_solves() {
-        // x1 -> x2 -> x3, plus (!x3 or x4).
-        let mut cnf = CnfFormula::new();
-        let x = lits(&mut cnf, 4);
-        cnf.add_clause([!x[0], x[1]]);
-        cnf.add_clause([!x[1], x[2]]);
-        cnf.add_clause([!x[2], x[3]]);
-        let mut solver = Solver::new(cnf);
-
-        match solver.solve_under_assumptions(&[x[0]], Budget::new()) {
-            SatResult::Sat(m) => {
-                assert!(m.value(x[0]) && m.value(x[1]) && m.value(x[2]) && m.value(x[3]));
-            }
-            other => panic!("expected SAT, got {other:?}"),
-        }
-        // The same solver answers a contradictory assumption set.
-        let result = solver.solve_under_assumptions(&[x[0], !x[3]], Budget::new());
-        assert_eq!(result, SatResult::Unsat);
-        let failed = solver.failed_assumptions().to_vec();
-        assert!(!failed.is_empty());
-        for l in &failed {
-            assert!([x[0], !x[3]].contains(l), "failed set must be a subset");
-        }
-        // And is still usable afterwards, including with no assumptions.
-        assert!(solver.solve_under_assumptions(&[], Budget::new()).is_sat());
-    }
-
-    #[test]
-    fn base_unsat_is_sticky_and_failed_set_is_empty() {
-        let mut cnf = CnfFormula::new();
-        let a = cnf.new_lit();
-        let b = cnf.new_lit();
-        cnf.add_clause([a, b]);
-        cnf.add_clause([a, !b]);
-        cnf.add_clause([!a, b]);
-        cnf.add_clause([!a, !b]);
-        let mut solver = Solver::new(cnf);
-        assert_eq!(
-            solver.solve_under_assumptions(&[a], Budget::new()),
-            SatResult::Unsat
-        );
-        // The conflict is rooted at level 0, so no assumption is blamed …
-        assert!(solver.failed_assumptions().is_empty());
-        // … and the refutation is remembered across calls.
-        assert_eq!(
-            solver.solve_under_assumptions(&[], Budget::new()),
-            SatResult::Unsat
-        );
-    }
-
-    #[test]
-    fn post_solve_add_clause_constrains_later_calls() {
-        let mut cnf = CnfFormula::new();
-        let x = lits(&mut cnf, 3);
-        cnf.add_clause([x[0], x[1], x[2]]);
-        let mut solver = Solver::new(cnf);
-        assert!(solver.solve_under_assumptions(&[], Budget::new()).is_sat());
-        solver.add_clause(&[!x[0]]);
-        solver.add_clause(&[!x[1]]);
-        match solver.solve_under_assumptions(&[], Budget::new()) {
-            SatResult::Sat(m) => {
-                assert!(!m.value(x[0]) && !m.value(x[1]) && m.value(x[2]));
-            }
-            other => panic!("expected SAT, got {other:?}"),
-        }
-        solver.add_clause(&[!x[2]]);
-        assert!(solver
-            .solve_under_assumptions(&[], Budget::new())
-            .is_unsat());
-    }
-
-    #[test]
-    fn unsat_under_assumptions_leaves_formula_satisfiable() {
-        // php(n, n) is SAT, but assuming two pigeons share a hole is not.
-        let cnf = pigeonhole(3, 3);
-        let mut solver = Solver::new(cnf);
-        let p0h0 = Var::from_index(0).positive();
-        let p1h0 = Var::from_index(3).positive();
-        assert_eq!(
-            solver.solve_under_assumptions(&[p0h0, p1h0], Budget::new()),
-            SatResult::Unsat
-        );
-        let failed = solver.failed_assumptions().to_vec();
-        assert!(!failed.is_empty());
-        assert!(failed.iter().all(|l| [p0h0, p1h0].contains(l)));
-        match solver.solve_under_assumptions(&[p0h0], Budget::new()) {
-            SatResult::Sat(m) => {
-                assert!(m.value(p0h0));
-                assert!(!m.value(p1h0));
-            }
-            other => panic!("expected SAT, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn repeated_assumption_solves_accumulate_stats() {
-        let cnf = pigeonhole(6, 5);
-        let mut solver = Solver::new(cnf);
-        // UNSAT regardless of (consistent) assumptions, with learning
-        // shared between the calls.
-        assert!(solver
-            .solve_under_assumptions(&[], Budget::new())
-            .is_unsat());
-        let after_first = solver.stats();
-        assert!(after_first.conflicts > 0);
-        assert!(solver
-            .solve_under_assumptions(&[], Budget::new())
-            .is_unsat());
-        let after_second = solver.stats();
-        assert!(after_second.solve_time >= after_first.solve_time);
-        assert!(after_second.conflicts >= after_first.conflicts);
-    }
-
-    #[test]
-    fn per_call_conflict_budget_is_not_consumed_by_earlier_calls() {
-        let cnf = pigeonhole(7, 6);
-        let mut solver = Solver::new(cnf);
-        // Burn well past 10 conflicts solving to completion …
-        assert!(solver
-            .solve_under_assumptions(&[], Budget::new())
-            .is_unsat());
-        assert!(solver.stats().conflicts > 10);
-        // … and a later tiny budget still gets its own 10 conflicts
-        // (UNSAT is remembered, so this returns instantly — the point is
-        // it must not claim Unknown from a pre-exhausted budget).
-        let result = solver.solve_under_assumptions(&[], Budget::new().with_max_conflicts(10));
-        assert_eq!(result, SatResult::Unsat);
     }
 
     #[test]

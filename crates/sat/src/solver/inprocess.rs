@@ -61,7 +61,7 @@
 //! # Invariants
 //!
 //! - Every live long clause is free of duplicate and complementary
-//!   literals (`CnfFormula` and `add_simplified_clause` normalize them),
+//!   literals (`CnfFormula` normalizes them; learning never adds any),
 //!   which lets the subset test count literal hits against one mark array.
 //! - A rewritten clause keeps only literals unassigned at level 0, so its
 //!   new watches satisfy the two-watched-literal invariant without a
@@ -133,8 +133,8 @@ impl Pass {
 
 impl Solver {
     /// Runs an inprocessing pass if the budget allows it and enough
-    /// conflicts have accumulated since the last one. Called at call entry
-    /// and at every restart, always at decision level 0.
+    /// conflicts have accumulated since the last one. Called at every
+    /// restart, at decision level 0.
     pub(super) fn maybe_inprocess(&mut self, budget: &crate::Budget) {
         if !budget.inprocess() || !self.ok {
             return;
@@ -152,8 +152,8 @@ impl Solver {
     /// Runs one full inprocessing pass immediately.
     ///
     /// Public as a deterministic hook for tests and tools; normal solving
-    /// schedules passes automatically at restart boundaries. Must be
-    /// called at decision level 0 (between solve calls qualifies).
+    /// schedules passes automatically at restart boundaries. Runs before
+    /// the solve, when the solver is still at decision level 0.
     pub fn inprocess_now(&mut self) {
         assert_eq!(
             self.current_level(),
@@ -787,8 +787,14 @@ mod tests {
             "{}",
             solver.stats()
         );
-        match solver.solve_under_assumptions(&[!b], crate::Budget::new()) {
+        // The fact ¬b enters after the pass, so the solve must answer
+        // through the rewritten (b c d). A unit [¬b] in the formula would
+        // not do: level-0 propagation would strip the long clause before
+        // the binary could strengthen it.
+        solver.enqueue(!b, super::Reason::Decision);
+        match solver.solve() {
             SatResult::Sat(m) => {
+                assert!(!m.value(b));
                 for clause in &originals {
                     assert!(clause.iter().any(|&l| m.value(l)), "{clause:?}");
                 }
@@ -813,7 +819,7 @@ mod tests {
         solver.inprocess_now();
         // The binary is no candidate any more; only the new clause is, and
         // resolving it with (¬a b) on b drops ¬b.
-        solver.add_clause(&[!a, !b, c, d]);
+        solver.push_clause(&[!a, !b, c, d], false, 1.0, 4);
         let before = solver.stats();
         solver.inprocess_now();
         let after = solver.stats();

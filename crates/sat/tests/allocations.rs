@@ -105,11 +105,10 @@ fn tseitin(n: usize, seed: u64) -> CnfFormula {
 fn a_solve_allocates_far_less_often_than_it_conflicts() {
     // Long enough for database reductions, arena compactions and several
     // inprocessing passes to run inside the measured window.
-    let mut solver = Solver::new(tseitin(40, 7));
+    let solver = Solver::new(tseitin(40, 7));
     let before = allocations();
-    let result = solver.solve_under_assumptions(&[], Budget::new());
+    let (result, stats) = solver.solve_with_budget(Budget::new());
     let made = allocations() - before;
-    let stats = solver.stats();
     assert!(result.is_unsat());
     assert!(stats.conflicts >= 5_000, "{stats}");
     assert!(

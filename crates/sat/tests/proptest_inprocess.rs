@@ -1,6 +1,6 @@
 //! Property-based validation of the inprocessing layer: simplification
 //! preserves satisfiability, models satisfy every original clause, every
-//! certified verdict stays checkable, and verdicts under assumptions
+//! certified verdict stays checkable, and verdicts under added units
 //! survive a pass.
 
 use mm_sat::{drat, Budget, CnfFormula, Lit, SatResult, Solver, Var};
@@ -117,42 +117,33 @@ proptest! {
     }
 
     #[test]
-    fn assumption_verdicts_survive_inprocessing(
+    fn unit_verdicts_survive_inprocessing(
         raw in clauses_strategy(9),
         a0 in 0u32..9,
         p0 in any::<bool>(),
         a1 in 0u32..9,
         p1 in any::<bool>(),
     ) {
-        // Solves under assumptions answer exactly like adding the units to
-        // the formula, both before and after an explicit pass: a pass may
-        // rewrite clauses over any variable, never the set of models.
-        let (cnf, clauses) = build(9, &raw);
-        let sets = [
-            vec![Var::from_index(a0).lit(p0)],
-            vec![Var::from_index(a0).lit(p0), Var::from_index(a1).lit(p1)],
-        ];
-        let mut solver = Solver::new(cnf);
-        for round in 0..2 {
-            for assumptions in &sets {
-                let mut with_units = clauses.clone();
-                with_units.extend(assumptions.iter().map(|&l| vec![l]));
-                let expected = brute_force_sat(9, &with_units);
-                match solver.solve_under_assumptions(assumptions, Budget::new()) {
-                    SatResult::Sat(model) => {
-                        prop_assert!(expected, "round {}: SAT under {:?}", round, assumptions);
-                        prop_assert!(assumptions.iter().all(|&l| model.value(l)));
-                        for c in &clauses {
-                            prop_assert!(c.iter().any(|&l| model.value(l)));
-                        }
-                    }
-                    SatResult::Unsat => {
-                        prop_assert!(!expected, "round {}: UNSAT under {:?}", round, assumptions)
-                    }
-                    SatResult::Unknown => prop_assert!(false, "no budget was set"),
-                }
-            }
+        // The formula plus one or two units answers like brute force after
+        // an explicit pass: a pass may rewrite clauses over any variable,
+        // never the set of models.
+        for units in [vec![(a0, p0)], vec![(a0, p0), (a1, p1)]] {
+            let mut with_units = raw.clone();
+            with_units.extend(units.iter().map(|&u| vec![u]));
+            let (cnf, clauses) = build(9, &with_units);
+            let expected = brute_force_sat(9, &clauses);
+            let mut solver = Solver::new(cnf);
             solver.inprocess_now();
+            match solver.solve() {
+                SatResult::Sat(model) => {
+                    prop_assert!(expected, "SAT under {:?}", units);
+                    for c in &clauses {
+                        prop_assert!(c.iter().any(|&l| model.value(l)));
+                    }
+                }
+                SatResult::Unsat => prop_assert!(!expected, "UNSAT under {:?}", units),
+                SatResult::Unknown => prop_assert!(false, "no budget was set"),
+            }
         }
     }
 

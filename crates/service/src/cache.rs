@@ -197,7 +197,7 @@ pub struct CacheEntry {
     /// when the run was certified and such a rung exists.
     pub proof: Option<DratProof>,
     /// Deterministic device-model execution trace of `circuit` (seed
-    /// [`DEVICE_SEED`], nominal BFO parameters, input row 0).
+    /// `DEVICE_SEED`, nominal BFO parameters, input row 0).
     pub trace: Option<MeasurementTrace>,
     /// Solver calls the original run spent, kept so hit responses can
     /// report the work they saved.

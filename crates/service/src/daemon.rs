@@ -1,6 +1,5 @@
 //! The `mmsynthd` daemon: JSON-lines serve loops over stdio, Unix and
-//! TCP sockets, wired to the [`Engine`](crate::engine::Engine) through
-//! the [`Supervisor`](crate::supervisor::Supervisor).
+//! TCP sockets, wired to the [`Engine`] through the [`Supervisor`].
 //!
 //! # Serve loop shape
 //!
@@ -28,6 +27,7 @@ use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mm_telemetry::metrics::MetricsRegistry;
@@ -46,6 +46,11 @@ use crate::supervisor::{JobVerdict, Submission, Supervisor, SupervisorConfig};
 
 /// Lifetime counter snapshot next to the cache index.
 const LIFETIME_FILE: &str = "metrics.json";
+
+/// Longest request line the daemon reads, newline excluded. Real requests
+/// are under a kilobyte; a longer line is answered with an error and
+/// skipped without being held in memory.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Everything the daemon needs to start.
 #[derive(Debug, Clone)]
@@ -287,7 +292,7 @@ impl Daemon {
     /// or termination, writes one response line per request to `writer`
     /// in submission order. Subscribed jobs additionally get `progress`
     /// frames interleaved ahead of their finals.
-    pub fn serve<R, W>(&self, reader: R, writer: W) -> io::Result<()>
+    pub fn serve<R, W>(&self, mut reader: R, writer: W) -> io::Result<()>
     where
         R: BufRead,
         W: Write + Send + 'static,
@@ -298,17 +303,19 @@ impl Daemon {
             .spawn(move || write_loop(rx, writer))
             .expect("spawn writer");
         let mut n = 0;
-        for line in reader.lines() {
-            let line = match line {
-                Ok(l) => l,
-                // A torn read (client died mid-line) is an EOF, not a
-                // daemon failure.
-                Err(_) => break,
+        let mut buf = Vec::new();
+        loop {
+            let pending = match read_request_line(&mut reader, &mut buf) {
+                Ok(Some(Ok(line))) if line.trim().is_empty() => continue,
+                Ok(Some(Ok(line))) => self.admit(line, n, &tx),
+                Ok(Some(Err(reason))) => {
+                    Some(Pending::Ready(JobResponse::error("", reason).to_line()))
+                }
+                // EOF, or a torn read (client died mid-line): not a daemon
+                // failure.
+                Ok(None) | Err(_) => break,
             };
-            if line.trim().is_empty() {
-                continue;
-            }
-            if let Some(pending) = self.admit(&line, n, &tx) {
+            if let Some(pending) = pending {
                 if tx.send(Out::Final(n, pending)).is_err() {
                     break; // writer gone (client hung up)
                 }
@@ -363,6 +370,8 @@ impl Daemon {
     /// Polls a nonblocking listener's `accept` — a connection's read and
     /// write halves — until termination, serving each connection on its
     /// own thread, then joins them and hands the daemon back to drain.
+    /// Threads of closed connections are joined on every pass, so a
+    /// long-lived daemon holds one thread per open connection only.
     fn accept_until_termination<S>(
         self,
         mut accept: impl FnMut() -> io::Result<(S, S)>,
@@ -371,8 +380,9 @@ impl Daemon {
         S: Read + Write + Send + 'static,
     {
         let daemon = Arc::new(self);
-        let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        let mut conns: Vec<JoinHandle<()>> = Vec::new();
         while !signal::termination_requested() {
+            join_finished(&mut conns);
             match accept() {
                 Ok((read_half, write_half)) => {
                     let daemon = daemon.clone();
@@ -558,6 +568,42 @@ fn write_loop<W: Write>(rx: Receiver<Out>, mut writer: W) -> io::Result<()> {
     Ok(())
 }
 
+/// Joins and removes the threads in `conns` that have ended.
+fn join_finished(conns: &mut Vec<JoinHandle<()>>) {
+    for conn in conns.extract_if(.., |c| c.is_finished()) {
+        let _ = conn.join();
+    }
+}
+
+/// Reads the next request line into `buf`, without its line ending.
+/// Returns `None` at EOF, and `Some(Err(reason))` for a line the daemon
+/// will not parse: one longer than [`MAX_LINE_BYTES`], whose rest is read
+/// and discarded, or one that is not UTF-8.
+fn read_request_line<'a>(
+    reader: &mut impl BufRead,
+    buf: &'a mut Vec<u8>,
+) -> io::Result<Option<Result<&'a str, String>>> {
+    buf.clear();
+    let cap = MAX_LINE_BYTES as u64 + 1;
+    if reader.take(cap).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE_BYTES {
+        reader.skip_until(b'\n')?;
+        return Ok(Some(Err(format!(
+            "request line exceeds {MAX_LINE_BYTES} bytes"
+        ))));
+    }
+    Ok(Some(
+        std::str::from_utf8(buf).map_err(|e| format!("request line is not UTF-8: {e}")),
+    ))
+}
+
 /// FNV-1a over the job id: the deterministic jitter seed.
 fn id_seed(id: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -589,7 +635,7 @@ mod tests {
         }
     }
 
-    fn run_lines(config: DaemonConfig, input: &str) -> Vec<String> {
+    fn run_lines(config: DaemonConfig, input: impl Into<Vec<u8>>) -> Vec<String> {
         // The termination latch is process-global, so tests touching the
         // daemon serialize against the signal test.
         let _guard = signal::test_guard();
@@ -597,7 +643,7 @@ mod tests {
         let out: Vec<u8> = Vec::new();
         let buf = std::sync::Arc::new(std::sync::Mutex::new(out));
         daemon
-            .serve(io::Cursor::new(input.to_string()), Shared(buf.clone()))
+            .serve(io::Cursor::new(input.into()), Shared(buf.clone()))
             .unwrap();
         daemon.drain().unwrap();
         let bytes = buf.lock().unwrap().clone();
@@ -667,6 +713,64 @@ mod tests {
             lines[0]
         );
         assert!(lines[1].contains(r#""id":"after""#));
+    }
+
+    #[test]
+    fn a_non_utf8_line_gets_an_error_and_the_connection_goes_on() {
+        let lines = run_lines(
+            DaemonConfig::default(),
+            &b"\xff\n{\"op\":\"ping\",\"id\":\"after\"}\n"[..],
+        );
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(lines[0].contains(r#""status":"error""#), "{}", lines[0]);
+        assert!(lines[0].contains("not UTF-8"), "{}", lines[0]);
+        assert!(lines[1].contains(r#""id":"after""#), "{}", lines[1]);
+        assert!(lines[1].contains(r#""status":"ok""#), "{}", lines[1]);
+    }
+
+    #[test]
+    fn an_oversized_line_gets_an_error_and_the_connection_goes_on() {
+        // One byte over the cap is refused; a ping padded to exactly the
+        // cap is still read and answered.
+        let mut input = vec![b'x'; MAX_LINE_BYTES + 1];
+        input.push(b'\n');
+        let mut at_cap = br#"{"op":"ping","id":"at-cap"}"#.to_vec();
+        at_cap.resize(MAX_LINE_BYTES, b' ');
+        input.extend(at_cap);
+        input.extend(b"\n{\"op\":\"ping\",\"id\":\"after\"}\n");
+        let lines = run_lines(DaemonConfig::default(), input);
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert!(lines[0].contains(r#""status":"error""#), "{}", lines[0]);
+        assert!(
+            lines[0].contains(&format!("exceeds {MAX_LINE_BYTES} bytes")),
+            "{}",
+            lines[0]
+        );
+        for (line, id) in lines[1..]
+            .iter()
+            .zip([r#""id":"at-cap""#, r#""id":"after""#])
+        {
+            assert!(line.contains(id), "{line}");
+            assert!(line.contains(r#""status":"ok""#), "{line}");
+        }
+    }
+
+    #[test]
+    fn finished_connection_threads_are_joined() {
+        // The accept loop's bookkeeping across many short connections:
+        // each has ended by the next pass, so at most one is ever held.
+        let mut conns = Vec::new();
+        for _ in 0..64 {
+            join_finished(&mut conns);
+            assert!(conns.len() <= 1, "{} threads held", conns.len());
+            let conn = std::thread::spawn(|| {});
+            while !conn.is_finished() {
+                std::thread::yield_now();
+            }
+            conns.push(conn);
+        }
+        join_finished(&mut conns);
+        assert!(conns.is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!   queueing without bound; the daemon turns that into the `overloaded`
 //!   wire response.
 //! * **Isolation** — every attempt runs under
-//!   [`catch_unwind`](std::panic::catch_unwind); a panic costs one
+//!   [`catch_unwind`]; a panic costs one
 //!   attempt, never a worker thread.
 //! * **Retry** — inconclusive attempts (panic, or the job reporting
 //!   [`AttemptResult::Retry`]) are retried on the spot with the

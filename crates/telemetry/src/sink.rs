@@ -92,7 +92,7 @@ const JSONL_FLUSH_BYTES: usize = 64 * 1024;
 /// Streams events as JSON Lines.
 ///
 /// `record` serializes on the emitting thread, appends the line to one of
-/// [`JSONL_SHARDS`] string buffers chosen by thread-id hash, and only takes
+/// `JSONL_SHARDS` string buffers chosen by thread-id hash, and only takes
 /// the writer lock when a shard fills. Lines are written whole, so the output
 /// is always valid JSONL; cross-thread line order is unspecified (consumers
 /// order by [`Event::seq`]).
