@@ -78,11 +78,6 @@ impl Literal {
         }
     }
 
-    /// Whether the literal is one of the two constants.
-    pub fn is_const(self) -> bool {
-        matches!(self, Self::Const0 | Self::Const1)
-    }
-
     /// The variable the literal refers to, if any (1-based).
     pub fn variable(self) -> Option<u8> {
         match self {

@@ -8,11 +8,10 @@
 //!
 //! # Canonical solving
 //!
-//! [`minimize_canonical`] is the cache-aware entry point: it canonicalizes
-//! the function under the cost-preserving NPN subgroup
-//! ([`mm_boolfn::npn::canonicalize`]), minimizes the *canonical
-//! representative*, and returns the transform alongside the report. Callers
-//! serve the original function by mapping the canonical circuit back
+//! Cache-aware callers canonicalize the function under the
+//! cost-preserving NPN subgroup ([`mm_boolfn::npn::canonicalize`]), run the
+//! request on the *canonical representative* ([`MinimizeRequest::run`]),
+//! and serve the original function by mapping the canonical circuit back
 //! through [`decanonicalize_circuit`] — a literal relabeling plus an output
 //! reorder, which preserves every cost metric (`N_R`, `N_V`, `N_L`,
 //! `N_VS`). Because the solver only ever sees canonical representatives,
@@ -22,7 +21,7 @@
 
 use std::time::Duration;
 
-use mm_boolfn::npn::{canonicalize, NpnTransform};
+use mm_boolfn::npn::NpnTransform;
 use mm_boolfn::MultiOutputFn;
 use mm_circuit::{CircuitError, MmCircuit};
 use mm_sat::{Budget, Deadline};
@@ -155,43 +154,6 @@ impl MinimizeRequest {
     }
 }
 
-/// The outcome of a canonical minimization: the report is about the
-/// *canonical representative*; `transform` maps the original function onto
-/// it (`canonical = transform.apply(original)`).
-#[derive(Debug)]
-pub struct CanonicalRun {
-    /// The canonical representative that was actually solved.
-    pub canonical: MultiOutputFn,
-    /// The subgroup element with `canonical = transform.apply(original)`.
-    pub transform: NpnTransform,
-    /// The minimization report for `canonical`.
-    pub report: OptimizeReport,
-}
-
-/// Cache-aware minimization: canonicalizes `f` under the cost-preserving
-/// NPN subgroup, minimizes the canonical representative, and returns the
-/// transform needed to map results back. Serving paths call
-/// [`decanonicalize_circuit`] on `report.best`.
-///
-/// # Errors
-///
-/// Propagates [`SynthError`] from the underlying ladder.
-pub fn minimize_canonical(
-    request: &MinimizeRequest,
-    synth: &Synthesizer,
-    f: &MultiOutputFn,
-    options: &EncodeOptions,
-    jobs: usize,
-) -> Result<CanonicalRun, SynthError> {
-    let (canonical, transform) = canonicalize(f);
-    let report = request.run(synth, &canonical, options, jobs)?;
-    Ok(CanonicalRun {
-        canonical,
-        transform,
-        report,
-    })
-}
-
 /// Maps a circuit for the canonical representative back to one for the
 /// original function: with `canonical = transform.apply(original)`, relabel
 /// every literal and reorder the outputs through `transform.inverse()`.
@@ -215,6 +177,7 @@ pub fn decanonicalize_circuit(
 #[cfg(test)]
 mod tests {
     use mm_boolfn::generators;
+    use mm_boolfn::npn::canonicalize;
 
     use super::*;
 
@@ -269,17 +232,14 @@ mod tests {
         // function can land in a much slower solver region.)
         for f in [generators::nand_gate(2), generators::xor_gate(2)] {
             let req = MinimizeRequest::mixed_mode(4, 3, false);
-            let run = minimize_canonical(
-                &req,
-                &Synthesizer::new(),
-                &f,
-                &EncodeOptions::recommended(),
-                2,
-            )
-            .unwrap();
-            assert_eq!(run.canonical, run.transform.apply(&f));
-            let canonical_best = run.report.best.expect("ladder finds a witness");
-            let served = decanonicalize_circuit(&canonical_best, &run.transform).unwrap();
+            let options = EncodeOptions::recommended();
+            let (canonical, transform) = canonicalize(&f);
+            let report = req
+                .run(&Synthesizer::new(), &canonical, &options, 2)
+                .unwrap();
+            assert_eq!(canonical, transform.apply(&f));
+            let canonical_best = report.best.expect("ladder finds a witness");
+            let served = decanonicalize_circuit(&canonical_best, &transform).unwrap();
             assert!(
                 served.implements(&f),
                 "decanonicalized circuit serves {f:?}"

@@ -97,11 +97,6 @@ impl CellAvoidance {
         cells.dedup();
         cells
     }
-
-    /// Working cells remaining on the array.
-    pub fn working_cells(&self) -> usize {
-        self.array_size - self.dead_cells().len()
-    }
 }
 
 /// A synthesis problem instance: the `Φ(f, N_V, N_R)` parameters.
@@ -203,12 +198,6 @@ impl SynthSpec {
             array_size,
             avoid_cells,
         });
-        self
-    }
-
-    /// Removes any attached cell-avoidance constraint.
-    pub fn without_cell_avoidance(mut self) -> Self {
-        self.avoidance = None;
         self
     }
 

@@ -127,11 +127,6 @@ impl Synthesizer {
         self
     }
 
-    /// Whether certification is on.
-    pub fn is_certifying(&self) -> bool {
-        self.certify
-    }
-
     /// A no-op kept so external callers that still select the removed
     /// incremental ladder engine keep building: every ladder rung is a cold
     /// [`run`](Self::run) on its own encoding.

@@ -65,4 +65,4 @@ pub use error::SatError;
 pub use lit::{Lit, Var};
 pub use model::Model;
 pub use solver::{SatResult, Solver};
-pub use stats::SolverStats;
+pub use stats::{SolverCounter, SolverStats};

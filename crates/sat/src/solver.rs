@@ -10,7 +10,7 @@ use std::time::Instant;
 use mm_telemetry::Telemetry;
 
 use crate::drat::DratProof;
-use crate::{Budget, CnfFormula, Lit, Model, SolverStats, Var};
+use crate::{Budget, CnfFormula, Lit, Model, SolverCounter, SolverStats, Var};
 
 use arena::{CRef, ClauseArena, STUB};
 
@@ -141,12 +141,9 @@ pub struct Solver {
     /// Telemetry handle; disabled by default, same single-branch discipline
     /// as `proof`. Counter deltas are emitted at the cancel-poll cadence.
     telemetry: Telemetry,
-    /// Counter values already emitted to telemetry, so each emission sends
-    /// only the delta: (conflicts, propagations, decisions, restarts).
-    tel_emitted: (u64, u64, u64, u64),
-    /// Inprocess-counter values already emitted to telemetry
-    /// (subsumed+strengthened, vivified, visits).
-    tel_inprocess: (u64, u64, u64),
+    /// Counter totals already emitted to telemetry, one per
+    /// [`SolverCounter::ALL`] row, so each emission sends only the delta.
+    tel_emitted: [u64; SolverCounter::ALL.len()],
     /// Long clauses from this arena offset on were learnt or added since
     /// the previous inprocessing pass: the next pass's subsumption
     /// candidates.
@@ -195,8 +192,7 @@ impl Solver {
             n_vars: n,
             proof: None,
             telemetry: Telemetry::disabled(),
-            tel_emitted: (0, 0, 0, 0),
-            tel_inprocess: (0, 0, 0),
+            tel_emitted: [0; SolverCounter::ALL.len()],
             subsume_from: 0,
             bin_mark: vec![0; 2 * n],
             next_inprocess: INPROCESS_FIRST_AT,
@@ -287,43 +283,17 @@ impl Solver {
         result
     }
 
-    /// Sends counter deltas accumulated since the previous emission. No-op
-    /// (one branch) when telemetry is disabled.
+    /// Sends each counter's delta since the previous emission; a zero
+    /// delta sends nothing. No-op (one branch) when telemetry is disabled.
     fn emit_counter_deltas(&mut self) {
         if !self.telemetry.is_enabled() {
             return;
         }
-        let s = self.stats;
-        self.telemetry
-            .counter("solver.conflicts", s.conflicts - self.tel_emitted.0);
-        self.telemetry
-            .counter("solver.propagations", s.propagations - self.tel_emitted.1);
-        self.telemetry
-            .counter("solver.decisions", s.decisions - self.tel_emitted.2);
-        self.telemetry
-            .counter("solver.restarts", s.restarts - self.tel_emitted.3);
-        self.tel_emitted = (s.conflicts, s.propagations, s.decisions, s.restarts);
-        // Inprocess counters follow the same delta-when-nonzero discipline,
-        // so runs that never inprocess produce the exact old event stream.
-        // `subsumed` folds in self-subsumption strengthenings: both are
-        // products of the same occurrence-list machinery.
-        let is = s.subsumed_clauses + s.strengthened_clauses - self.tel_inprocess.0;
-        let iv = s.vivified_clauses - self.tel_inprocess.1;
-        let ix = s.inprocess_visits - self.tel_inprocess.2;
-        if is > 0 {
-            self.telemetry.counter("solver.inprocess.subsumed", is);
+        for (counter, emitted) in SolverCounter::ALL.iter().zip(&mut self.tel_emitted) {
+            let total = (counter.value)(&self.stats);
+            self.telemetry.counter(counter.event, total - *emitted);
+            *emitted = total;
         }
-        if iv > 0 {
-            self.telemetry.counter("solver.inprocess.vivified", iv);
-        }
-        if ix > 0 {
-            self.telemetry.counter("solver.inprocess.visits", ix);
-        }
-        self.tel_inprocess = (
-            s.subsumed_clauses + s.strengthened_clauses,
-            s.vivified_clauses,
-            s.inprocess_visits,
-        );
     }
 
     #[inline]
@@ -1389,19 +1359,24 @@ mod tests {
 
         let sink = Arc::new(MemorySink::new());
         let telemetry = Telemetry::new(sink.clone());
-        let cnf = pigeonhole(6, 5);
+        let cnf = pigeonhole(8, 7); // past INPROCESS_FIRST_AT conflicts
         let (result, stats) = Solver::new(cnf)
             .with_telemetry(telemetry.clone())
             .solve_with_budget(Budget::new());
         assert!(result.is_unsat());
+        assert!(stats.inprocess_visits > 0, "the solve must inprocess");
 
         // Sampled emission batches deltas, but the final flush makes the
         // totals exact regardless of how many polls happened.
         let report = RunReport::from_events(&sink.snapshot());
-        assert_eq!(report.counter("solver.conflicts"), stats.conflicts);
-        assert_eq!(report.counter("solver.propagations"), stats.propagations);
-        assert_eq!(report.counter("solver.decisions"), stats.decisions);
-        assert_eq!(report.counter("solver.restarts"), stats.restarts);
+        for counter in SolverCounter::ALL {
+            assert_eq!(
+                report.counter(counter.event),
+                (counter.value)(&stats),
+                "{}",
+                counter.event
+            );
+        }
         // Enabling telemetry turns the poll guard on even with no budget.
         assert!(stats.cancel_polls > 0);
     }

@@ -66,6 +66,90 @@ pub struct SolverStats {
     pub inprocess_visits: u64,
 }
 
+/// One solver counter: its telemetry event name, the Prometheus family
+/// the daemon exports it as, and where its running total lives in
+/// [`SolverStats`].
+///
+/// The rows below are the only place a counter is named: the solver's
+/// telemetry emits, the daemon's metrics bridge and the metrics lint's
+/// required families all derive from [`SolverCounter::ALL`], so adding a
+/// counter is one row here, listed in `ALL`, plus its `SolverStats` field.
+#[derive(Debug, Clone, Copy)]
+pub struct SolverCounter {
+    /// Telemetry event name, e.g. `solver.conflicts`.
+    pub event: &'static str,
+    /// Prometheus counter family, e.g. `mmsynth_solver_conflicts_total`.
+    pub family: &'static str,
+    /// The family's `# HELP` text.
+    pub help: &'static str,
+    /// Reads the counter's running total from a solver's statistics.
+    pub value: fn(&SolverStats) -> u64,
+}
+
+impl SolverCounter {
+    /// Conflicts analyzed.
+    pub const CONFLICTS: Self = Self {
+        event: "solver.conflicts",
+        family: "mmsynth_solver_conflicts_total",
+        help: "CDCL conflicts across all solver calls.",
+        value: |s| s.conflicts,
+    };
+    /// Unit propagations.
+    pub const PROPAGATIONS: Self = Self {
+        event: "solver.propagations",
+        family: "mmsynth_solver_propagations_total",
+        help: "Unit propagations across all solver calls.",
+        value: |s| s.propagations,
+    };
+    /// Decisions.
+    pub const DECISIONS: Self = Self {
+        event: "solver.decisions",
+        family: "mmsynth_solver_decisions_total",
+        help: "Decisions across all solver calls.",
+        value: |s| s.decisions,
+    };
+    /// Restarts.
+    pub const RESTARTS: Self = Self {
+        event: "solver.restarts",
+        family: "mmsynth_solver_restarts_total",
+        help: "Restarts across all solver calls.",
+        value: |s| s.restarts,
+    };
+    /// Clauses subsumed or strengthened by inprocessing: both come from
+    /// the same occurrence-list machinery, so they share one counter.
+    pub const INPROCESS_SUBSUMED: Self = Self {
+        event: "solver.inprocess.subsumed",
+        family: "mmsynth_solver_inprocess_subsumed_total",
+        help: "Clauses subsumed or strengthened during inprocessing.",
+        value: |s| s.subsumed_clauses + s.strengthened_clauses,
+    };
+    /// Clauses shortened by vivification.
+    pub const INPROCESS_VIVIFIED: Self = Self {
+        event: "solver.inprocess.vivified",
+        family: "mmsynth_solver_inprocess_vivified_total",
+        help: "Clauses shortened by vivification during inprocessing.",
+        value: |s| s.vivified_clauses,
+    };
+    /// Occurrence-list entries and clause literals inprocessing examined.
+    pub const INPROCESS_VISITS: Self = Self {
+        event: "solver.inprocess.visits",
+        family: "mmsynth_solver_inprocess_visits_total",
+        help: "Occurrence entries and clause literals examined by inprocessing.",
+        value: |s| s.inprocess_visits,
+    };
+
+    /// Every solver counter, in emission order.
+    pub const ALL: [Self; 7] = [
+        Self::CONFLICTS,
+        Self::PROPAGATIONS,
+        Self::DECISIONS,
+        Self::RESTARTS,
+        Self::INPROCESS_SUBSUMED,
+        Self::INPROCESS_VIVIFIED,
+        Self::INPROCESS_VISITS,
+    ];
+}
+
 impl fmt::Display for SolverStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // One line, comma-separated `name value` pairs: bench scrapers rely

@@ -362,11 +362,6 @@ impl ResultCache {
         self
     }
 
-    /// Whether paranoid verification is active.
-    pub fn is_paranoid(&self) -> bool {
-        self.paranoid
-    }
-
     /// Swaps in a shared metrics bundle (the daemon's scrapeable
     /// registry), carrying over counts accumulated so far — notably the
     /// recovery scan's quarantine count from [`open`](Self::open).
@@ -691,24 +686,21 @@ mod tests {
     }
 
     fn solved_entry(f: &MultiOutputFn, request: &MinimizeRequest) -> CacheEntry {
-        let run = mm_synth::request::minimize_canonical(
-            request,
-            &Synthesizer::new(),
-            f,
-            &EncodeOptions::recommended(),
-            2,
-        )
-        .expect("solve");
-        let circuit = run.report.best;
+        let options = EncodeOptions::recommended();
+        let (canonical, _) = canonicalize(f);
+        let report = request
+            .run(&Synthesizer::new(), &canonical, &options, 2)
+            .expect("solve");
+        let circuit = report.best;
         CacheEntry {
-            canonical: run.canonical,
+            canonical,
             mode: request.cache_facet().0,
             max_conflicts: request.max_conflicts,
             trace: circuit.as_ref().and_then(device_trace),
             circuit,
-            proven_optimal: run.report.proven_optimal,
+            proven_optimal: report.proven_optimal,
             proof: None,
-            solver_calls: run.report.calls.len() as u64,
+            solver_calls: report.calls.len() as u64,
         }
     }
 

@@ -39,7 +39,7 @@ use crate::cache::{RecoveryReport, ResultCache};
 use crate::engine::Engine;
 use crate::http::MetricsServer;
 use crate::metrics::{MetricsBridgeSink, ServiceMetrics};
-use crate::progress::ProgressFrameSink;
+use crate::progress;
 use crate::proto::{JobRequest, JobResponse, Op, PROTO_VERSION};
 use crate::signal;
 use crate::supervisor::{JobVerdict, Submission, Supervisor, SupervisorConfig};
@@ -266,7 +266,7 @@ impl Daemon {
         let seed = id_seed(&id);
         let progress = request.subscribe.then(|| -> Arc<dyn TelemetrySink> {
             let emitted = self.metrics.progress_frames.clone();
-            Arc::new(ProgressFrameSink::new(&id, conn.clone(), emitted))
+            Arc::new(progress::channel_sink(&id, conn.clone(), emitted))
         });
         let job = {
             let id = id.clone();

@@ -20,6 +20,7 @@
 
 use std::sync::Arc;
 
+use mm_sat::SolverCounter;
 use mm_telemetry::metrics::{Counter, Gauge, MetricsRegistry};
 use mm_telemetry::{AttrValue, Event, EventKind, TelemetrySink};
 
@@ -170,42 +171,15 @@ impl ServiceMetrics {
 /// coexists with JSONL tracing and per-job progress sinks.
 pub struct MetricsBridgeSink {
     registry: Arc<MetricsRegistry>,
-    conflicts: Counter,
-    propagations: Counter,
-    decisions: Counter,
-    restarts: Counter,
-    inprocess_subsumed: Counter,
-    inprocess_vivified: Counter,
+    /// One counter per [`SolverCounter::ALL`] row, in table order.
+    solver: [Counter; SolverCounter::ALL.len()],
 }
 
 impl MetricsBridgeSink {
-    /// Pre-registers the solver/ladder families on `registry`.
+    /// Pre-registers the solver families on `registry`.
     pub fn new(registry: Arc<MetricsRegistry>) -> Self {
         Self {
-            conflicts: registry.counter(
-                "mmsynth_solver_conflicts_total",
-                "CDCL conflicts across all solver calls.",
-            ),
-            propagations: registry.counter(
-                "mmsynth_solver_propagations_total",
-                "Unit propagations across all solver calls.",
-            ),
-            decisions: registry.counter(
-                "mmsynth_solver_decisions_total",
-                "Decisions across all solver calls.",
-            ),
-            restarts: registry.counter(
-                "mmsynth_solver_restarts_total",
-                "Restarts across all solver calls.",
-            ),
-            inprocess_subsumed: registry.counter(
-                "mmsynth_solver_inprocess_subsumed_total",
-                "Clauses subsumed or strengthened during inprocessing.",
-            ),
-            inprocess_vivified: registry.counter(
-                "mmsynth_solver_inprocess_vivified_total",
-                "Clauses shortened by vivification during inprocessing.",
-            ),
+            solver: SolverCounter::ALL.map(|c| registry.counter(c.family, c.help)),
             registry,
         }
     }
@@ -214,15 +188,11 @@ impl MetricsBridgeSink {
 impl TelemetrySink for MetricsBridgeSink {
     fn record(&self, event: &Event) {
         match &event.kind {
-            EventKind::Counter { name, delta } => match name.as_str() {
-                "solver.conflicts" => self.conflicts.add(*delta),
-                "solver.propagations" => self.propagations.add(*delta),
-                "solver.decisions" => self.decisions.add(*delta),
-                "solver.restarts" => self.restarts.add(*delta),
-                "solver.inprocess.subsumed" => self.inprocess_subsumed.add(*delta),
-                "solver.inprocess.vivified" => self.inprocess_vivified.add(*delta),
-                _ => {}
-            },
+            EventKind::Counter { name, delta } => {
+                if let Some(row) = SolverCounter::ALL.iter().position(|c| c.event == name) {
+                    self.solver[row].add(*delta);
+                }
+            }
             EventKind::Point { name, attrs } if name == "rung" => {
                 let outcome = attrs
                     .iter()
@@ -246,6 +216,8 @@ impl TelemetrySink for MetricsBridgeSink {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use mm_telemetry::{kv, Telemetry};
 
     use super::*;
@@ -277,24 +249,53 @@ mod tests {
         let registry = Arc::new(MetricsRegistry::new());
         let telemetry = Telemetry::disabled()
             .with_extra_sink(Arc::new(MetricsBridgeSink::new(registry.clone())));
-        telemetry.counter("solver.conflicts", 40);
-        telemetry.counter("solver.conflicts", 2);
-        telemetry.counter("solver.propagations", 100);
-        telemetry.counter("solver.inprocess.subsumed", 8);
-        telemetry.counter("solver.inprocess.subsumed", 1);
-        telemetry.counter("solver.inprocess.vivified", 4);
+        for (i, counter) in SolverCounter::ALL.iter().enumerate() {
+            telemetry.counter(counter.event, 40 + i as u64);
+            telemetry.counter(counter.event, 2);
+        }
         telemetry.counter("unrelated.counter", 5);
         telemetry.point("rung", vec![kv("n_rops", 2u64), kv("outcome", "unsat")]);
         telemetry.point("rung", vec![kv("n_rops", 3u64), kv("outcome", "sat")]);
         telemetry.point("rung", vec![kv("n_rops", 4u64), kv("outcome", "sat")]);
         telemetry.point("not_a_rung", vec![kv("outcome", "sat")]);
         let text = registry.render_prometheus();
-        assert!(text.contains("mmsynth_solver_conflicts_total 42"));
-        assert!(text.contains("mmsynth_solver_propagations_total 100"));
-        assert!(text.contains("mmsynth_solver_inprocess_subsumed_total 9"));
-        assert!(text.contains("mmsynth_solver_inprocess_vivified_total 4"));
+        for (i, counter) in SolverCounter::ALL.iter().enumerate() {
+            let sample = format!("{} {}", counter.family, 42 + i);
+            assert!(text.contains(&sample), "missing {sample:?} in:\n{text}");
+        }
         assert!(text.contains(r#"mmsynth_rungs_total{outcome="sat"} 2"#));
         assert!(text.contains(r#"mmsynth_rungs_total{outcome="unsat"} 1"#));
         assert!(!text.contains("unrelated"), "unknown names are ignored");
+    }
+
+    /// `scripts/lint_metrics.py` requires every family the daemon
+    /// registers at start; its `EAGER_FAMILIES` must name exactly the
+    /// families `ServiceMetrics` and `MetricsBridgeSink` create, with
+    /// their types.
+    #[test]
+    fn eager_families_match_the_lint() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let _service = ServiceMetrics::register(registry.clone());
+        let _bridge = MetricsBridgeSink::new(registry.clone());
+        let registered: BTreeSet<String> = registry
+            .render_prometheus()
+            .lines()
+            .filter_map(|line| line.strip_prefix("# TYPE "))
+            .map(str::to_string)
+            .collect();
+
+        let lint = include_str!("../../../scripts/lint_metrics.py");
+        let (_, rest) = lint
+            .split_once("EAGER_FAMILIES = {")
+            .expect("lint_metrics.py defines EAGER_FAMILIES");
+        let required: BTreeSet<String> = rest[..rest.find('}').expect("the dict closes")]
+            .split(',')
+            .filter_map(|entry| entry.split_once(':'))
+            .map(|(family, kind)| {
+                let unquote = |s: &str| s.trim().trim_matches('"').to_string();
+                format!("{} {}", unquote(family), unquote(kind))
+            })
+            .collect();
+        assert_eq!(required, registered);
     }
 }

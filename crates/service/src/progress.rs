@@ -1,8 +1,8 @@
-//! Per-job progress streaming: the sink that turns a subscribed job's
-//! telemetry points into `progress` wire frames.
+//! Progress frames: the one sink that turns a job's telemetry points
+//! into `progress` frames, for the daemon's wire and `mmsynth --progress`.
 //!
-//! A frame is one JSON line, distinguishable from any final response by
-//! its `"frame":"progress"` field (responses never carry `frame`):
+//! A frame is one JSON object, distinguishable from any final response
+//! by its `"frame":"progress"` field (responses never carry `frame`):
 //!
 //! ```text
 //! {"frame":"progress","id":"j1","event":"rung","n_rops":2,"outcome":"unsat"}
@@ -10,14 +10,17 @@
 //! {"id":"j1","status":"ok","cache":"miss",...}
 //! ```
 //!
-//! The sink forwards only the *lifecycle* points an operator can act on
-//! ([`FRAME_EVENTS`]); span plumbing and raw counters stay in the trace.
-//! Frames travel over the connection's one channel to the writer thread,
-//! which writes each as it arrives (see `daemon::write_loop`). The job's
-//! final reply is sent on the same channel by the same worker thread
-//! after its last frame, so every frame of a job reaches the writer
-//! ahead of that job's final — order within a job is deterministic even
-//! though frames of concurrent jobs interleave freely.
+//! The daemon ([`channel_sink`]) forwards only the *lifecycle* points an
+//! operator can act on ([`FRAME_EVENTS`]); span plumbing and raw counters
+//! stay in the trace. Frames travel over the connection's one channel to
+//! the writer thread, which writes each as it arrives (see
+//! `daemon::write_loop`). The job's final reply is sent on the same
+//! channel by the same worker thread after its last frame, so every
+//! frame of a job reaches the writer ahead of that job's final — order
+//! within a job is deterministic even though frames of concurrent jobs
+//! interleave freely. The local CLI passes no filter and renders every
+//! frame on stderr, the same way `mmsynth client --progress` renders the
+//! daemon's.
 
 use std::sync::mpsc::Sender;
 
@@ -36,25 +39,42 @@ pub const FRAME_EVENTS: &[&str] = &[
     "repair.round",
 ];
 
-/// A [`TelemetrySink`] that serializes whitelisted points as `progress`
-/// frames for one job and sends them, as `T::from(line)`, to the
-/// connection's writer thread.
-pub struct ProgressFrameSink<T> {
+/// A [`TelemetrySink`] that builds a `progress` frame for each point
+/// event of one job and hands it to `deliver`.
+pub struct ProgressFrameSink<F> {
     id: String,
-    frames: Sender<T>,
-    emitted: Counter,
+    events: Option<&'static [&'static str]>,
+    deliver: F,
 }
 
-impl<T> ProgressFrameSink<T> {
-    /// A sink streaming `id`'s lifecycle points into `frames`, counting
-    /// emitted frames into `emitted` (`mmsynth_progress_frames_total`).
-    pub fn new(id: &str, frames: Sender<T>, emitted: Counter) -> Self {
+impl<F: Fn(Value) + Send + Sync> ProgressFrameSink<F> {
+    /// A sink framing `id`'s points named in `events` (every point when
+    /// `None`) and passing each frame to `deliver`.
+    pub fn new(id: &str, events: Option<&'static [&'static str]>, deliver: F) -> Self {
         Self {
             id: id.to_string(),
-            frames,
-            emitted,
+            events,
+            deliver,
         }
     }
+}
+
+/// The daemon's sink: streams `id`'s [`FRAME_EVENTS`] frames, one JSON
+/// line each sent as `T::from(line)`, to the connection's writer thread,
+/// counting sent frames into `emitted` (`mmsynth_progress_frames_total`).
+pub fn channel_sink<T: From<String> + Send>(
+    id: &str,
+    frames: Sender<T>,
+    emitted: Counter,
+) -> impl TelemetrySink {
+    ProgressFrameSink::new(id, Some(FRAME_EVENTS), move |frame| {
+        let line = serde_json::to_string(&frame).expect("frame serializes");
+        // A gone writer means the client hung up; the job still runs to
+        // its verdict, it just streams to nobody.
+        if frames.send(T::from(line)).is_ok() {
+            emitted.inc();
+        }
+    })
 }
 
 fn attr_value(v: &AttrValue) -> Value {
@@ -67,12 +87,15 @@ fn attr_value(v: &AttrValue) -> Value {
     }
 }
 
-impl<T: From<String> + Send> TelemetrySink for ProgressFrameSink<T> {
+impl<F: Fn(Value) + Send + Sync> TelemetrySink for ProgressFrameSink<F> {
     fn record(&self, event: &Event) {
         let EventKind::Point { name, attrs } = &event.kind else {
             return;
         };
-        if !FRAME_EVENTS.contains(&name.as_str()) {
+        if self
+            .events
+            .is_some_and(|events| !events.contains(&name.as_str()))
+        {
             return;
         }
         let mut fields = vec![
@@ -87,12 +110,7 @@ impl<T: From<String> + Send> TelemetrySink for ProgressFrameSink<T> {
                 fields.push((key.clone(), attr_value(value)));
             }
         }
-        let line = serde_json::to_string(&Value::Object(fields)).expect("frame serializes");
-        // A gone writer means the client hung up; the job still runs to
-        // its verdict, it just streams to nobody.
-        if self.frames.send(T::from(line)).is_ok() {
-            self.emitted.inc();
-        }
+        (self.deliver)(Value::Object(fields));
     }
 }
 
@@ -109,7 +127,7 @@ mod tests {
     fn forwards_whitelisted_points_only_and_tags_the_job() {
         let (tx, rx) = channel();
         let emitted = Counter::detached();
-        let telemetry = Telemetry::disabled().with_extra_sink(Arc::new(ProgressFrameSink::new(
+        let telemetry = Telemetry::disabled().with_extra_sink(Arc::new(channel_sink(
             "job-7",
             tx,
             emitted.clone(),
@@ -139,7 +157,7 @@ mod tests {
         let (tx, rx) = channel::<String>();
         drop(rx);
         let emitted = Counter::detached();
-        let sink = ProgressFrameSink::new("gone", tx, emitted.clone());
+        let sink = channel_sink("gone", tx, emitted.clone());
         let telemetry = Telemetry::disabled().with_extra_sink(Arc::new(sink));
         telemetry.point("rung", vec![kv("outcome", "sat")]);
         assert_eq!(emitted.get(), 0, "nothing emitted to a gone client");

@@ -115,14 +115,6 @@ impl AttrValue {
             _ => None,
         }
     }
-
-    /// Returns the value as `f64` if it is a float attribute.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            AttrValue::F64(x) => Some(*x),
-            _ => None,
-        }
-    }
 }
 
 impl From<u64> for AttrValue {

@@ -37,7 +37,7 @@ pub use atomic::{atomic_write, AtomicFile};
 pub use event::{attr, kv, AttrValue, Event, EventKind, TRACE_SCHEMA_VERSION};
 pub use metrics::{latency_buckets, Counter, Gauge, Histogram, MetricsRegistry};
 pub use report::{CounterTotal, PhaseNode, RunReport, RungSummary, REPORT_SCHEMA_VERSION};
-pub use sink::{JsonlSink, MemorySink, MultiSink, NoopSink, ProgressSink, TelemetrySink};
+pub use sink::{JsonlSink, MemorySink, MultiSink, NoopSink, TelemetrySink};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

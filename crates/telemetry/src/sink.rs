@@ -12,7 +12,6 @@
 //!   through a small fixed pool of sharded string buffers so concurrent
 //!   writers rarely contend on the same lock.
 //! * [`MultiSink`] — fans out to several sinks (e.g. JSONL file + progress).
-//! * [`ProgressSink`] — renders a terse human ticker from lifecycle events.
 
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
@@ -20,7 +19,7 @@ use std::io::{self, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use crate::event::{Event, EventKind};
+use crate::event::Event;
 
 /// Receives telemetry events. Implementations must tolerate concurrent
 /// `record` calls from multiple threads.
@@ -194,50 +193,5 @@ impl TelemetrySink for MultiSink {
         for sink in &self.sinks {
             sink.flush();
         }
-    }
-}
-
-/// Renders a terse human-readable ticker from lifecycle events.
-///
-/// Only [`EventKind::Point`] events are shown (rung outcomes, CNF sizes,
-/// repair rounds, …); spans and counters are too chatty for a terminal.
-pub struct ProgressSink {
-    out: Mutex<Box<dyn Write + Send>>,
-}
-
-impl ProgressSink {
-    /// Ticker writing to standard error.
-    pub fn stderr() -> Self {
-        Self::with_writer(Box::new(io::stderr()))
-    }
-
-    /// Ticker writing to an arbitrary writer (used by tests).
-    pub fn with_writer(out: Box<dyn Write + Send>) -> Self {
-        Self {
-            out: Mutex::new(out),
-        }
-    }
-}
-
-impl TelemetrySink for ProgressSink {
-    fn record(&self, event: &Event) {
-        let EventKind::Point { name, attrs } = &event.kind else {
-            return;
-        };
-        let mut line = format!("[{:>9.3}s] {name}", event.t_us as f64 / 1e6);
-        for (k, v) in attrs {
-            use crate::event::AttrValue as A;
-            match v {
-                A::U64(x) => line.push_str(&format!(" {k}={x}")),
-                A::I64(x) => line.push_str(&format!(" {k}={x}")),
-                A::F64(x) => line.push_str(&format!(" {k}={x:.4}")),
-                A::Str(s) => line.push_str(&format!(" {k}={s}")),
-                A::Bool(b) => line.push_str(&format!(" {k}={b}")),
-            }
-        }
-        line.push('\n');
-        let mut out = self.out.lock().expect("progress writer poisoned");
-        let _ = out.write_all(line.as_bytes());
-        let _ = out.flush();
     }
 }

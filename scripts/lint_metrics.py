@@ -24,6 +24,9 @@ import sys
 
 # Families ServiceMetrics::register + MetricsBridgeSink::new create at
 # daemon start, so every scrape must contain them — even before any job.
+# The solver families come from mm-sat's SolverCounter table; the
+# eager_families_match_the_lint test in crates/service/src/metrics.rs
+# fails when this set and the registered families drift apart.
 EAGER_FAMILIES = {
     "mmsynth_queue_depth": "gauge",
     "mmsynth_jobs_inflight": "gauge",
@@ -42,6 +45,9 @@ EAGER_FAMILIES = {
     "mmsynth_solver_propagations_total": "counter",
     "mmsynth_solver_decisions_total": "counter",
     "mmsynth_solver_restarts_total": "counter",
+    "mmsynth_solver_inprocess_subsumed_total": "counter",
+    "mmsynth_solver_inprocess_vivified_total": "counter",
+    "mmsynth_solver_inprocess_visits_total": "counter",
 }
 
 # Families registered lazily by the first resolved job.

@@ -40,10 +40,10 @@
 //! Every subcommand also accepts the telemetry flags: `--trace-out F.jsonl`
 //! streams the raw span/counter/point event stream as JSON lines,
 //! `--report-json F` aggregates it into a versioned per-phase timing report
-//! ([`RunReport`]), and `--progress` renders point events to stderr as a
-//! live ticker. `synth` and `minimize` additionally accept `--stats-json
-//! [FILE]` for a machine-readable summary (solver statistics, per-rung
-//! call records) on stdout or in FILE.
+//! ([`RunReport`]), and `--progress` renders every point event on stderr
+//! as a `mmsynth: progress` line. `synth` and `minimize` additionally
+//! accept `--stats-json [FILE]` for a machine-readable summary (solver
+//! statistics, per-rung call records) on stdout or in FILE.
 //!
 //! `faultsim` synthesizes a circuit, places its schedule on a physical
 //! array, and runs a fault-injection campaign against it; `--repair` closes
@@ -80,13 +80,13 @@ use memristive_mm::circuit::campaign::{run_campaign_traced, CampaignConfig, Camp
 use memristive_mm::circuit::{FaultPlan, Schedule};
 use memristive_mm::device::{DeviceState, ElectricalParams, LineArray};
 use memristive_mm::sat::{Budget, Deadline};
+use memristive_mm::service::progress::ProgressFrameSink;
 use memristive_mm::synth::optimize;
 use memristive_mm::synth::repair::{synthesize_with_repair, RepairConfig, RepairStatus};
 use memristive_mm::synth::universality::{census, CensusConfig};
 use memristive_mm::synth::{heuristic, EncodeOptions, SynthResult, SynthSpec, Synthesizer};
 use memristive_mm::telemetry::{
-    atomic_write, JsonlSink, MemorySink, MultiSink, ProgressSink, RunReport, Telemetry,
-    TelemetrySink,
+    atomic_write, JsonlSink, MemorySink, MultiSink, RunReport, Telemetry, TelemetrySink,
 };
 use serde::{Serialize, Value};
 
@@ -315,7 +315,8 @@ fn budget_from(args: &Args) -> Result<Option<Budget>, String> {
 
 /// Telemetry wiring shared by every subcommand: `--trace-out FILE` streams
 /// raw JSONL events, `--report-json FILE` aggregates them into a versioned
-/// [`RunReport`], `--progress` renders point events to stderr as a ticker.
+/// [`RunReport`], `--progress` renders every point event on stderr as a
+/// progress frame, the way `client --progress` renders the daemon's.
 struct TelemetrySetup {
     telemetry: Telemetry,
     memory: Option<Arc<MemorySink>>,
@@ -337,7 +338,8 @@ fn telemetry_from(args: &Args, command: &str) -> Result<TelemetrySetup, String> 
         sinks.push(m);
     }
     if args.has("progress") {
-        sinks.push(Arc::new(ProgressSink::stderr()));
+        let ticker = ProgressFrameSink::new(command, None, |frame| render_progress_frame(&frame));
+        sinks.push(Arc::new(ticker));
     }
     let telemetry = match sinks.len() {
         0 => Telemetry::disabled(),
@@ -732,7 +734,7 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
                  \x20      either way\n\
                  \x20      telemetry (all subcommands): --trace-out FILE.jsonl streams\n\
                  \x20      raw events, --report-json FILE writes the aggregated phase\n\
-                 \x20      timing report, --progress renders a stderr ticker;\n\
+                 \x20      timing report, --progress renders point events on stderr;\n\
                  \x20      synth/minimize also take --stats-json [FILE]\n\
                  \x20      exit codes: 0 ok, 1 error, 2 inconclusive (budget/deadline\n\
                  \x20      expired or repair gave up; best-known result still printed)"
@@ -766,6 +768,17 @@ fn minimize_cached(
             "--cache-dir requires a deterministic request; drop --deadline (use --conflicts to bound work)"
                 .into(),
         );
+    }
+    // A cached ladder is served whole: there are no per-rung records,
+    // proof files or solver settings to apply, so these are refused
+    // rather than silently ignored.
+    if let Some(flag) = ["stats-json", "proof-dir", "no-inprocess"]
+        .into_iter()
+        .find(|flag| args.has(flag))
+    {
+        return Err(format!(
+            "--cache-dir does not take --{flag}; drop one of them"
+        ));
     }
     let mut request = if args.has("r-only") {
         MinimizeRequest::r_only(args.get_usize("max-rops", 8)?)

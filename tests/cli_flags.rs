@@ -107,4 +107,39 @@ fn every_subcommand_still_takes_the_telemetry_flags() {
     let out = mmsynth(&["run", "--function", "xor2", "--input", "01", "--progress"]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("xor2(01) = 1"));
+    // The local ticker is unfiltered: even the trace's `meta` point shows.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("mmsynth: progress meta "), "{stderr}");
+}
+
+#[test]
+fn cache_dir_refuses_flags_it_cannot_honour() {
+    let dir = std::env::temp_dir().join(format!("cli_flags_cache_{}", std::process::id()));
+    let dir = dir.to_str().expect("temp path is UTF-8");
+    let base = [
+        "minimize",
+        "--function",
+        "xor2",
+        "--max-rops",
+        "3",
+        "--max-steps",
+        "3",
+    ];
+    for extra in [
+        &["--stats-json", "s.json"][..],
+        &["--proof-dir", "pd", "--certify"],
+        &["--no-inprocess"],
+    ] {
+        let args: Vec<&str> = base
+            .iter()
+            .copied()
+            .chain(["--cache-dir", dir])
+            .chain(extra.iter().copied())
+            .collect();
+        assert_rejected(&mmsynth(&args), &["--cache-dir", extra[0]]);
+    }
+    assert!(
+        !std::path::Path::new(dir).exists(),
+        "a refused run opens no cache"
+    );
 }
