@@ -228,11 +228,6 @@ impl TruthTable {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Whether the function is constant 1.
-    pub fn is_true(&self) -> bool {
-        self.count_ones() == self.n_rows()
-    }
-
     /// Whether the function depends on variable `x_i` (1-based).
     ///
     /// # Errors
@@ -556,7 +551,7 @@ mod tests {
         let neg = !&x7;
         assert_eq!(neg.count_ones(), 64);
         assert!((&x7 & &neg).is_false());
-        assert!((&x7 | &neg).is_true());
+        assert_eq!((&x7 | &neg).count_ones(), 128);
     }
 
     #[test]

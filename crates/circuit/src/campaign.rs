@@ -146,16 +146,6 @@ impl PlanReport {
     pub fn implicated_cells(&self) -> Vec<usize> {
         self.attribution.iter().map(|a| a.cell).collect()
     }
-
-    /// The error rate contributed by one fault class.
-    pub fn class_error_rate(&self, class: FaultClass) -> f64 {
-        let failures = match class {
-            FaultClass::Stuck => self.stuck_failures,
-            FaultClass::Transient => self.transient_failures,
-            FaultClass::Variability => self.variability_failures,
-        };
-        f64::from(failures) / f64::from(self.executions.max(1))
-    }
 }
 
 /// The structured result of a campaign: one [`PlanReport`] per plan.
@@ -455,7 +445,6 @@ mod tests {
         // differs. Either way a first cycle exists.
         assert!(p.first_divergence_cycle.is_some());
         assert!((p.error_rate - 0.75).abs() < 1e-9);
-        assert!((p.class_error_rate(FaultClass::Stuck) - 0.75).abs() < 1e-9);
     }
 
     #[test]

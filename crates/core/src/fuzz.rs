@@ -11,7 +11,7 @@
 //!
 //! * **Jobs invariance** — the cold portfolio reports the same best circuit
 //!   and `proven_optimal` for every job count (the lattice argument in
-//!   [`optimize`]).
+//!   [`optimize`](crate::optimize)).
 //! * **Inprocessing invariance** — disabling solver inprocessing (the
 //!   `--no-inprocess` regime) never changes a verdict or `proven_optimal`.
 //! * **Degraded honesty** — `proven_optimal` is never claimed on a degraded
@@ -38,14 +38,15 @@ use mm_boolfn::{MultiOutputFn, TruthTable};
 use mm_circuit::campaign::{run_campaign, CampaignConfig};
 use mm_circuit::{FaultPlan, Schedule};
 use mm_device::seeds;
-use mm_sat::{Budget, Deadline};
+use mm_sat::Budget;
 use proptest::shrink::Shrink;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::optimize::{self, OptimizeReport, OptimizeStatus, SynthResultKind};
+use crate::optimize::{OptimizeReport, OptimizeStatus, SynthResultKind};
 use crate::repair::{synthesize_with_repair, RepairConfig};
+use crate::request::MinimizeRequest;
 use crate::{EncodeOptions, SynthResult, SynthSpec, Synthesizer};
 
 /// Version stamp of the corpus JSON layout.
@@ -186,19 +187,17 @@ impl FuzzScenario {
         MultiOutputFn::new(self.name.clone(), tables).map_err(|e| format!("bad outputs: {e}"))
     }
 
-    /// The per-call solver budget this scenario runs under, if any.
-    pub fn budget(&self) -> Option<Budget> {
-        let mut budget = self
-            .max_conflicts
-            .map(|c| Budget::new().with_max_conflicts(c));
-        if self.zero_deadline {
-            let deadline = Deadline::after(Duration::ZERO);
-            budget = Some(budget.unwrap_or_default().with_deadline(deadline));
-        }
-        if !self.inprocess {
-            budget = Some(budget.unwrap_or_default().with_inprocess(false));
-        }
-        budget
+    /// The scenario's ladder as a minimize job: R-only when `max_vsteps`
+    /// is 0, under the scenario's conflict limit and (for `zero_deadline`)
+    /// an already-expired deadline.
+    pub fn request(&self) -> MinimizeRequest {
+        let mut request = match self.max_vsteps {
+            0 => MinimizeRequest::r_only(self.max_rops),
+            vsteps => MinimizeRequest::mixed_mode(self.max_rops, vsteps, false),
+        };
+        request.max_conflicts = self.max_conflicts;
+        request.deadline = self.zero_deadline.then_some(Duration::ZERO);
+        request
     }
 
     /// True when every solve runs to completion (no conflict cap, no
@@ -356,28 +355,15 @@ pub fn run_scenario(sc: &FuzzScenario, cfg: &FuzzConfig) -> Result<ScenarioRepor
     }
 
     let options = EncodeOptions::recommended();
-    let make_synth = |certify: bool| {
-        let mut synth = Synthesizer::new().with_certification(certify);
-        if let Some(budget) = sc.budget() {
-            synth = synth.with_budget(budget);
-        }
-        synth
-    };
-    let run_ladder = |synth: &Synthesizer, jobs: usize| -> Result<OptimizeReport, String> {
-        let report = if sc.max_vsteps == 0 {
-            optimize::minimize_r_only(synth, &f, sc.max_rops, &options, jobs)
-        } else {
-            optimize::minimize_mixed_mode(
-                synth,
-                &f,
-                sc.max_rops,
-                sc.max_vsteps,
-                false,
-                &options,
-                jobs,
-            )
-        };
-        report.map_err(|e| format!("ladder failed: {e}"))
+    let request = sc.request();
+    let synth = Synthesizer::new().with_budget(Budget::new().with_inprocess(sc.inprocess));
+    let run_ladder = |request: &MinimizeRequest,
+                      synth: &Synthesizer,
+                      jobs: usize|
+     -> Result<OptimizeReport, String> {
+        request
+            .run(synth, &f, &options, jobs)
+            .map_err(|e| format!("ladder failed: {e}"))
     };
     let fail = |violations: &mut Vec<Violation>, invariant: &str, detail: String| {
         violations.push(Violation {
@@ -429,7 +415,7 @@ pub fn run_scenario(sc: &FuzzScenario, cfg: &FuzzConfig) -> Result<ScenarioRepor
     let mut cold_report: Option<OptimizeReport> = None;
     let mut cold_fp = String::new();
     for &jobs in &sc.jobs {
-        let report = run_ladder(&make_synth(false), jobs.max(1))?;
+        let report = run_ladder(&request, &synth, jobs.max(1))?;
         check_internal(&report, &format!("cold j{jobs}"), &mut violations);
         let fp = fingerprint_of(&report);
         if cold_report.is_none() {
@@ -450,9 +436,8 @@ pub fn run_scenario(sc: &FuzzScenario, cfg: &FuzzConfig) -> Result<ScenarioRepor
     // the unlimited regime, a single-worker ladder with the pass disabled
     // must land on the stage-1 fingerprint too.
     if sc.inprocess && sc.unlimited() {
-        let budget = sc.budget().unwrap_or_default().with_inprocess(false);
-        let synth = Synthesizer::new().with_budget(budget);
-        let report = run_ladder(&synth, 1)?;
+        let synth = Synthesizer::new().with_budget(Budget::new().with_inprocess(false));
+        let report = run_ladder(&request, &synth, 1)?;
         check_internal(&report, "no-inprocess", &mut violations);
         let fp = fingerprint_of(&report);
         if fp != cold_fp {
@@ -466,7 +451,11 @@ pub fn run_scenario(sc: &FuzzScenario, cfg: &FuzzConfig) -> Result<ScenarioRepor
 
     // ── Stage 3: certified ladder, proofs re-check ───────────────────────
     if sc.certify {
-        let report = run_ladder(&make_synth(true), *sc.jobs.first().unwrap_or(&1))?;
+        let certified = MinimizeRequest {
+            certify: true,
+            ..request.clone()
+        };
+        let report = run_ladder(&certified, &synth, *sc.jobs.first().unwrap_or(&1))?;
         check_internal(&report, "certified", &mut violations);
         let fp = fingerprint_of(&report);
         if fp != cold_fp {
@@ -559,7 +548,10 @@ pub fn run_scenario(sc: &FuzzScenario, cfg: &FuzzConfig) -> Result<ScenarioRepor
             .map_err(|e| format!("avoidance spec: {e}"))?
             .with_options(options.clone())
             .with_cell_avoidance(sc.array_size, sc.avoid_cells.clone());
-        let outcome = make_synth(false)
+        // The single rung runs under the ladder's limits.
+        let outcome = synth
+            .clone()
+            .with_budget(request.limit(synth.budget()))
             .run(&spec)
             .map_err(|e| format!("avoidance run: {e}"))?;
         if matches!(outcome.result, SynthResult::Realizable(_)) {
@@ -638,9 +630,8 @@ pub fn run_scenario(sc: &FuzzScenario, cfg: &FuzzConfig) -> Result<ScenarioRepor
             let mut repair_cfg = RepairConfig::new(sc.array_size);
             repair_cfg.campaign = config;
             let repair_plans = [plan.clone()];
-            let outcome =
-                synthesize_with_repair(&make_synth(false), &spec, &repair_plans, &repair_cfg)
-                    .map_err(|e| format!("repair: {e}"))?;
+            let outcome = synthesize_with_repair(&synth, &spec, &repair_plans, &repair_cfg)
+                .map_err(|e| format!("repair: {e}"))?;
             if outcome.succeeded() {
                 if let Some(report) = &outcome.report {
                     if report.any_failures() {

@@ -1,5 +1,6 @@
-//! Serializable minimization jobs: the shared entry point behind the
-//! `mmsynth minimize` CLI, the `mmsynthd` service, and the result cache.
+//! Serializable minimization jobs: the one entry point behind the
+//! `mmsynth minimize` CLI, the `mmsynthd` service, the scenario fuzzer
+//! and the result cache.
 //!
 //! A [`MinimizeRequest`] captures *everything that determines a
 //! minimization verdict* — the ladder shape and the per-call solver budget
@@ -108,22 +109,25 @@ impl MinimizeRequest {
         (self.mode.clone(), self.max_conflicts)
     }
 
-    /// The solver budget the request implies, with the deadline anchored
-    /// at "now".
-    pub fn budget(&self) -> Option<Budget> {
-        let mut budget = self
-            .max_conflicts
-            .map(|c| Budget::new().with_max_conflicts(c));
-        if let Some(d) = self.deadline {
-            budget = Some(budget.unwrap_or_default().with_deadline(Deadline::after(d)));
+    /// `base` with the request's conflict limit and deadline (anchored
+    /// now) added; everything else `base` carries is kept.
+    pub(crate) fn limit(&self, mut base: Budget) -> Budget {
+        if let Some(c) = self.max_conflicts {
+            base = base.with_max_conflicts(c);
         }
-        budget
+        if let Some(d) = self.deadline {
+            base = base.with_deadline(Deadline::after(d));
+        }
+        base
     }
 
     /// Runs the request's ladder on `f` with `jobs` portfolio workers.
     ///
-    /// The synthesizer's certification flag and budget are overridden by
-    /// the request; its telemetry handle is kept.
+    /// The request's conflict limit and deadline (anchored at the moment
+    /// `run` starts) are added to the synthesizer's own budget, which keeps
+    /// everything else it carries, such as `with_inprocess(false)`. The
+    /// request's certification flag replaces the synthesizer's; its
+    /// telemetry handle is kept.
     ///
     /// # Errors
     ///
@@ -135,10 +139,10 @@ impl MinimizeRequest {
         options: &EncodeOptions,
         jobs: usize,
     ) -> Result<OptimizeReport, SynthError> {
-        let mut synth = synth.clone().with_certification(self.certify);
-        if let Some(budget) = self.budget() {
-            synth = synth.with_budget(budget);
-        }
+        let synth = synth
+            .clone()
+            .with_certification(self.certify)
+            .with_budget(self.limit(synth.budget()));
         match self.mode {
             MinimizeMode::ROnly { max_rops } => {
                 optimize::minimize_r_only(&synth, f, max_rops, options, jobs)
@@ -222,6 +226,32 @@ mod tests {
             via_request.best.map(|c| c.metrics().n_rops),
             direct.best.map(|c| c.metrics().n_rops),
         );
+
+        // The request's conflict limit joins the synthesizer's budget
+        // instead of replacing it: `with_inprocess(false)` survives. (On
+        // XOR3 inprocessing changes the second rung's conflict count.)
+        let f = generators::xor_gate(3);
+        let synth = Synthesizer::new().with_budget(Budget::new().with_inprocess(false));
+        let req = MinimizeRequest {
+            max_conflicts: Some(3_500),
+            ..MinimizeRequest::mixed_mode(4, 3, false)
+        };
+        let combined = Synthesizer::new().with_budget(
+            Budget::new()
+                .with_inprocess(false)
+                .with_max_conflicts(3_500),
+        );
+        let calls = |report: OptimizeReport| -> Vec<_> {
+            report
+                .calls
+                .iter()
+                .map(|c| (c.n_rops, c.n_legs, c.n_vsteps, c.result, c.conflicts))
+                .collect()
+        };
+        let via_request = calls(req.run(&synth, &f, &opts, 1).unwrap());
+        let direct =
+            calls(optimize::minimize_mixed_mode(&combined, &f, 4, 3, false, &opts, 1).unwrap());
+        assert_eq!(via_request, direct, "call for call");
     }
 
     #[test]

@@ -87,11 +87,6 @@ impl Deadline {
         }
     }
 
-    /// A deadline at an absolute instant.
-    pub fn at(at: Instant) -> Self {
-        Self { at }
-    }
-
     /// Whether the deadline has passed.
     pub fn expired(&self) -> bool {
         Instant::now() >= self.at
@@ -100,11 +95,6 @@ impl Deadline {
     /// Time left before expiry (zero once expired).
     pub fn remaining(&self) -> Duration {
         self.at.saturating_duration_since(Instant::now())
-    }
-
-    /// The absolute expiry instant.
-    pub fn instant(&self) -> Instant {
-        self.at
     }
 }
 
@@ -295,9 +285,6 @@ mod tests {
         let past = Deadline::after(Duration::ZERO);
         assert!(past.expired());
         assert_eq!(past.remaining(), Duration::ZERO);
-
-        let at = Instant::now();
-        assert_eq!(Deadline::at(at).instant(), at);
 
         // Absurd durations saturate instead of panicking.
         let far = Deadline::after(Duration::from_secs(u64::MAX));

@@ -125,11 +125,6 @@ impl CnfFormula {
         self.add_clause([!a, b]);
     }
 
-    /// Adds `(a ∧ b) → c` as the clause `(¬a ∨ ¬b ∨ c)`.
-    pub fn add_implies2(&mut self, a: Lit, b: Lit, c: Lit) {
-        self.add_clause([!a, !b, c]);
-    }
-
     /// Adds `guard → (a ≡ b)` as two ternary clauses.
     ///
     /// This is the shape of the paper's Eqs. 5, 7 and 10 after expanding the
@@ -482,7 +477,7 @@ mod tests {
         let b = cnf.new_lit();
         let c = cnf.new_lit();
         cnf.add_implies(a, b);
-        cnf.add_implies2(a, b, c);
+        cnf.add_clause([!a, !b, c]);
         cnf.add_unit(a);
         match Solver::new(cnf).solve() {
             SatResult::Sat(m) => {

@@ -9,8 +9,9 @@
 //! - a minimize job's ladder shape and conflict limit
 //!   ([`MinimizeRequest::cache_facet`]), answered by a [`CacheEntry`];
 //! - a single `Rung` `(N_R, N_L, N_VS)`, the fixed-budget decision a
-//!   `faultsim` job synthesizes its circuit under, answered by a
-//!   `RungEntry` (with no circuit when the rung is UNSAT).
+//!   `synthesize` job answers and a `faultsim` job synthesizes its
+//!   circuit under, answered by a `RungEntry` (with no circuit when the
+//!   rung is UNSAT).
 //!
 //! The key is the FNV-1a hash (two independent 64-bit streams, 32 hex
 //! chars) of the facet's canonical JSON serialization; the two facets
@@ -36,6 +37,11 @@
 //! over every entry, deleting in-flight temp files a killed process left
 //! behind ([`mm_telemetry::atomic::is_temp_artifact`]).
 //!
+//! An entry holds only what a reply reads. Payload fields a reader does
+//! not know are ignored, so entries that still carry the device trace and
+//! solver-call count earlier builds stored keep hitting under the same
+//! schema version.
+//!
 //! A stored DRAT proof is parsed only by lookups that serve it: an
 //! uncertified [`lookup`](ResultCache::lookup) checks the whole payload's
 //! checksum but returns `proof: None` without parsing the proof text,
@@ -57,7 +63,7 @@ use std::sync::Arc;
 
 use mm_boolfn::MultiOutputFn;
 use mm_circuit::{MmCircuit, Schedule};
-use mm_device::{ElectricalParams, LineArray, MeasurementTrace};
+use mm_device::{ElectricalParams, LineArray};
 use mm_sat::DratProof;
 use mm_synth::request::{MinimizeMode, MinimizeRequest};
 use mm_telemetry::atomic::is_temp_artifact;
@@ -70,8 +76,7 @@ use crate::metrics::ServiceMetrics;
 /// quarantine entries from other versions instead of guessing.
 pub const CACHE_SCHEMA_VERSION: u64 = 1;
 
-/// Seed used for the deterministic device re-execution that produces the
-/// stored [`MeasurementTrace`] and backs paranoid verification.
+/// Seed of the device arrays paranoid verification re-executes hits on.
 const DEVICE_SEED: u64 = 0xCAC4E;
 
 /// FNV-1a 64-bit.
@@ -180,7 +185,8 @@ fn value_str(v: Option<&Value>) -> Option<&str> {
 }
 
 /// One cached result: the canonical function, the request facet it
-/// answers, and the complete canonical verdict (circuit, proof, trace).
+/// answers, and the canonical verdict a reply reads (circuit, optimality,
+/// proof).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct CacheEntry {
     /// The canonical representative the solver actually ran on.
@@ -196,12 +202,6 @@ pub struct CacheEntry {
     /// The checker-accepted refutation of the rung below the optimum,
     /// when the run was certified and such a rung exists.
     pub proof: Option<DratProof>,
-    /// Deterministic device-model execution trace of `circuit` (seed
-    /// `DEVICE_SEED`, nominal BFO parameters, input row 0).
-    pub trace: Option<MeasurementTrace>,
-    /// Solver calls the original run spent, kept so hit responses can
-    /// report the work they saved.
-    pub solver_calls: u64,
 }
 
 impl CacheEntry {
@@ -638,16 +638,6 @@ impl ResultCache {
     }
 }
 
-/// Executes `circuit` on a fresh nominal-parameter device array and
-/// returns its measurement trace. Shared by entry creation (the stored
-/// trace) and paranoid verification, so both observe the same model.
-pub fn device_trace(circuit: &MmCircuit) -> Option<MeasurementTrace> {
-    let schedule = Schedule::compile(circuit).ok()?;
-    let mut array = LineArray::bfo(schedule.n_cells(), ElectricalParams::bfo(), DEVICE_SEED);
-    schedule.execute(0, &mut array);
-    Some(array.trace().clone())
-}
-
 /// Exhaustive device-model re-execution: every input row must reproduce
 /// the stored canonical function `f`. Entries without a circuit pass
 /// trivially (there is nothing executable to poison).
@@ -696,11 +686,9 @@ mod tests {
             canonical,
             mode: request.cache_facet().0,
             max_conflicts: request.max_conflicts,
-            trace: circuit.as_ref().and_then(device_trace),
             circuit,
             proven_optimal: report.proven_optimal,
             proof: None,
-            solver_calls: report.calls.len() as u64,
         }
     }
 
@@ -719,9 +707,24 @@ mod tests {
         assert_eq!(hit.canonical, entry.canonical);
         assert_eq!(hit.circuit, entry.circuit);
         assert_eq!(hit.proven_optimal, entry.proven_optimal);
-        assert_eq!(hit.trace, entry.trace);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.stores), (1, 0, 1));
+
+        // Entries that still carry the device trace and call count older
+        // builds stored hit too: the payload's extra fields are ignored.
+        let schedule = Schedule::compile(entry.circuit.as_ref().unwrap()).unwrap();
+        let mut array = LineArray::bfo(schedule.n_cells(), ElectricalParams::bfo(), DEVICE_SEED);
+        schedule.execute(0, &mut array);
+        let mut payload = Serialize::to_value(&entry);
+        if let Value::Object(fields) = &mut payload {
+            fields.push(("trace".into(), Serialize::to_value(array.trace())));
+            fields.push(("solver_calls".into(), Value::UInt(4)));
+        }
+        cache
+            .write(&CacheKey::derive(&canonical, &request), &payload)
+            .unwrap();
+        let old = cache.lookup(&canonical, &request).expect("old entries hit");
+        assert_eq!(old.circuit, entry.circuit);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -31,7 +31,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mm_telemetry::metrics::MetricsRegistry;
-use mm_telemetry::{kv, Telemetry, TelemetrySink};
+use mm_telemetry::{atomic_write, kv, Telemetry, TelemetrySink};
 use serde::Value;
 
 use crate::backoff::RetryPolicy;
@@ -479,8 +479,9 @@ fn load_lifetime_gauges(registry: &MetricsRegistry, path: &Path) -> Vec<(String,
     prior
 }
 
-/// Writes prior + this run's counter totals atomically (tmp + rename),
-/// so a crash mid-drain leaves the old snapshot intact.
+/// Writes prior + this run's counter totals through [`atomic_write`], so
+/// a crash mid-drain leaves the old snapshot intact and at most a temp
+/// file the next recovery scan sweeps.
 fn persist_lifetime_totals(
     registry: &MetricsRegistry,
     prior: &[(String, String, u64)],
@@ -508,9 +509,7 @@ fn persist_lifetime_totals(
         ("version".to_string(), Value::UInt(1)),
         ("counters".to_string(), Value::Array(series)),
     ]);
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, serde_json::to_string(&doc).expect("totals serialize"))?;
-    std::fs::rename(&tmp, path)
+    atomic_write(path, serde_json::to_string(&doc).expect("totals serialize"))
 }
 
 /// The supervisor reply for request `n`, job `id`: sends its verdict on

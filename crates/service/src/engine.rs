@@ -12,11 +12,14 @@
 //! are worker-count-invariant for conflict-limited budgets (see
 //! `mm_synth::optimize`), that identity holds at any `--jobs`.
 //!
-//! `faultsim` follows the same rule one level down: it synthesizes its
-//! circuit under test at one canonical `Rung`, cached under the rung
-//! facet, and de-canonicalizes it before compiling and running the
-//! campaign. Hit or miss, cache or none, the campaign sees the same
-//! circuit.
+//! `synthesize` and `faultsim` follow the same rule one level down, in
+//! `canonical_rung`: each solves one canonical `Rung`, cached under the
+//! rung facet, and de-canonicalizes its circuit — `synthesize` to reply
+//! with it, `faultsim` to compile it and run the campaign. Hit or miss,
+//! cache or none, the reply sees the same circuit.
+//!
+//! The engine is the one owner of this protocol: `mmsynth minimize
+//! --cache-dir` runs its job through [`Engine::run_attempt`] too.
 //!
 //! # What gets cached
 //!
@@ -25,8 +28,9 @@
 //! request's own conflict budget (a supervisor retry's escalated budget
 //! answers a different question than the key describes). Degraded results
 //! are served but never stored, so the cache can only contain verdicts a
-//! cold solve would reproduce. A faultsim rung has no budget, so its SAT
-//! or UNSAT verdict is always stored.
+//! cold solve would reproduce. An unlimited rung's SAT or UNSAT verdict
+//! is always stored; a `synthesize` with `max_conflicts` bypasses the
+//! cache both ways, since its capped cold solve may answer `unknown`.
 
 use std::sync::Arc;
 
@@ -40,7 +44,7 @@ use mm_synth::{EncodeOptions, SynthResult, Synthesizer};
 use mm_telemetry::{kv, Telemetry, TelemetrySink};
 
 use crate::backoff::Attempt;
-use crate::cache::{device_trace, CacheEntry, ResultCache, Rung, RungEntry};
+use crate::cache::{CacheEntry, ResultCache, Rung, RungEntry};
 use crate::metrics::ServiceMetrics;
 use crate::proto::{function_from_tables, CacheOutcome, JobResponse, Op, PROTO_VERSION};
 use crate::supervisor::AttemptResult;
@@ -264,17 +268,7 @@ impl Engine {
         };
         telemetry.point(
             "job.cache",
-            vec![
-                kv("id", id),
-                kv(
-                    "outcome",
-                    if outcome == CacheOutcome::Miss {
-                        "miss"
-                    } else {
-                        "bypass"
-                    },
-                ),
-            ],
+            vec![kv("id", id), kv("outcome", outcome.as_str())],
         );
         let mut resp = entry_response(id, &entry, &transform, request);
         resp.cache = Some(outcome);
@@ -319,35 +313,34 @@ impl Engine {
             Ok(f) => f,
             Err(e) => return JobResponse::error(id, e.to_string()),
         };
-        let n_legs = n_legs.unwrap_or_else(|| mm_synth::SynthSpec::paper_legs(&f, n_rops, false));
-        let spec = match mm_synth::SynthSpec::mixed_mode(&f, n_rops, n_legs, n_vsteps) {
-            Ok(spec) => spec.with_options(self.options.clone()),
-            Err(e) => return JobResponse::error(id, e.to_string()),
+        let rung = Rung {
+            n_rops,
+            n_legs: n_legs.unwrap_or_else(|| mm_synth::SynthSpec::paper_legs(&f, n_rops, false)),
+            n_vsteps,
         };
-        let mut synth = Synthesizer::new().with_telemetry(telemetry.clone());
-        if let Some(c) = max_conflicts {
-            synth = synth.with_budget(Budget::new().with_max_conflicts(c));
-        }
-        match synth.run(&spec) {
-            Ok(outcome) => match outcome.result {
-                SynthResult::Realizable(circuit) => JobResponse {
-                    verdict: Some("sat".into()),
-                    metrics: Some(circuit.metrics()),
-                    circuit: Some(circuit),
-                    ..JobResponse::new(id, "ok")
-                },
-                SynthResult::Unrealizable => JobResponse {
-                    verdict: Some("unsat".into()),
-                    ..JobResponse::new(id, "ok")
-                },
-                SynthResult::Unknown => JobResponse {
-                    verdict: Some("unknown".into()),
-                    degraded_reason: Some("budget exhausted".into()),
-                    ..JobResponse::new(id, "degraded")
-                },
+        let (result, outcome) = match self.canonical_rung(id, &f, rung, max_conflicts, telemetry) {
+            Ok(solved) => solved,
+            Err(e) => return JobResponse::error(id, e),
+        };
+        let mut resp = match result {
+            SynthResult::Realizable(circuit) => JobResponse {
+                verdict: Some("sat".into()),
+                metrics: Some(circuit.metrics()),
+                circuit: Some(circuit),
+                ..JobResponse::new(id, "ok")
             },
-            Err(e) => JobResponse::error(id, e.to_string()),
-        }
+            SynthResult::Unrealizable => JobResponse {
+                verdict: Some("unsat".into()),
+                ..JobResponse::new(id, "ok")
+            },
+            SynthResult::Unknown => JobResponse {
+                verdict: Some("unknown".into()),
+                degraded_reason: Some("budget exhausted".into()),
+                ..JobResponse::new(id, "degraded")
+            },
+        };
+        resp.cache = Some(outcome);
+        resp
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the wire op's fields
@@ -366,68 +359,77 @@ impl Engine {
             Ok(f) => f,
             Err(e) => return JobResponse::error(id, e.to_string()),
         };
-        let (canonical, transform) = canonicalize(&f);
         let rung = Rung {
             n_rops,
-            n_legs: mm_synth::SynthSpec::paper_legs(&canonical, n_rops, false),
+            n_legs: mm_synth::SynthSpec::paper_legs(&f, n_rops, false),
             n_vsteps,
         };
-        let (circuit, outcome) = match self.canonical_rung(id, &canonical, rung, telemetry) {
+        let (result, outcome) = match self.canonical_rung(id, &f, rung, None, telemetry) {
             Ok(solved) => solved,
             Err(e) => return JobResponse::error(id, e),
         };
-        let mut resp = match circuit {
-            Some(circuit) => {
-                let circuit = decanonicalize_circuit(&circuit, &transform)
-                    .expect("solved circuits are structurally valid");
+        let mut resp = match result {
+            SynthResult::Realizable(circuit) => {
                 campaign_response(id, &circuit, trials, seed, stuck_lrs, telemetry)
             }
-            None => JobResponse::error(
+            SynthResult::Unrealizable => JobResponse::error(
                 id,
                 "faultsim needs a realizable circuit at the given budgets",
             ),
+            // No budget is set, so this only follows a cancellation.
+            SynthResult::Unknown => JobResponse::error(id, "faultsim synthesis was inconclusive"),
         };
         resp.cache = Some(outcome);
         resp
     }
 
-    /// The verdict of `rung` for `canonical`: its circuit, or `None` when
-    /// the rung is UNSAT. Served from the cache when it holds the rung,
-    /// otherwise solved cold and stored.
+    /// The verdict of `rung` for `f`, solved on `f`'s canonical
+    /// representative with at most `max_conflicts` conflicts and
+    /// de-canonicalized. An unlimited rung is served from the cache when
+    /// it holds the rung, and otherwise solved and stored. A capped rung
+    /// bypasses the cache both ways: a hit must answer what a cold solve
+    /// would, and a capped cold solve may answer `Unknown`. (`rung`'s leg
+    /// count is NPN-invariant, so callers may derive it from `f`.)
     fn canonical_rung(
         &self,
         id: &str,
-        canonical: &mm_boolfn::MultiOutputFn,
+        f: &mm_boolfn::MultiOutputFn,
         rung: Rung,
+        max_conflicts: Option<u64>,
         telemetry: &Telemetry,
-    ) -> Result<(Option<MmCircuit>, CacheOutcome), String> {
-        if let Some(entry) = self
-            .cache
-            .as_ref()
-            .and_then(|cache| cache.lookup_rung(canonical, rung))
-        {
+    ) -> Result<(SynthResult, CacheOutcome), String> {
+        let (canonical, transform) = canonicalize(f);
+        let served = |circuit: Option<MmCircuit>| match circuit {
+            Some(c) => SynthResult::Realizable(
+                decanonicalize_circuit(&c, &transform)
+                    .expect("solved circuits are structurally valid"),
+            ),
+            None => SynthResult::Unrealizable,
+        };
+        let cache = self.cache.as_ref().filter(|_| max_conflicts.is_none());
+        if let Some(entry) = cache.and_then(|cache| cache.lookup_rung(&canonical, rung)) {
             telemetry.point("job.cache", vec![kv("id", id), kv("outcome", "hit")]);
-            return Ok((entry.circuit, CacheOutcome::Hit));
+            return Ok((served(entry.circuit), CacheOutcome::Hit));
         }
         let spec =
-            mm_synth::SynthSpec::mixed_mode(canonical, rung.n_rops, rung.n_legs, rung.n_vsteps)
+            mm_synth::SynthSpec::mixed_mode(&canonical, rung.n_rops, rung.n_legs, rung.n_vsteps)
                 .map_err(|e| e.to_string())?
                 .with_options(self.options.clone());
-        let outcome = Synthesizer::new()
-            .with_telemetry(telemetry.clone())
-            .run(&spec)
-            .map_err(|e| e.to_string())?;
-        let circuit = match outcome.result {
+        let mut synth = Synthesizer::new().with_telemetry(telemetry.clone());
+        if let Some(c) = max_conflicts {
+            synth = synth.with_budget(Budget::new().with_max_conflicts(c));
+        }
+        let circuit = match synth.run(&spec).map_err(|e| e.to_string())?.result {
             SynthResult::Realizable(circuit) => Some(circuit),
             SynthResult::Unrealizable => None,
-            // No budget is set, so this only follows a cancellation.
-            SynthResult::Unknown => return Err("faultsim synthesis was inconclusive".into()),
+            // Never stored (an unlimited rung only gets here on cancellation).
+            SynthResult::Unknown => return Ok((SynthResult::Unknown, CacheOutcome::Bypass)),
         };
-        let Some(cache) = &self.cache else {
-            return Ok((circuit, CacheOutcome::Bypass));
+        let Some(cache) = cache else {
+            return Ok((served(circuit), CacheOutcome::Bypass));
         };
         let entry = RungEntry {
-            canonical: canonical.clone(),
+            canonical,
             rung,
             circuit,
         };
@@ -438,7 +440,7 @@ impl Engine {
             );
         }
         telemetry.point("job.cache", vec![kv("id", id), kv("outcome", "miss")]);
-        Ok((entry.circuit, CacheOutcome::Miss))
+        Ok((served(entry.circuit), CacheOutcome::Miss))
     }
 }
 
@@ -503,9 +505,8 @@ fn entry_response(
 }
 
 /// Folds an [`OptimizeReport`] for the canonical function into a cache
-/// entry. Shared with `mmsynth --cache-dir`, which is the same
-/// solve-store-decanonicalize path without the daemon around it.
-pub fn entry_from_report(
+/// entry.
+fn entry_from_report(
     canonical: &mm_boolfn::MultiOutputFn,
     request: &MinimizeRequest,
     report: &OptimizeReport,
@@ -515,11 +516,9 @@ pub fn entry_from_report(
         canonical: canonical.clone(),
         mode,
         max_conflicts,
-        trace: report.best.as_ref().and_then(device_trace),
         circuit: report.best.clone(),
         proven_optimal: report.proven_optimal,
         proof: optimality_proof(&report.calls),
-        solver_calls: report.calls.len() as u64,
     }
 }
 
@@ -717,18 +716,30 @@ mod tests {
 
     #[test]
     fn synthesize_and_faultsim_round_trip() {
-        let engine = Arc::new(Engine::new(2));
-        let op = Op::Synthesize {
-            tables: vec!["0001".into()],
+        let dir = temp_dir("synthesize");
+        let (cache, _) = ResultCache::open(&dir).unwrap();
+        let engine = Arc::new(Engine::new(2).with_cache(cache));
+        let synthesize = |table: &str, max_conflicts: Option<u64>| Op::Synthesize {
+            tables: vec![table.into()],
             n_rops: 1,
             n_legs: None,
             n_vsteps: 3,
-            max_conflicts: None,
+            max_conflicts,
         };
-        let resp = done(engine.run_attempt("s", &op, &attempt0(None)));
-        assert_eq!(resp.status, "ok");
-        assert_eq!(resp.verdict.as_deref(), Some("sat"));
-        assert!(resp.circuit.is_some());
+        let miss = done(engine.run_attempt("s", &synthesize("0001", None), &attempt0(None)));
+        assert_eq!(miss.status, "ok");
+        assert_eq!(miss.verdict.as_deref(), Some("sat"));
+        assert_eq!(miss.cache, Some(CacheOutcome::Miss));
+        // x1 ∧ ¬x2 is AND's NPN variant: it hits AND's canonical rung.
+        let hit = done(engine.run_attempt("s", &synthesize("0010", None), &attempt0(None)));
+        assert_eq!(hit.cache, Some(CacheOutcome::Hit));
+        assert_eq!((&hit.verdict, &hit.metrics), (&miss.verdict, &miss.metrics));
+        let circuit = hit.circuit.expect("the rung is SAT");
+        assert!(circuit.implements(&function_from_tables(&["0010".into()]).unwrap()));
+        // A capped solve may answer `unknown`, which no hit may: bypass.
+        let capped = done(engine.run_attempt("s", &synthesize("0001", Some(1)), &attempt0(None)));
+        assert_eq!(capped.cache, Some(CacheOutcome::Bypass));
+        assert_eq!(engine.cache.as_ref().unwrap().len(), 1);
 
         let op = Op::Faultsim {
             tables: vec!["0001".into()],
@@ -742,7 +753,7 @@ mod tests {
         assert_eq!(resp.status, "ok");
         let campaign = resp.campaign.expect("campaign report");
         assert_eq!(campaign.plans.len(), 2);
-        let _ = &campaign;
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

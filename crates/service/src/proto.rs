@@ -288,15 +288,15 @@ pub fn function_from_tables(tables: &[String]) -> Result<MultiOutputFn, BoolFnEr
     MultiOutputFn::new("wire", outputs)
 }
 
-/// How a minimize or faultsim response was produced.
+/// How a minimize, synthesize or faultsim response was produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
     /// Served from the persistent cache.
     Hit,
     /// Solved cold and stored.
     Miss,
-    /// Cache skipped (`no_cache`, non-deterministic request, or no cache
-    /// directory configured).
+    /// Cache skipped (`no_cache`, a deadline or a capped `synthesize`,
+    /// or no cache directory configured).
     Bypass,
 }
 
@@ -343,7 +343,7 @@ pub struct JobResponse {
     pub id: String,
     /// `ok` | `degraded` | `overloaded` | `error` | `shutting_down`.
     pub status: String,
-    /// How a minimize or faultsim answer was produced.
+    /// How a minimize, synthesize or faultsim answer was produced.
     pub cache: Option<CacheOutcome>,
     /// Why a `degraded` response degraded (mirrors exit code 2).
     pub degraded_reason: Option<String>,

@@ -31,7 +31,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 use serde::Value;
 
@@ -268,15 +268,6 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// The process-global registry. Library code that has no registry
-    /// wired through should prefer an explicit [`Arc<MetricsRegistry>`]
-    /// (tests isolate better); the global exists for binaries that want
-    /// exactly one.
-    pub fn global() -> &'static Arc<MetricsRegistry> {
-        static GLOBAL: OnceLock<Arc<MetricsRegistry>> = OnceLock::new();
-        GLOBAL.get_or_init(|| Arc::new(MetricsRegistry::new()))
-    }
-
     fn register(&self, name: &str, labels: &[(&str, &str)], help: &str, kind: MetricKind) -> Child {
         let block = label_block(labels);
         let mut families = self.families.write().expect("metrics registry poisoned");
@@ -478,15 +469,6 @@ impl MetricsRegistry {
             _ => unreachable!("family kind checked above"),
         }
     }
-
-    /// Current gauge value for `(name, block)` if such a series exists.
-    pub fn gauge_value(&self, name: &str, block: &str) -> Option<i64> {
-        let families = self.families.read().expect("metrics registry poisoned");
-        match families.get(name)?.children.get(block)? {
-            Child::Gauge(g) => Some(g.get()),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -584,9 +566,8 @@ mod tests {
                 .gauge_with_block(&format!("{name}_lifetime"), &block, "Lifetime total.")
                 .set(value as i64);
         }
-        assert_eq!(
-            fresh.gauge_value("mm_jobs_total_lifetime", r#"{op="minimize"}"#),
-            Some(7)
-        );
+        assert!(fresh
+            .render_prometheus()
+            .contains("mm_jobs_total_lifetime{op=\"minimize\"} 7\n"));
     }
 }

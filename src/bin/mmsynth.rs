@@ -23,10 +23,12 @@
 //!                  [--function NAME|BITS,...] [--id ID] [--no-cache] [--progress] [...op flags]
 //! ```
 //!
-//! `minimize --cache-dir DIR` reads/writes the same persistent NPN result
-//! cache `mmsynthd` serves from: the request is canonicalized, looked up,
-//! solved (canonically) only on a miss, and de-canonicalized for printing.
-//! `client` is a one-shot JSON-lines client for a running `mmsynthd`.
+//! `minimize` turns its flags into one `MinimizeRequest` and runs it with
+//! `MinimizeRequest::run`. With `--cache-dir DIR` it runs that request
+//! through `mmsynthd`'s engine on the same persistent NPN result cache,
+//! so it answers as the daemon would. `client` is a one-shot JSON-lines
+//! client for a running `mmsynthd`; its `--op synth` is the wire op
+//! `synthesize`.
 //!
 //! `--certify` runs every SAT call with DRAT proof logging and checks each
 //! UNSAT answer with the in-tree backward checker before reporting it;
@@ -77,12 +79,15 @@ use std::time::Duration;
 
 use memristive_mm::boolfn::{generators, MultiOutputFn, TruthTable};
 use memristive_mm::circuit::campaign::{run_campaign_traced, CampaignConfig, CampaignReport};
+use memristive_mm::circuit::MmCircuit;
 use memristive_mm::circuit::{FaultPlan, Schedule};
 use memristive_mm::device::{DeviceState, ElectricalParams, LineArray};
 use memristive_mm::sat::{Budget, Deadline};
 use memristive_mm::service::progress::ProgressFrameSink;
-use memristive_mm::synth::optimize;
+use memristive_mm::service::{Attempt, AttemptResult, CacheOutcome, Engine, Op, ResultCache};
+use memristive_mm::synth::optimize::{self, OptimizeStatus};
 use memristive_mm::synth::repair::{synthesize_with_repair, RepairConfig, RepairStatus};
+use memristive_mm::synth::request::MinimizeRequest;
 use memristive_mm::synth::universality::{census, CensusConfig};
 use memristive_mm::synth::{heuristic, EncodeOptions, SynthResult, SynthSpec, Synthesizer};
 use memristive_mm::telemetry::{
@@ -288,29 +293,39 @@ fn parse_cells(spec: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
-/// Builds the solver budget shared by `synth`/`minimize`: `--conflicts`
-/// keeps portfolio results deterministic across `--jobs`; `--deadline` adds
-/// a wall-clock bound under which minimization degrades gracefully.
-fn budget_from(args: &Args) -> Result<Option<Budget>, String> {
-    let mut budget = None;
-    if let Some(c) = args.get("conflicts") {
-        let c: u64 = c.parse().map_err(|e| format!("bad --conflicts: {e}"))?;
-        budget = Some(Budget::new().with_max_conflicts(c));
-    }
-    if let Some(d) = args.get("deadline") {
-        let secs: f64 = d.parse().map_err(|e| format!("bad --deadline: {e}"))?;
-        if !secs.is_finite() || secs < 0.0 {
-            return Err(format!("--deadline must be a nonnegative number, got {d}"));
+/// The run limits shared by `synth` and `minimize`: `--conflicts` keeps
+/// portfolio results deterministic across `--jobs`; `--deadline` adds a
+/// wall-clock bound under which minimization degrades gracefully.
+fn limits_from(args: &Args) -> Result<(Option<u64>, Option<Duration>), String> {
+    let conflicts = match args.get("conflicts") {
+        Some(c) => Some(c.parse().map_err(|e| format!("bad --conflicts: {e}"))?),
+        None => None,
+    };
+    let deadline = match args.get("deadline") {
+        Some(d) => {
+            let secs: f64 = d.parse().map_err(|e| format!("bad --deadline: {e}"))?;
+            if !secs.is_finite() || secs < 0.0 {
+                return Err(format!("--deadline must be a nonnegative number, got {d}"));
+            }
+            Some(Duration::from_secs_f64(secs))
         }
-        let deadline = Deadline::after(Duration::from_secs_f64(secs));
-        budget = Some(budget.unwrap_or_default().with_deadline(deadline));
-    }
-    // Inprocessing is on by default; --no-inprocess disables it for
-    // differential testing and clean benchmark baselines.
-    if args.has("no-inprocess") {
-        budget = Some(budget.unwrap_or_default().with_inprocess(false));
-    }
-    Ok(budget)
+        None => None,
+    };
+    Ok((conflicts, deadline))
+}
+
+/// The minimize job `mmsynth minimize`'s flags describe, cached or not.
+fn minimize_request(args: &Args, f: &MultiOutputFn) -> Result<MinimizeRequest, String> {
+    let max_rops = args.get_usize("max-rops", 8)?;
+    let mut request = if args.has("r-only") {
+        MinimizeRequest::r_only(max_rops)
+    } else {
+        let is_adder = args.has("adder") || f.name().starts_with("adder");
+        MinimizeRequest::mixed_mode(max_rops, args.get_usize("max-steps", 6)?, is_adder)
+    };
+    (request.max_conflicts, request.deadline) = limits_from(args)?;
+    request.certify = args.has("certify");
+    Ok(request)
 }
 
 /// Telemetry wiring shared by every subcommand: `--trace-out FILE` streams
@@ -446,15 +461,15 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
                 let avoid = parse_cells(cells)?;
                 spec = spec.with_cell_avoidance(args.get_usize("array-size", 16)?, avoid);
             }
+            let (conflicts, deadline) = limits_from(args)?;
             let mut budget = Budget::new()
-                .with_max_time(Duration::from_secs(args.get_usize("budget", 120)? as u64));
-            if let Some(extra) = budget_from(args)? {
-                if let Some(c) = extra.max_conflicts() {
-                    budget = budget.with_max_conflicts(c);
-                }
-                if let Some(d) = extra.deadline() {
-                    budget = budget.with_deadline(d);
-                }
+                .with_max_time(Duration::from_secs(args.get_usize("budget", 120)? as u64))
+                .with_inprocess(!args.has("no-inprocess"));
+            if let Some(c) = conflicts {
+                budget = budget.with_max_conflicts(c);
+            }
+            if let Some(d) = deadline {
+                budget = budget.with_deadline(Deadline::after(d));
             }
             let synth = Synthesizer::new()
                 .with_budget(budget)
@@ -538,40 +553,18 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
         "minimize" => {
             let f = parse_function(args.get("function").ok_or("--function required")?)?;
             let jobs = args.get_usize("jobs", optimize::default_jobs())?.max(1);
-            let options = EncodeOptions::recommended();
             if let Some(dir) = args.get("cache-dir") {
-                return minimize_cached(args, tel, &f, jobs, &options, dir);
+                return minimize_cached(args, tel, &f, jobs, dir);
             }
-            let mut synth = Synthesizer::new()
-                .with_certification(args.has("certify"))
+            let request = minimize_request(args, &f)?;
+            // Inprocessing is on by default; --no-inprocess disables it for
+            // differential testing and clean benchmark baselines.
+            let synth = Synthesizer::new()
+                .with_budget(Budget::new().with_inprocess(!args.has("no-inprocess")))
                 .with_telemetry(tel.telemetry.clone());
-            // A conflict (not wall-clock) limit keeps the portfolio result
-            // deterministic across --jobs settings; a --deadline bounds
-            // wall-clock time and degrades gracefully. Unlimited by default.
-            if let Some(budget) = budget_from(args)? {
-                synth = synth.with_budget(budget);
-            }
-            let report = if args.has("r-only") {
-                optimize::minimize_r_only(
-                    &synth,
-                    &f,
-                    args.get_usize("max-rops", 8)?,
-                    &options,
-                    jobs,
-                )
-            } else {
-                let is_adder = args.has("adder") || f.name().starts_with("adder");
-                optimize::minimize_mixed_mode(
-                    &synth,
-                    &f,
-                    args.get_usize("max-rops", 8)?,
-                    args.get_usize("max-steps", 6)?,
-                    is_adder,
-                    &options,
-                    jobs,
-                )
-            }
-            .map_err(|e| e.to_string())?;
+            let report = request
+                .run(&synth, &f, &EncodeOptions::recommended(), jobs)
+                .map_err(|e| e.to_string())?;
             if let Some(dir) = args.get("proof-dir") {
                 std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
             }
@@ -614,9 +607,7 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
                 report.total_time().as_secs_f64()
             );
             let degraded = report.status.is_degraded();
-            if let memristive_mm::synth::optimize::OptimizeStatus::Degraded { reason } =
-                &report.status
-            {
+            if let OptimizeStatus::Degraded { reason } = &report.status {
                 eprintln!("degraded: {reason}; the result below is the best known");
             }
             if let Some(dest) = args.get("stats-json") {
@@ -640,33 +631,13 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
                 ]);
                 write_stats_json(dest, &stats)?;
             }
-            match report.best {
-                Some(circuit) => {
-                    emit_circuit(&circuit, args)?;
-                    println!(
-                        "optimality: {}",
-                        match (report.proven_optimal, args.has("certify"), degraded) {
-                            (true, true, _) => "proven (UNSAT below, DRAT-certified)",
-                            (true, false, _) => "proven (UNSAT below)",
-                            (false, _, true) => "upper bound only (degraded run)",
-                            (false, _, false) => "upper bound only",
-                        }
-                    );
-                    if degraded {
-                        Ok(ExitCode::from(EXIT_INCONCLUSIVE))
-                    } else {
-                        Ok(ExitCode::SUCCESS)
-                    }
-                }
-                None if degraded => {
-                    eprintln!("inconclusive: no circuit found before the budget ran out");
-                    Ok(ExitCode::from(EXIT_INCONCLUSIVE))
-                }
-                None => Err(
-                    "no circuit found within the search limits; raise --max-rops/--max-steps"
-                        .into(),
-                ),
-            }
+            print_minimized(
+                report.best.as_ref(),
+                report.proven_optimal,
+                args.has("certify"),
+                degraded,
+                args,
+            )
         }
         "run" => {
             let f = parse_function(args.get("function").ok_or("--function required")?)?;
@@ -744,109 +715,22 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
     }
 }
 
-/// `mmsynth minimize --cache-dir DIR`: the daemon's cache path without the
-/// daemon. Canonicalize, look up, solve the canonical representative on a
-/// miss, store, de-canonicalize for printing — so a CLI run warms (and is
-/// warmed by) the same cache `mmsynthd` serves from.
-fn minimize_cached(
+/// Prints a minimize answer: the circuit with its `optimality:` line, or
+/// why there is none. `certified` says whether the optimality claim rests
+/// on checked DRAT proofs. Degraded runs exit 2.
+fn print_minimized(
+    best: Option<&MmCircuit>,
+    proven_optimal: bool,
+    certified: bool,
+    degraded: bool,
     args: &Args,
-    tel: &TelemetrySetup,
-    f: &MultiOutputFn,
-    jobs: usize,
-    options: &EncodeOptions,
-    dir: &str,
 ) -> Result<ExitCode, String> {
-    use memristive_mm::boolfn::npn::canonicalize;
-    use memristive_mm::service::engine::entry_from_report;
-    use memristive_mm::service::ResultCache;
-    use memristive_mm::synth::request::{decanonicalize_circuit, MinimizeRequest};
-
-    if args.has("deadline") {
-        // A deadline makes the verdict timing-dependent, so such runs can
-        // neither be stored nor validly served from the cache.
-        return Err(
-            "--cache-dir requires a deterministic request; drop --deadline (use --conflicts to bound work)"
-                .into(),
-        );
-    }
-    // A cached ladder is served whole: there are no per-rung records,
-    // proof files or solver settings to apply, so these are refused
-    // rather than silently ignored.
-    if let Some(flag) = ["stats-json", "proof-dir", "no-inprocess"]
-        .into_iter()
-        .find(|flag| args.has(flag))
-    {
-        return Err(format!(
-            "--cache-dir does not take --{flag}; drop one of them"
-        ));
-    }
-    let mut request = if args.has("r-only") {
-        MinimizeRequest::r_only(args.get_usize("max-rops", 8)?)
-    } else {
-        MinimizeRequest::mixed_mode(
-            args.get_usize("max-rops", 8)?,
-            args.get_usize("max-steps", 6)?,
-            args.has("adder") || f.name().starts_with("adder"),
-        )
-    };
-    if let Some(c) = args.get("conflicts") {
-        request.max_conflicts = Some(c.parse().map_err(|e| format!("bad --conflicts: {e}"))?);
-    }
-    request.certify = args.has("certify");
-
-    let (cache, recovery) =
-        ResultCache::open(dir).map_err(|e| format!("opening cache {dir}: {e}"))?;
-    let cache = cache.with_paranoid(args.has("paranoid"));
-    if recovery.quarantined > 0 || recovery.temps_removed > 0 {
-        eprintln!(
-            "cache recovery: {} valid, {} quarantined, {} temp files removed",
-            recovery.valid, recovery.quarantined, recovery.temps_removed
-        );
-    }
-    let (canonical, transform) = canonicalize(f);
-    let (entry, outcome, degraded) = match cache.lookup(&canonical, &request) {
-        Some(entry) => (entry, "hit", false),
-        None => {
-            let synth = Synthesizer::new()
-                .with_certification(request.certify)
-                .with_telemetry(tel.telemetry.clone());
-            let report = request
-                .run(&synth, &canonical, options, jobs)
-                .map_err(|e| e.to_string())?;
-            let degraded = report.status.is_degraded();
-            if let memristive_mm::synth::optimize::OptimizeStatus::Degraded { reason } =
-                &report.status
-            {
-                eprintln!("degraded: {reason}; the result below is the best known (not cached)");
-            }
-            let entry = entry_from_report(&canonical, &request, &report);
-            if !degraded {
-                cache
-                    .store(&request, &entry)
-                    .map_err(|e| format!("storing cache entry: {e}"))?;
-            }
-            (entry, "miss", degraded)
-        }
-    };
-    let stats = cache.stats();
-    eprintln!(
-        "cache: {outcome} ({} entries, {} stored this run)",
-        cache.len(),
-        stats.stores
-    );
-    match &entry.circuit {
+    match best {
         Some(circuit) => {
-            let circuit = decanonicalize_circuit(circuit, &transform).map_err(|e| e.to_string())?;
-            emit_circuit(&circuit, args)?;
+            emit_circuit(circuit, args)?;
             println!(
                 "optimality: {}",
-                // Only a certified request is answered with the stored
-                // proof, as a cold solve of the same request would be.
-                match (
-                    entry.proven_optimal,
-                    request.certify && entry.proof.is_some(),
-                    degraded,
-                ) {
+                match (proven_optimal, certified, degraded) {
                     (true, true, _) => "proven (UNSAT below, DRAT-certified)",
                     (true, false, _) => "proven (UNSAT below)",
                     (false, _, true) => "upper bound only (degraded run)",
@@ -869,6 +753,84 @@ fn minimize_cached(
     }
 }
 
+/// `mmsynth minimize --cache-dir DIR`: the job runs through the daemon's
+/// [`Engine`] on the same persistent NPN result cache `mmsynthd` serves
+/// from, so a CLI run warms (and is warmed by) the daemon and answers as
+/// the daemon would.
+fn minimize_cached(
+    args: &Args,
+    tel: &TelemetrySetup,
+    f: &MultiOutputFn,
+    jobs: usize,
+    dir: &str,
+) -> Result<ExitCode, String> {
+    // A deadline makes the verdict timing-dependent, so it can neither be
+    // stored nor validly served (--conflicts bounds work instead); and a
+    // cached ladder is served whole, with no per-rung records, proof files
+    // or solver settings to apply. These are refused, not ignored.
+    if let Some(flag) = ["deadline", "stats-json", "proof-dir", "no-inprocess"]
+        .into_iter()
+        .find(|flag| args.has(flag))
+    {
+        return Err(format!(
+            "--cache-dir does not take --{flag}; drop one of them"
+        ));
+    }
+    let request = minimize_request(args, f)?;
+
+    let (cache, recovery) =
+        ResultCache::open(dir).map_err(|e| format!("opening cache {dir}: {e}"))?;
+    if recovery.quarantined > 0 || recovery.temps_removed > 0 {
+        eprintln!(
+            "cache recovery: {} valid, {} quarantined, {} temp files removed",
+            recovery.valid, recovery.quarantined, recovery.temps_removed
+        );
+    }
+    let engine = Arc::new(
+        Engine::new(jobs)
+            .with_cache(cache.with_paranoid(args.has("paranoid")))
+            .with_telemetry(tel.telemetry.clone()),
+    );
+    let attempt = Attempt {
+        index: 0,
+        max_conflicts: request.max_conflicts,
+        backoff: Duration::ZERO,
+    };
+    let op = Op::Minimize {
+        tables: f.outputs().iter().map(TruthTable::to_bitstring).collect(),
+        request,
+        no_cache: false,
+    };
+    let resp = match engine.run_attempt("cli", &op, &attempt) {
+        AttemptResult::Done(resp) => resp,
+        // A retryable attempt is a degraded answer: the CLI does not retry.
+        AttemptResult::Retry { partial, reason } => partial.ok_or(reason)?,
+    };
+    if let Some(error) = resp.error {
+        return Err(error);
+    }
+    let degraded = resp.status == "degraded";
+    if let Some(reason) = &resp.degraded_reason {
+        eprintln!("degraded: {reason}; the result below is the best known (not cached)");
+    }
+    let cache = engine.cache.as_ref().expect("attached above");
+    eprintln!(
+        "cache: {} ({} entries, {} stored this run)",
+        resp.cache.map_or("bypass", CacheOutcome::as_str),
+        cache.len(),
+        cache.stats().stores
+    );
+    // Only a certified request is answered with the stored proof, as a
+    // cold solve of the same request would be.
+    print_minimized(
+        resp.circuit.as_ref(),
+        resp.proven_optimal == Some(true),
+        resp.proof.is_some(),
+        degraded,
+        args,
+    )
+}
+
 /// `mmsynth client`: one-shot JSON-lines client for a running `mmsynthd`.
 /// Resolves `--function` to truth tables locally, sends a single request
 /// over `--socket`/`--tcp`, prints the raw response line, and maps the
@@ -877,13 +839,17 @@ fn minimize_cached(
 /// `progress` frames render on stderr as they arrive, stdout still
 /// carries exactly the final response line.
 fn client(args: &Args) -> Result<ExitCode, String> {
-    let op = args.get("op").unwrap_or("minimize");
+    // `synth` is the CLI's word for the wire op `synthesize`.
+    let op = match args.get("op").unwrap_or("minimize") {
+        "synth" => "synthesize",
+        op => op,
+    };
     let id = args.get("id").unwrap_or("cli").to_string();
     let mut fields: Vec<(String, Value)> = vec![
         ("op".into(), Value::Str(op.into())),
         ("id".into(), Value::Str(id)),
     ];
-    if matches!(op, "minimize" | "synth" | "faultsim") {
+    if matches!(op, "minimize" | "synthesize" | "faultsim") {
         let f = parse_function(args.get("function").ok_or("--function required")?)?;
         let tables: Vec<Value> = f
             .outputs()
@@ -1293,7 +1259,7 @@ fn write_report(report: &CampaignReport, args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn emit_circuit(circuit: &memristive_mm::circuit::MmCircuit, args: &Args) -> Result<(), String> {
+fn emit_circuit(circuit: &MmCircuit, args: &Args) -> Result<(), String> {
     if args.has("dot") {
         print!("{}", circuit.to_dot());
     } else if args.has("json") {

@@ -129,6 +129,7 @@ fn cache_dir_refuses_flags_it_cannot_honour() {
         &["--stats-json", "s.json"][..],
         &["--proof-dir", "pd", "--certify"],
         &["--no-inprocess"],
+        &["--deadline", "5"],
     ] {
         let args: Vec<&str> = base
             .iter()

@@ -214,6 +214,40 @@ fn hits_are_bit_identical_to_cold_solves_across_jobs() {
     }
 }
 
+/// `mmsynth minimize --cache-dir` and `mmsynthd` share one cache in
+/// either order: an entry one of them solves is an NPN hit, with no
+/// solver calls, for the other.
+#[test]
+fn cli_and_daemon_share_one_cache() {
+    let cache = temp_dir("shared");
+    let cli = |function: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_mmsynth"))
+            .args(["minimize", "--function", function, "--max-rops", "3"])
+            .args(["--max-steps", "3", "--cache-dir"])
+            .arg(&cache)
+            .output()
+            .expect("mmsynth runs");
+        assert_eq!(out.status.code(), Some(0));
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    assert!(cli("0110").contains("cache: miss"));
+    let lines = [
+        minimize_line("xnor", "1001", ""),
+        minimize_line("and", "0001", ""),
+    ];
+    let (responses, _) = run_batch(&cache, &[], &lines);
+    assert_eq!(str_field(&responses[0], "cache"), Some("hit"));
+    assert!(matches!(
+        field(&responses[0], "solver_calls"),
+        Some(Value::UInt(0))
+    ));
+    assert_circuit_implements(&responses[0], "1001", "daemon hit on a CLI entry");
+    // AND's entry, stored by the daemon, serves its NPN variant x1 ∧ ¬x2.
+    assert_eq!(str_field(&responses[1], "cache"), Some("miss"));
+    assert!(cli("0010").contains("cache: hit"));
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
 /// Kill -9 torture: repeatedly murder the daemon mid-burst, restart on
 /// the same cache directory, and require that recovery never serves a
 /// wrong answer and converges to cache hits bit-identical to a cold
@@ -503,6 +537,21 @@ fn client_exit_codes_and_progress_over_unix_socket() {
         "stderr: {}",
         String::from_utf8_lossy(&streamed.stderr)
     );
+
+    // `--op synth` sends the wire op `synthesize`, tables attached.
+    let synth = client(&[
+        "--op",
+        "synth",
+        "--function",
+        "0110",
+        "--rops",
+        "1",
+        "--steps",
+        "2",
+    ]);
+    let stdout = String::from_utf8_lossy(&synth.stdout);
+    assert_eq!(synth.status.code(), Some(0), "stdout: {stdout}");
+    assert!(stdout.contains(r#""verdict":"sat""#), "{stdout}");
 
     // The metrics op over the wire reflects the jobs just served.
     let metrics = client(&["--op", "metrics"]);
