@@ -21,7 +21,7 @@ use mm_bench::report::{BenchReport, Direction};
 use mm_boolfn::{generators, MultiOutputFn};
 use mm_device::ElectricalParams;
 use mm_sat::SolverCounter;
-use mm_service::{Attempt, AttemptResult, Engine, JobRequest, ResultCache};
+use mm_service::{Engine, JobRequest, ResultCache};
 use mm_synth::fuzz::{run_fuzz, FuzzConfig};
 use mm_synth::optimize::{minimize_mixed_mode, OptimizeReport};
 use mm_synth::{EncodeOptions, Synthesizer};
@@ -172,17 +172,7 @@ fn service_cache_probe(report: &mut BenchReport) {
     let _ = std::fs::remove_dir_all(&dir);
     let line = r#"{"op":"minimize","id":"bench","tables":["0110"],"max_rops":3,"max_steps":3}"#;
     let request = JobRequest::parse(line).expect("probe request parses");
-    let attempt = Attempt {
-        index: 0,
-        max_conflicts: None,
-        backoff: std::time::Duration::ZERO,
-    };
-    let run = |engine: &Arc<Engine>| match engine.run_attempt("bench", &request.op, &attempt) {
-        AttemptResult::Done(r) => r,
-        AttemptResult::Retry { reason, .. } => {
-            panic!("probe request must be conclusive, got retry: {reason}")
-        }
-    };
+    let run = |engine: &Arc<Engine>| engine.run("bench", &request.op);
 
     let (cache, _) = ResultCache::open(&dir).expect("probe cache opens");
     let engine = Arc::new(Engine::new(1).with_cache(cache));

@@ -98,22 +98,6 @@ impl BenchReport {
         sorted.metrics.sort_by(|a, b| a.name.cmp(&b.name));
         serde_json::to_string_pretty(&sorted).map_err(|e| e.to_string())
     }
-
-    /// Parses a report back from JSON, checking the schema version.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on malformed JSON or a schema-version mismatch.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let report: Self = serde_json::from_str(text).map_err(|e| e.to_string())?;
-        if report.schema_version != BENCH_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported bench schema version {} (expected {})",
-                report.schema_version, BENCH_SCHEMA_VERSION
-            ));
-        }
-        Ok(report)
-    }
 }
 
 #[cfg(test)]
@@ -129,9 +113,8 @@ mod tests {
 
     #[test]
     fn roundtrips_through_json_sorted() {
-        let r = sample();
-        let text = r.to_json().unwrap();
-        let back = BenchReport::from_json(&text).unwrap();
+        let text = sample().to_json().unwrap();
+        let back: BenchReport = serde_json::from_str(&text).unwrap();
         assert_eq!(back.schema_version, BENCH_SCHEMA_VERSION);
         assert_eq!(back.pr, 7);
         assert_eq!(back.metrics.len(), 2);
@@ -139,14 +122,5 @@ mod tests {
         assert_eq!(back.metrics[0].name, "alpha_conflicts");
         assert_eq!(back.metric("zeta_time_us").unwrap().value, 123.0);
         assert!(back.metric("alpha_conflicts").unwrap().deterministic);
-    }
-
-    #[test]
-    fn rejects_wrong_schema_version() {
-        let mut r = sample();
-        r.schema_version = 99;
-        let text = serde_json::to_string_pretty(&r).unwrap();
-        let err = BenchReport::from_json(&text).unwrap_err();
-        assert!(err.contains("schema version"), "{err}");
     }
 }

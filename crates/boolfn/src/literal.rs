@@ -86,45 +86,13 @@ impl Literal {
         }
     }
 
-    /// Position of the literal in the canonical ordering of `L_n`
-    /// (`const-0`, `const-1`, `~x_1`, `x_1`, …, `~x_n`, `x_n`), 0-based.
+    /// The literal at 0-based position `index` of the canonical ordering
+    /// of `L_n` (`const-0`, `const-1`, `~x_1`, `x_1`, …, `~x_n`, `x_n`).
     ///
     /// This ordering is exactly the one used when the paper decodes SAT
     /// models (§III-B: "literal 9 out of the list
     /// `L_4 = (const-0, const-1, ~x_1, x_1, …, ~x_4, x_4)`" is `~x_4` with
     /// 1-based indexing).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoolFnError::VariableOutOfRange`] if the literal's variable
-    /// exceeds `n`.
-    pub fn index_in(self, n: u8) -> Result<usize, BoolFnError> {
-        let check = |v: u8| {
-            if v == 0 || v > n {
-                Err(BoolFnError::VariableOutOfRange {
-                    var: v.into(),
-                    n_inputs: n,
-                })
-            } else {
-                Ok(())
-            }
-        };
-        Ok(match self {
-            Self::Const0 => 0,
-            Self::Const1 => 1,
-            Self::Neg(v) => {
-                check(v)?;
-                2 * v as usize
-            }
-            Self::Pos(v) => {
-                check(v)?;
-                2 * v as usize + 1
-            }
-        })
-    }
-
-    /// Inverse of [`Literal::index_in`]: the literal at 0-based position
-    /// `index` of the canonical `L_n` ordering.
     ///
     /// # Errors
     ///
@@ -239,14 +207,12 @@ mod tests {
     }
 
     #[test]
-    fn index_round_trip() {
+    fn from_index_follows_the_canonical_order() {
         let n = 5;
-        for i in 0..(2 + 2 * n as usize) {
-            let l = Literal::from_index(n, i).unwrap();
-            assert_eq!(l.index_in(n).unwrap(), i);
+        for (i, l) in LiteralSet::new(n).iter().enumerate() {
+            assert_eq!(Literal::from_index(n, i).unwrap(), l);
         }
         assert!(Literal::from_index(n, 12).is_err());
-        assert!(Literal::Pos(6).index_in(5).is_err());
     }
 
     #[test]

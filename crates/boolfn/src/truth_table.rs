@@ -228,31 +228,6 @@ impl TruthTable {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Whether the function depends on variable `x_i` (1-based).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoolFnError::VariableOutOfRange`] when `var` is zero or
-    /// exceeds `n`.
-    pub fn depends_on(&self, var: u8) -> Result<bool, BoolFnError> {
-        if var == 0 || var > self.n_inputs {
-            return Err(BoolFnError::VariableOutOfRange {
-                var: var.into(),
-                n_inputs: self.n_inputs,
-            });
-        }
-        let shift = self.n_inputs - var;
-        for q in 0..self.n_rows() {
-            if (q >> shift) & 1 == 0 {
-                let q1 = q | (1 << shift);
-                if self.get(q) != self.get(q1) {
-                    return Ok(true);
-                }
-            }
-        }
-        Ok(false)
-    }
-
     /// The cofactor of the function with `x_i` fixed to `value`.
     ///
     /// The result still has `n` inputs (with `x_i` now irrelevant), which
@@ -555,13 +530,10 @@ mod tests {
     }
 
     #[test]
-    fn cofactor_and_depends_on() {
+    fn cofactors_fix_one_variable() {
         let x1 = TruthTable::var(3, 1).unwrap();
         let x2 = TruthTable::var(3, 2).unwrap();
         let f = &x1 ^ &x2;
-        assert!(f.depends_on(1).unwrap());
-        assert!(f.depends_on(2).unwrap());
-        assert!(!f.depends_on(3).unwrap());
         let f0 = f.cofactor(1, false).unwrap();
         assert_eq!(f0, x2);
         let f1 = f.cofactor(1, true).unwrap();

@@ -1,6 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use crate::{MmCircuit, Signal};
+use crate::MmCircuit;
 
 /// The paper's cost figures for a mixed-mode circuit (Table IV columns).
 ///
@@ -55,15 +55,6 @@ impl Metrics {
             n_outputs,
         }
     }
-
-    /// Whether every output taps an R-op (the usual shape for the paper's
-    /// `N_Dev` formula to be meaningful).
-    pub fn formula_applicable(circuit: &MmCircuit) -> bool {
-        circuit
-            .outputs()
-            .iter()
-            .all(|o| matches!(o, Signal::ROp(_)))
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +99,6 @@ mod tests {
             m.n_devices_structural, 10,
             "6 legs + 4 R-outputs, cascades share"
         );
-        assert!(crate::Metrics::formula_applicable(&c));
     }
 
     #[test]
@@ -135,6 +125,5 @@ mod tests {
         assert_eq!(m.n_rops, 0);
         assert_eq!(m.n_steps, 1);
         assert_eq!(m.n_devices_structural, 1);
-        assert!(!crate::Metrics::formula_applicable(&c));
     }
 }

@@ -9,8 +9,10 @@
 //!
 //! * [`v_op_error_rate`] — a single write cycle with random target value.
 //! * [`r_op_error_rate`] — a single MAGIC NOR with random input states.
-//! * [`cascade_error_rates`] — a chain of NORs of the given depth, where
-//!   each stage consumes the previous stage's (possibly corrupted) output.
+//! * [`cascade_cumulative_error_rates`] — chains of NORs up to a given
+//!   depth, where each stage consumes the previous stage's (possibly
+//!   corrupted) output. Errors compound with depth — the paper's argument
+//!   against deeply cascaded stateful logic.
 //!
 //! # Example
 //!
@@ -70,61 +72,6 @@ pub fn r_op_error_rate(params: ElectricalParams, trials: u32, seed: u64) -> f64 
     f64::from(failures) / f64::from(trials.max(1))
 }
 
-/// Error rate of NOR chains of depth `1..=max_depth`.
-///
-/// Stage `k` computes `NOR(out_{k−1}, aux_k)` on fresh output devices; the
-/// returned vector element `k−1` is the probability that stage `k`'s output
-/// differs from the ideal chain value. Errors compound with depth — the
-/// paper's argument against deeply cascaded stateful logic.
-pub fn cascade_error_rates(
-    params: ElectricalParams,
-    max_depth: usize,
-    trials: u32,
-    seed: u64,
-) -> Vec<f64> {
-    let mut failures = vec![0u32; max_depth];
-    let mut rng = SmallRng::seed_from_u64(seeds::substream(seed, seeds::STREAM_MC_CASCADE));
-    // Cells: 0 = initial input, 1..=max_depth auxiliary inputs,
-    // max_depth+1.. outputs of each stage.
-    let n_cells = 1 + max_depth + max_depth;
-    let mut array = LineArray::bfo(n_cells, params, seed);
-    for t in 0..trials {
-        let mut init = vec![false; n_cells];
-        let x0 = rng.gen::<bool>();
-        init[0] = x0;
-        let mut ideal = x0;
-        let mut aux_values = Vec::with_capacity(max_depth);
-        for k in 0..max_depth {
-            let aux = rng.gen::<bool>();
-            init[1 + k] = aux;
-            aux_values.push(aux);
-            init[1 + max_depth + k] = true; // outputs pre-set to 1
-        }
-        array.reseed(seeds::trial_seed(seed, t));
-        array.reset(&init);
-        let mut prev = 0usize;
-        for k in 0..max_depth {
-            let out = 1 + max_depth + k;
-            array.magic_nor(&[prev, 1 + k], out);
-            ideal = !(ideal | aux_values[k]);
-            if array.state(out).to_bool() != ideal {
-                failures[k] += 1;
-                // Keep going: later stages consume the corrupted value, as
-                // they would on real hardware.
-                ideal = array.state(out).to_bool();
-                // Record only the *first* divergence per stage; subsequent
-                // stages are measured against the corrupted-but-propagated
-                // reference so each stage's marginal error is counted.
-            }
-            prev = out;
-        }
-    }
-    failures
-        .into_iter()
-        .map(|f| f64::from(f) / f64::from(trials.max(1)))
-        .collect()
-}
-
 /// Cumulative probability that a NOR chain of each depth produces a wrong
 /// final value (errors are *not* forgiven downstream).
 pub fn cascade_cumulative_error_rates(
@@ -178,7 +125,7 @@ mod tests {
         let params = ElectricalParams::bfo();
         assert_eq!(v_op_error_rate(params, 300, 7), 0.0);
         assert_eq!(r_op_error_rate(params, 300, 7), 0.0);
-        assert!(cascade_error_rates(params, 4, 100, 7)
+        assert!(cascade_cumulative_error_rates(params, 4, 100, 7)
             .iter()
             .all(|&e| e == 0.0));
     }

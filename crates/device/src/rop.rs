@@ -30,16 +30,6 @@ impl ROpKind {
     pub fn is_commutative(self) -> bool {
         matches!(self, Self::MagicNor)
     }
-
-    /// The state the output device must be initialized to before the
-    /// operation executes (LRS = `true` for MAGIC NOR, HRS = `false` for
-    /// NIMP-style gates writing into a cleared device).
-    pub fn output_init(self) -> bool {
-        match self {
-            Self::MagicNor => true,
-            Self::Nimp => false,
-        }
-    }
 }
 
 impl fmt::Display for ROpKind {
@@ -69,10 +59,8 @@ mod tests {
     }
 
     #[test]
-    fn commutativity_and_init() {
+    fn commutativity() {
         assert!(ROpKind::MagicNor.is_commutative());
         assert!(!ROpKind::Nimp.is_commutative());
-        assert!(ROpKind::MagicNor.output_init());
-        assert!(!ROpKind::Nimp.output_init());
     }
 }

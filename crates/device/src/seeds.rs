@@ -11,8 +11,6 @@
 pub const STREAM_MC_VOP: u64 = 0x5eed_0001;
 /// Substream tag for [`crate::monte_carlo::r_op_error_rate`].
 pub const STREAM_MC_ROP: u64 = 0x5eed_0002;
-/// Substream tag for [`crate::monte_carlo::cascade_error_rates`].
-pub const STREAM_MC_CASCADE: u64 = 0x5eed_0003;
 /// Substream tag for [`crate::monte_carlo::cascade_cumulative_error_rates`].
 pub const STREAM_MC_CUMULATIVE: u64 = 0x5eed_0004;
 
@@ -68,12 +66,7 @@ mod tests {
 
     #[test]
     fn substream_tags_are_distinct() {
-        let tags = [
-            STREAM_MC_VOP,
-            STREAM_MC_ROP,
-            STREAM_MC_CASCADE,
-            STREAM_MC_CUMULATIVE,
-        ];
+        let tags = [STREAM_MC_VOP, STREAM_MC_ROP, STREAM_MC_CUMULATIVE];
         for (i, a) in tags.iter().enumerate() {
             for b in &tags[i + 1..] {
                 assert_ne!(substream(42, *a), substream(42, *b));

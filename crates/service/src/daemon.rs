@@ -34,7 +34,6 @@ use mm_telemetry::metrics::MetricsRegistry;
 use mm_telemetry::{atomic_write, kv, Telemetry, TelemetrySink};
 use serde::Value;
 
-use crate::backoff::RetryPolicy;
 use crate::cache::{RecoveryReport, ResultCache};
 use crate::engine::Engine;
 use crate::http::MetricsServer;
@@ -65,8 +64,6 @@ pub struct DaemonConfig {
     pub queue_depth: usize,
     /// Portfolio width per solve.
     pub solve_jobs: usize,
-    /// Retry schedule for inconclusive attempts.
-    pub retry: RetryPolicy,
     /// Serve `GET /metrics` (Prometheus exposition) on this address
     /// (e.g. `127.0.0.1:9464`; port 0 picks a free one). `None` disables
     /// the exporter.
@@ -81,7 +78,6 @@ impl Default for DaemonConfig {
             workers: 2,
             queue_depth: 16,
             solve_jobs: 2,
-            retry: RetryPolicy::default(),
             metrics_addr: None,
         }
     }
@@ -174,7 +170,6 @@ impl Daemon {
         let supervisor = Supervisor::start(SupervisorConfig {
             workers: config.workers,
             queue_depth: config.queue_depth,
-            retry: config.retry.clone(),
             metrics: metrics.clone(),
         });
         let metrics_server = match &config.metrics_addr {
@@ -244,37 +239,34 @@ impl Daemon {
             }
             Op::Minimize { request: min, .. } => {
                 let deadline = min.deadline.map(|d| Instant::now() + d);
-                self.submit(request.clone(), min.max_conflicts, deadline, n, conn)
+                self.submit(request.clone(), deadline, n, conn)
             }
-            Op::Synthesize { max_conflicts, .. } => {
-                self.submit(request.clone(), *max_conflicts, None, n, conn)
+            Op::Synthesize { .. } | Op::Faultsim { .. } => {
+                self.submit(request.clone(), None, n, conn)
             }
-            Op::Faultsim { .. } => self.submit(request.clone(), None, None, n, conn),
         }
     }
 
     fn submit(
         &self,
         request: JobRequest,
-        base_conflicts: Option<u64>,
         deadline: Option<Instant>,
         n: u64,
         conn: &Sender<Out>,
     ) -> Option<Pending> {
         let id = request.id.clone();
         let engine = self.engine.clone();
-        let seed = id_seed(&id);
         let progress = request.subscribe.then(|| -> Arc<dyn TelemetrySink> {
             let emitted = self.metrics.progress_frames.clone();
             Arc::new(progress::channel_sink(&id, conn.clone(), emitted))
         });
         let job = {
             let id = id.clone();
-            move |attempt: &_| engine.run_attempt_with(&id, &request.op, attempt, progress.clone())
+            move || engine.run_with(&id, &request.op, progress)
         };
         match self
             .supervisor
-            .submit(seed, base_conflicts, deadline, job, reply_to(conn, n, &id))
+            .submit(deadline, job, reply_to(conn, n, &id))
         {
             Submission::Queued => None,
             Submission::Overloaded => {
@@ -524,12 +516,11 @@ fn reply_to(
     move |verdict| {
         let render = move || match verdict {
             JobVerdict::Done(resp) => resp.to_line(),
-            JobVerdict::Degraded { partial, reason } => {
-                let mut resp = partial.unwrap_or_else(|| JobResponse::new(&id, "degraded"));
-                resp.status = "degraded".into();
-                resp.degraded_reason.get_or_insert(reason);
-                resp.to_line()
+            JobVerdict::Degraded { reason } => JobResponse {
+                degraded_reason: Some(reason),
+                ..JobResponse::new(&id, "degraded")
             }
+            .to_line(),
             JobVerdict::Dropped => {
                 JobResponse::error(&id, "job was dropped during shutdown").to_line()
             }
@@ -601,16 +592,6 @@ fn read_request_line<'a>(
     Ok(Some(
         std::str::from_utf8(buf).map_err(|e| format!("request line is not UTF-8: {e}")),
     ))
-}
-
-/// FNV-1a over the job id: the deterministic jitter seed.
-fn id_seed(id: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in id.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -19,20 +19,20 @@
 //! cache or none, the reply sees the same circuit.
 //!
 //! The engine is the one owner of this protocol: `mmsynth minimize
-//! --cache-dir` runs its job through [`Engine::run_attempt`] too.
+//! --cache-dir` runs its job through [`Engine::run`] too, and every job
+//! runs once, at the budget its request states.
 //!
 //! # What gets cached
 //!
-//! Only *deterministic, conclusive, first-attempt* results: no deadline
-//! on the request, `OptimizeStatus::Complete`, and the attempt ran at the
-//! request's own conflict budget (a supervisor retry's escalated budget
-//! answers a different question than the key describes). Degraded results
-//! are served but never stored, so the cache can only contain verdicts a
-//! cold solve would reproduce. An unlimited rung's SAT or UNSAT verdict
-//! is always stored; a `synthesize` with `max_conflicts` bypasses the
-//! cache both ways, since its capped cold solve may answer `unknown`.
+//! Only *deterministic, conclusive* results: no deadline on the request
+//! and `OptimizeStatus::Complete`. Degraded results are served but never
+//! stored, so the cache can only contain verdicts a cold solve would
+//! reproduce. An unlimited rung's SAT or UNSAT verdict is always stored;
+//! a `synthesize` with `max_conflicts` bypasses the cache both ways,
+//! since its capped cold solve may answer `unknown`.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use mm_boolfn::npn::canonicalize;
 use mm_circuit::campaign::run_campaign_traced;
@@ -43,11 +43,36 @@ use mm_synth::request::{decanonicalize_circuit, MinimizeRequest};
 use mm_synth::{EncodeOptions, SynthResult, Synthesizer};
 use mm_telemetry::{kv, Telemetry, TelemetrySink};
 
-use crate::backoff::Attempt;
 use crate::cache::{CacheEntry, ResultCache, Rung, RungEntry};
 use crate::metrics::ServiceMetrics;
 use crate::proto::{function_from_tables, CacheOutcome, JobResponse, Op, PROTO_VERSION};
-use crate::supervisor::AttemptResult;
+
+/// The attempt a job used to run at, kept so callers written against the
+/// deleted retry schedule still build; [`Engine::run_attempt`] ignores it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Attempt {
+    /// 0-based attempt index.
+    pub index: u32,
+    /// Conflict budget of the attempt (`None` = unlimited).
+    pub max_conflicts: Option<u64>,
+    /// Delay before the attempt.
+    pub backoff: Duration,
+}
+
+/// What [`Engine::run_attempt`] answers: always `Done`. `Retry` is never
+/// built; it is kept so matches written against the retry schedule still
+/// build.
+pub enum AttemptResult<R> {
+    /// The job's answer.
+    Done(R),
+    /// Never built.
+    Retry {
+        /// Best-known partial answer.
+        partial: Option<R>,
+        /// Why the attempt was inconclusive.
+        reason: String,
+    },
+}
 
 /// Shared, thread-safe job executor.
 pub struct Engine {
@@ -57,7 +82,7 @@ pub struct Engine {
     pub solve_jobs: usize,
     /// Telemetry handle for job spans/points.
     pub telemetry: Telemetry,
-    /// Live-metrics handles: per-op attempt latency and outcome counts.
+    /// Live-metrics handles: per-op job latency and outcome counts.
     pub metrics: Arc<ServiceMetrics>,
     /// Encoding options for every solve.
     pub options: EncodeOptions,
@@ -93,90 +118,72 @@ impl Engine {
         self
     }
 
-    /// Executes one attempt of `op`. Only `Minimize` is retry-aware; the
-    /// other ops complete on the first attempt.
-    pub fn run_attempt(
-        self: &Arc<Self>,
-        id: &str,
-        op: &Op,
-        attempt: &Attempt,
-    ) -> AttemptResult<JobResponse> {
-        self.run_attempt_with(id, op, attempt, None)
+    /// Runs `op` once, at the budget its request states, and answers it.
+    pub fn run(self: &Arc<Self>, id: &str, op: &Op) -> JobResponse {
+        self.run_with(id, op, None)
     }
 
-    /// Like [`run_attempt`](Self::run_attempt), additionally teeing this
-    /// job's telemetry into `progress` (the per-job frame sink of a
-    /// `subscribe: true` request). The sink observes exactly what the
-    /// trace does; non-subscribed jobs take the `None` path, which is the
+    /// Like [`run`](Self::run), additionally teeing this job's telemetry
+    /// into `progress` (the per-job frame sink of a `subscribe: true`
+    /// request). The sink observes exactly what the trace does;
+    /// non-subscribed jobs take the `None` path, which is the
     /// pre-streaming code path unchanged.
-    pub fn run_attempt_with(
+    pub fn run_with(
         self: &Arc<Self>,
         id: &str,
         op: &Op,
-        attempt: &Attempt,
         progress: Option<Arc<dyn TelemetrySink>>,
-    ) -> AttemptResult<JobResponse> {
+    ) -> JobResponse {
         let telemetry = match progress {
             Some(sink) => self.telemetry.with_extra_sink(sink),
             None => self.telemetry.clone(),
         };
         let started = std::time::Instant::now();
-        let result = self.dispatch(id, op, attempt, &telemetry);
-        if let AttemptResult::Retry { reason, .. } = &result {
-            telemetry.point(
-                "job.retry",
-                vec![
-                    kv("id", id),
-                    kv("attempt", u64::from(attempt.index)),
-                    kv("reason", reason.as_str()),
-                ],
-            );
-        }
-        // `mmsynth_jobs_total{op,status}` counts attempts: a retried job
-        // contributes one `retry` sample per inconclusive attempt plus
-        // one final-status sample, so outcome mix and latency always add
-        // up against `mmsynth_retries_total`.
-        let status = match &result {
-            AttemptResult::Done(resp) => resp.status.as_str(),
-            AttemptResult::Retry { .. } => "retry",
-        };
-        self.metrics
-            .observe_job(op.name(), status, started.elapsed().as_micros() as u64);
-        result
+        let resp = self.dispatch(id, op, &telemetry);
+        self.metrics.observe_job(
+            op.name(),
+            &resp.status,
+            started.elapsed().as_micros() as u64,
+        );
+        resp
     }
 
-    fn dispatch(
+    /// [`run`](Self::run) under the signature of the deleted retry
+    /// schedule, for callers that still build an [`Attempt`]: `attempt`
+    /// is ignored and the answer is always [`AttemptResult::Done`].
+    #[deprecated(note = "every job runs once; call `Engine::run`")]
+    pub fn run_attempt(
         self: &Arc<Self>,
         id: &str,
         op: &Op,
-        attempt: &Attempt,
-        telemetry: &Telemetry,
+        _attempt: &Attempt,
     ) -> AttemptResult<JobResponse> {
-        let _span = telemetry.span_with(
-            "job.attempt",
-            vec![kv("id", id), kv("attempt", u64::from(attempt.index))],
-        );
+        AttemptResult::Done(self.run(id, op))
+    }
+
+    fn dispatch(self: &Arc<Self>, id: &str, op: &Op, telemetry: &Telemetry) -> JobResponse {
+        let _span = telemetry.span_with("job.attempt", vec![kv("id", id)]);
         match op {
-            Op::Ping => AttemptResult::Done(JobResponse {
+            Op::Ping => JobResponse {
                 proto_version: Some(PROTO_VERSION),
                 ..JobResponse::new(id, "ok")
-            }),
-            Op::Stats => AttemptResult::Done(self.stats_response(id)),
+            },
+            Op::Stats => self.stats_response(id),
             // The daemon answers drain and metrics snapshots itself;
             // answering here keeps the protocol total.
-            Op::Shutdown | Op::Metrics => AttemptResult::Done(JobResponse::new(id, "ok")),
+            Op::Shutdown | Op::Metrics => JobResponse::new(id, "ok"),
             Op::Minimize {
                 tables,
                 request,
                 no_cache,
-            } => self.minimize(id, tables, request, *no_cache, attempt, telemetry),
+            } => self.minimize(id, tables, request, *no_cache, telemetry),
             Op::Synthesize {
                 tables,
                 n_rops,
                 n_legs,
                 n_vsteps,
                 max_conflicts,
-            } => AttemptResult::Done(self.synthesize(
+            } => self.synthesize(
                 id,
                 tables,
                 *n_rops,
@@ -184,7 +191,7 @@ impl Engine {
                 *n_vsteps,
                 *max_conflicts,
                 telemetry,
-            )),
+            ),
             Op::Faultsim {
                 tables,
                 n_rops,
@@ -192,9 +199,9 @@ impl Engine {
                 trials,
                 seed,
                 stuck_lrs,
-            } => AttemptResult::Done(self.faultsim(
+            } => self.faultsim(
                 id, tables, *n_rops, *n_vsteps, *trials, *seed, stuck_lrs, telemetry,
-            )),
+            ),
         }
     }
 
@@ -214,12 +221,11 @@ impl Engine {
         tables: &[String],
         request: &MinimizeRequest,
         no_cache: bool,
-        attempt: &Attempt,
         telemetry: &Telemetry,
-    ) -> AttemptResult<JobResponse> {
+    ) -> JobResponse {
         let f = match function_from_tables(tables) {
             Ok(f) => f,
-            Err(e) => return AttemptResult::Done(JobResponse::error(id, e.to_string())),
+            Err(e) => return JobResponse::error(id, e.to_string()),
         };
         let (canonical, transform) = canonicalize(&f);
         let cacheable = !no_cache && request.is_deterministic();
@@ -229,27 +235,19 @@ impl Engine {
                     telemetry.point("job.cache", vec![kv("id", id), kv("outcome", "hit")]);
                     let mut resp = entry_response(id, &entry, &transform, request);
                     resp.cache = Some(CacheOutcome::Hit);
-                    return AttemptResult::Done(resp);
+                    return resp;
                 }
             }
         }
 
-        // Miss (or bypass): solve the canonical representative at this
-        // attempt's budget. Attempt 0 runs the request verbatim; retries
-        // escalate the conflict limit.
-        let mut effective = request.clone();
-        if attempt.index > 0 {
-            effective.max_conflicts = attempt.max_conflicts;
-        }
+        // Miss (or bypass): solve the canonical representative.
         let synth = Synthesizer::new().with_telemetry(telemetry.clone());
-        let report = match effective.run(&synth, &canonical, &self.options, self.solve_jobs) {
+        let report = match request.run(&synth, &canonical, &self.options, self.solve_jobs) {
             Ok(report) => report,
-            Err(e) => return AttemptResult::Done(JobResponse::error(id, e.to_string())),
+            Err(e) => return JobResponse::error(id, e.to_string()),
         };
         let entry = entry_from_report(&canonical, request, &report);
-        let first_attempt = attempt.index == 0;
-        let conclusive = !report.status.is_degraded();
-        if cacheable && conclusive && first_attempt {
+        if cacheable && !report.status.is_degraded() {
             if let Some(cache) = &self.cache {
                 if let Err(e) = cache.store(request, &entry) {
                     // A failed store must not fail the job; the solve is
@@ -273,29 +271,11 @@ impl Engine {
         let mut resp = entry_response(id, &entry, &transform, request);
         resp.cache = Some(outcome);
         resp.solver_calls = Some(report.calls.len() as u64);
-        match &report.status {
-            OptimizeStatus::Complete => AttemptResult::Done(resp),
-            OptimizeStatus::Degraded { reason } => {
-                resp.status = "degraded".into();
-                resp.degraded_reason = Some(reason.to_string());
-                // Budget exhaustion on a conflict-limited request is worth
-                // another attempt at an escalated budget; a deadline expiry
-                // or an unlimited-budget degrade is final.
-                let retryable = matches!(
-                    reason,
-                    mm_synth::optimize::DegradeReason::BudgetExhausted
-                        | mm_synth::optimize::DegradeReason::WorkerPanicked { .. }
-                ) && request.max_conflicts.is_some();
-                if retryable {
-                    AttemptResult::Retry {
-                        partial: Some(resp),
-                        reason: reason.to_string(),
-                    }
-                } else {
-                    AttemptResult::Done(resp)
-                }
-            }
+        if let OptimizeStatus::Degraded { reason } = &report.status {
+            resp.status = "degraded".into();
+            resp.degraded_reason = Some(reason.to_string());
         }
+        resp
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the wire op's fields
@@ -548,21 +528,6 @@ mod tests {
         dir
     }
 
-    fn attempt0(max_conflicts: Option<u64>) -> Attempt {
-        Attempt {
-            index: 0,
-            max_conflicts,
-            backoff: std::time::Duration::ZERO,
-        }
-    }
-
-    fn done(result: AttemptResult<JobResponse>) -> JobResponse {
-        match result {
-            AttemptResult::Done(r) => r,
-            AttemptResult::Retry { .. } => panic!("expected a final response"),
-        }
-    }
-
     fn minimize_op(tables: Vec<String>) -> Op {
         Op::Minimize {
             tables,
@@ -590,10 +555,10 @@ mod tests {
         // XOR's representative).
         let tables = vec![generators::xnor_gate(2).outputs()[0].to_bitstring()];
         let op = minimize_op(tables);
-        let miss = done(engine.run_attempt("a", &op, &attempt0(None)));
+        let miss = engine.run("a", &op);
         assert_eq!(miss.cache, Some(CacheOutcome::Miss));
         assert_eq!(miss.status, "ok");
-        let hit = done(engine.run_attempt("b", &op, &attempt0(None)));
+        let hit = engine.run("b", &op);
         assert_eq!(hit.cache, Some(CacheOutcome::Hit));
         assert_eq!(
             hit.circuit, miss.circuit,
@@ -634,12 +599,12 @@ mod tests {
         };
         // A certified XOR solve stores its refutation; XNOR is the same
         // NPN class, so its uncertified request hits that entry.
-        let miss = done(engine.run_attempt("a", &op("0110", true, false), &attempt0(None)));
+        let miss = engine.run("a", &op("0110", true, false));
         assert_eq!(miss.cache, Some(CacheOutcome::Miss));
         assert!(miss.proof.is_some(), "the certified miss carries its proof");
-        let mut hit = done(engine.run_attempt("b", &op("1001", false, false), &attempt0(None)));
+        let mut hit = engine.run("b", &op("1001", false, false));
         assert_eq!(hit.cache, Some(CacheOutcome::Hit));
-        let mut cold = done(engine.run_attempt("b", &op("1001", false, true), &attempt0(None)));
+        let mut cold = engine.run("b", &op("1001", false, true));
         assert_eq!(cold.cache, Some(CacheOutcome::Bypass));
         for resp in [&mut hit, &mut cold] {
             resp.cache = None;
@@ -669,43 +634,36 @@ mod tests {
             request,
             no_cache: true,
         };
-        let resp = done(engine.run_attempt("x", &op, &attempt0(None)));
+        let resp = engine.run("x", &op);
         assert_eq!(resp.cache, Some(CacheOutcome::Bypass));
         assert_eq!(engine.cache.as_ref().unwrap().len(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn degraded_budget_runs_are_retryable_and_never_cached() {
+    fn capped_degraded_minimize_answers_degraded_and_stores_nothing() {
         let dir = temp_dir("degraded");
         let (cache, _) = ResultCache::open(&dir).unwrap();
-        let engine = Arc::new(Engine::new(2).with_cache(cache));
-        let op = Op::Minimize {
-            tables: vec![generators::gf22_multiplier().outputs()[0].to_bitstring()],
-            request: MinimizeRequest {
-                mode: MinimizeMode::MixedMode {
-                    max_rops: 4,
-                    max_vsteps: 3,
-                    is_adder: false,
-                },
-                max_conflicts: Some(1),
-                deadline: None,
-                certify: false,
-            },
-            no_cache: false,
+        let engine = Arc::new(Engine::new(1).with_cache(cache));
+        let Op::Minimize {
+            tables,
+            mut request,
+            no_cache,
+        } = minimize_op(vec!["10010110".into()])
+        else {
+            unreachable!()
         };
-        match engine.run_attempt("d", &op, &attempt0(Some(1))) {
-            AttemptResult::Retry { partial, reason } => {
-                let partial = partial.expect("best-known response travels with the retry");
-                assert_eq!(partial.status, "degraded");
-                assert!(reason.contains("budget"), "reason: {reason}");
-            }
-            AttemptResult::Done(resp) => {
-                // A 1-conflict budget can conceivably still conclude on a
-                // tiny canonical function; accept but require honesty.
-                assert_eq!(resp.status, "ok");
-            }
-        }
+        request.max_conflicts = Some(5);
+        let op = Op::Minimize {
+            tables,
+            request,
+            no_cache,
+        };
+        let resp = engine.run("d", &op);
+        assert_eq!(resp.status, "degraded");
+        assert_eq!(resp.degraded_reason.as_deref(), Some("budget exhausted"));
+        assert_eq!(resp.cache, Some(CacheOutcome::Miss));
+        assert!(resp.circuit.is_some(), "the best-known circuit is served");
         assert_eq!(
             engine.cache.as_ref().unwrap().len(),
             0,
@@ -726,18 +684,18 @@ mod tests {
             n_vsteps: 3,
             max_conflicts,
         };
-        let miss = done(engine.run_attempt("s", &synthesize("0001", None), &attempt0(None)));
+        let miss = engine.run("s", &synthesize("0001", None));
         assert_eq!(miss.status, "ok");
         assert_eq!(miss.verdict.as_deref(), Some("sat"));
         assert_eq!(miss.cache, Some(CacheOutcome::Miss));
         // x1 ∧ ¬x2 is AND's NPN variant: it hits AND's canonical rung.
-        let hit = done(engine.run_attempt("s", &synthesize("0010", None), &attempt0(None)));
+        let hit = engine.run("s", &synthesize("0010", None));
         assert_eq!(hit.cache, Some(CacheOutcome::Hit));
         assert_eq!((&hit.verdict, &hit.metrics), (&miss.verdict, &miss.metrics));
         let circuit = hit.circuit.expect("the rung is SAT");
         assert!(circuit.implements(&function_from_tables(&["0010".into()]).unwrap()));
         // A capped solve may answer `unknown`, which no hit may: bypass.
-        let capped = done(engine.run_attempt("s", &synthesize("0001", Some(1)), &attempt0(None)));
+        let capped = engine.run("s", &synthesize("0001", Some(1)));
         assert_eq!(capped.cache, Some(CacheOutcome::Bypass));
         assert_eq!(engine.cache.as_ref().unwrap().len(), 1);
 
@@ -749,7 +707,7 @@ mod tests {
             seed: 7,
             stuck_lrs: vec![0],
         };
-        let resp = done(engine.run_attempt("f", &op, &attempt0(None)));
+        let resp = engine.run("f", &op);
         assert_eq!(resp.status, "ok");
         let campaign = resp.campaign.expect("campaign report");
         assert_eq!(campaign.plans.len(), 2);
@@ -771,12 +729,12 @@ mod tests {
             stuck_lrs: vec![1],
         };
         // XOR solves the canonical rung; XNOR is its NPN variant and hits.
-        let miss = done(cached.run_attempt("f", &faultsim("0110", 1), &attempt0(None)));
+        let miss = cached.run("f", &faultsim("0110", 1));
         assert_eq!(miss.cache, Some(CacheOutcome::Miss));
         assert_eq!(miss.status, "ok");
-        let mut hit = done(cached.run_attempt("f", &faultsim("1001", 1), &attempt0(None)));
+        let mut hit = cached.run("f", &faultsim("1001", 1));
         assert_eq!(hit.cache, Some(CacheOutcome::Hit));
-        let mut cold = done(uncached.run_attempt("f", &faultsim("1001", 1), &attempt0(None)));
+        let mut cold = uncached.run("f", &faultsim("1001", 1));
         assert_eq!(cold.cache, Some(CacheOutcome::Bypass));
         for resp in [&mut hit, &mut cold] {
             resp.cache = None;
@@ -790,12 +748,12 @@ mod tests {
         assert_eq!(campaign.plans[0].failures, 0, "the control plan is clean");
 
         // An UNSAT rung is stored too, and its hit answers the same error.
-        let miss = done(cached.run_attempt("u", &faultsim("0110", 0), &attempt0(None)));
+        let miss = cached.run("u", &faultsim("0110", 0));
         assert_eq!(
             (miss.status.as_str(), miss.cache),
             ("error", Some(CacheOutcome::Miss))
         );
-        let hit = done(cached.run_attempt("u", &faultsim("1001", 0), &attempt0(None)));
+        let hit = cached.run("u", &faultsim("1001", 0));
         assert_eq!(hit.cache, Some(CacheOutcome::Hit));
         assert_eq!(hit.error, miss.error);
         assert_eq!(cached.cache.as_ref().unwrap().len(), 2);
@@ -814,11 +772,11 @@ mod tests {
             stuck_lrs: vec![0],
         };
         // 2 inputs: 4 executions per trial, counted in a u32.
-        let resp = done(engine.run_attempt("f", &faultsim(u32::MAX / 4), &attempt0(None)));
+        let resp = engine.run("f", &faultsim(u32::MAX / 4));
         assert_eq!(resp.status, "ok");
         let campaign = resp.campaign.expect("campaign report");
         assert_eq!(campaign.plans[1].executions, u32::MAX / 4 * 4);
-        let resp = done(engine.run_attempt("f", &faultsim(u32::MAX / 4 + 1), &attempt0(None)));
+        let resp = engine.run("f", &faultsim(u32::MAX / 4 + 1));
         assert_eq!(resp.status, "error");
         let message = resp.error.expect("error message");
         assert!(message.contains("1073741824 trials"), "{message}");
@@ -828,7 +786,7 @@ mod tests {
     fn bad_tables_yield_error_responses_not_panics() {
         let engine = Arc::new(Engine::new(1));
         let op = minimize_op(vec!["junk".into()]);
-        let resp = done(engine.run_attempt("e", &op, &attempt0(None)));
+        let resp = engine.run("e", &op);
         assert_eq!(resp.status, "error");
         assert!(resp.error.is_some());
     }

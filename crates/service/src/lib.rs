@@ -9,9 +9,9 @@
 //!   checksum and schema version; a startup recovery scan quarantines
 //!   anything torn or corrupt instead of serving it.
 //! - [`supervisor`] — a bounded worker pool with per-job deadlines,
-//!   panic isolation (`catch_unwind`), bounded retry with escalating
-//!   conflict budgets, and an explicit `overloaded` shed when the
-//!   admission queue is full.
+//!   panic isolation (`catch_unwind`), and an explicit `overloaded` shed
+//!   when the admission queue is full. Every job runs once, at the budget
+//!   its request states.
 //! - [`engine`] — the job executor: canonicalize → cache lookup → solve
 //!   miss on the portfolio → store → de-canonicalize, so a cache hit is
 //!   bit-identical to a cold solve.
@@ -19,12 +19,10 @@
 //!   pipelined per-connection reader/writer threads and a SIGTERM drain
 //!   that never abandons an accepted job.
 //!
-//! [`backoff`] holds the pure, clock-free retry schedule and [`proto`]
-//! the wire types. The only `unsafe` in the crate is the SIGTERM latch
-//! in its dedicated module.
+//! [`proto`] holds the wire types. The only `unsafe` in the crate is the
+//! SIGTERM latch in its dedicated module.
 #![deny(unsafe_code)]
 
-pub mod backoff;
 pub mod cache;
 pub mod daemon;
 pub mod engine;
@@ -35,11 +33,10 @@ pub mod proto;
 mod signal;
 pub mod supervisor;
 
-pub use backoff::{Attempt, RetryPolicy};
 pub use cache::{CacheEntry, CacheKey, CacheStats, RecoveryReport, ResultCache};
 pub use daemon::{Daemon, DaemonConfig};
-pub use engine::Engine;
+pub use engine::{Attempt, AttemptResult, Engine};
 pub use http::MetricsServer;
 pub use metrics::{MetricsBridgeSink, ServiceMetrics};
 pub use proto::{CacheOutcome, JobRequest, JobResponse, Op, PROTO_VERSION};
-pub use supervisor::{AttemptResult, JobVerdict, Submission, Supervisor, SupervisorConfig};
+pub use supervisor::{JobVerdict, Submission, Supervisor, SupervisorConfig};

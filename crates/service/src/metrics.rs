@@ -35,9 +35,7 @@ pub struct ServiceMetrics {
     pub admissions: Counter,
     /// Jobs refused because the queue was full (`mmsynth_sheds_total`).
     pub sheds: Counter,
-    /// Attempts beyond the first (`mmsynth_retries_total`).
-    pub retries: Counter,
-    /// Attempts that panicked and were isolated (`mmsynth_panics_total`).
+    /// Jobs that panicked and were isolated (`mmsynth_panics_total`).
     pub panics: Counter,
     /// Cache lookups answered from disk (`mmsynth_cache_hits_total`).
     pub cache_hits: Counter,
@@ -90,13 +88,9 @@ impl ServiceMetrics {
                 "mmsynth_sheds_total",
                 "Jobs refused with `overloaded` because the queue was full.",
             ),
-            retries: registry.counter(
-                "mmsynth_retries_total",
-                "Job attempts beyond the first (escalated-budget retries).",
-            ),
             panics: registry.counter(
                 "mmsynth_panics_total",
-                "Job attempts that panicked and were isolated.",
+                "Jobs that panicked and were isolated.",
             ),
             cache_hits: registry.counter(
                 "mmsynth_cache_hits_total",
@@ -157,7 +151,7 @@ impl ServiceMetrics {
             .histogram_with(
                 "mmsynth_job_duration_us",
                 &[("op", op)],
-                "Wall-clock job latency in microseconds (queue + attempts).",
+                "Wall-clock job latency in microseconds.",
             )
             .observe(duration_us);
     }

@@ -29,13 +29,12 @@ use mm_telemetry::{AttrValue, Event, EventKind, TelemetrySink};
 use serde::Value;
 
 /// Point names forwarded to subscribers: rung activation and verdict,
-/// ladder summary, cache outcome, repair rounds, retry/backoff.
+/// ladder summary, cache outcome, repair rounds.
 pub const FRAME_EVENTS: &[&str] = &[
     "rung.spawned",
     "rung",
     "ladder",
     "job.cache",
-    "job.retry",
     "repair.round",
 ];
 

@@ -32,7 +32,6 @@ EAGER_FAMILIES = {
     "mmsynth_jobs_inflight": "gauge",
     "mmsynth_admissions_total": "counter",
     "mmsynth_sheds_total": "counter",
-    "mmsynth_retries_total": "counter",
     "mmsynth_panics_total": "counter",
     "mmsynth_cache_hits_total": "counter",
     "mmsynth_cache_misses_total": "counter",

@@ -42,10 +42,11 @@
 //! Every subcommand also accepts the telemetry flags: `--trace-out F.jsonl`
 //! streams the raw span/counter/point event stream as JSON lines,
 //! `--report-json F` aggregates it into a versioned per-phase timing report
-//! ([`RunReport`]), and `--progress` renders every point event on stderr
-//! as a `mmsynth: progress` line. `synth` and `minimize` additionally
-//! accept `--stats-json [FILE]` for a machine-readable summary (solver
-//! statistics, per-rung call records) on stdout or in FILE.
+//! ([`RunReport`](memristive_mm::telemetry::RunReport)), and `--progress`
+//! renders every point event on stderr as a `mmsynth: progress` line.
+//! `synth` and `minimize` additionally accept `--stats-json [FILE]` for a
+//! machine-readable summary (solver statistics, per-rung call records) on
+//! stdout or in FILE.
 //!
 //! `faultsim` synthesizes a circuit, places its schedule on a physical
 //! array, and runs a fault-injection campaign against it; `--repair` closes
@@ -72,7 +73,6 @@
 //! Functions are either named generators (see `mmsynth list`) or comma-
 //! separated truth-table bitstrings (`--function 0110,1000` = two outputs).
 
-use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -83,17 +83,17 @@ use memristive_mm::circuit::MmCircuit;
 use memristive_mm::circuit::{FaultPlan, Schedule};
 use memristive_mm::device::{DeviceState, ElectricalParams, LineArray};
 use memristive_mm::sat::{Budget, Deadline};
-use memristive_mm::service::progress::ProgressFrameSink;
-use memristive_mm::service::{Attempt, AttemptResult, CacheOutcome, Engine, Op, ResultCache};
+use memristive_mm::service::{CacheOutcome, Engine, Op, ResultCache};
 use memristive_mm::synth::optimize::{self, OptimizeStatus};
 use memristive_mm::synth::repair::{synthesize_with_repair, RepairConfig, RepairStatus};
 use memristive_mm::synth::request::MinimizeRequest;
 use memristive_mm::synth::universality::{census, CensusConfig};
 use memristive_mm::synth::{heuristic, EncodeOptions, SynthResult, SynthSpec, Synthesizer};
-use memristive_mm::telemetry::{
-    atomic_write, JsonlSink, MemorySink, MultiSink, RunReport, Telemetry, TelemetrySink,
-};
+use memristive_mm::telemetry::atomic_write;
 use serde::{Serialize, Value};
+
+mod cli;
+use cli::{render_progress_frame, Args, TelemetrySetup};
 
 /// Exit code for inconclusive answers: a budget/deadline expired before the
 /// search finished, or a repair loop gave up. Distinct from 1 (errors) so
@@ -140,31 +140,6 @@ fn parse_function(spec: &str) -> Result<MultiOutputFn, String> {
     }
 }
 
-struct Args {
-    /// `--name value` pairs in command-line order; `None` for a flag given
-    /// with no value.
-    flags: Vec<(String, Option<String>)>,
-    bare: Vec<String>,
-}
-
-fn parse_args(argv: &[String]) -> Args {
-    let mut flags = Vec::new();
-    let mut bare = Vec::new();
-    let mut it = argv.iter().peekable();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            let value = match it.peek() {
-                Some(v) if !v.starts_with("--") => Some(it.next().expect("peeked").clone()),
-                _ => None,
-            };
-            flags.push((name.to_string(), value));
-        } else {
-            bare.push(a.clone());
-        }
-    }
-    Args { flags, bare }
-}
-
 /// Flags every subcommand accepts: the telemetry sinks.
 const TELEMETRY_FLAGS: &str = "trace-out report-json progress";
 
@@ -198,81 +173,23 @@ fn command_flags(command: &str) -> Option<&'static str> {
     })
 }
 
-impl Args {
-    /// The last `--name`: `Some(None)` when it was given with no value.
-    fn flag(&self, name: &str) -> Option<Option<&str>> {
-        self.flags
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_deref())
-    }
-
-    /// The value of `--name`; a flag given with no value reads `"true"`.
-    fn get(&self, name: &str) -> Option<&str> {
-        self.flag(name).map(|v| v.unwrap_or("true"))
-    }
-
-    /// The value of `--name` as a count, `default` when the flag is absent.
-    ///
-    /// # Errors
-    ///
-    /// Names the flag when it has no value, and the flag and its value when
-    /// the value is not a nonnegative integer.
-    fn get_usize(&self, name: &str, default: usize) -> Result<usize, String> {
-        match self.flag(name) {
-            None => Ok(default),
-            Some(None) => Err(format!("--{name} needs a value")),
-            Some(Some(v)) => v
-                .parse()
-                .map_err(|_| format!("--{name} expects a nonnegative integer, got {v:?}")),
-        }
-    }
-
-    /// [`get_usize`](Self::get_usize) for a count that must fit a `u32`.
-    ///
-    /// # Errors
-    ///
-    /// As `get_usize`, and names the flag and its value when the count
-    /// exceeds `u32::MAX`.
-    fn get_u32(&self, name: &str, default: u32) -> Result<u32, String> {
-        let n = self.get_usize(name, default as usize)?;
-        u32::try_from(n).map_err(|_| format!("--{name} must be at most {}, got {n}", u32::MAX))
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.get(name).is_some()
-    }
-
-    /// Rejects a word that is no command, and the first flag `command`
-    /// does not read.
-    fn check_flags(&self, command: &str) -> Result<(), String> {
-        let Some(known) = command_flags(command) else {
-            return match command {
-                "help" => Ok(()),
-                _ => Err(format!(
-                    "unknown command `{command}`; `mmsynth help` lists the commands"
-                )),
-            };
-        };
-        let accepted = |name: &str| {
-            known
-                .split_whitespace()
-                .chain(TELEMETRY_FLAGS.split_whitespace())
-                .any(|k| k == name)
-        };
-        match self.flags.iter().find(|(n, _)| !accepted(n)) {
-            Some((name, _)) => Err(format!("unknown flag --{name} for `mmsynth {command}`")),
-            None => Ok(()),
-        }
+/// Rejects a word that is no command, and the first flag `command` does
+/// not read.
+fn check_command(args: &Args, command: &str) -> Result<(), String> {
+    match command_flags(command) {
+        Some(known) => args.check_flags(&[known, TELEMETRY_FLAGS], &format!("mmsynth {command}")),
+        None if command == "help" => Ok(()),
+        None => Err(format!(
+            "unknown command `{command}`; `mmsynth help` lists the commands"
+        )),
     }
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&argv);
+    let args = Args::parse(&argv);
     let command = args.bare.first().map(String::as_str).unwrap_or("help");
-    match args.check_flags(command).and_then(|()| run(command, &args)) {
+    match check_command(&args, command).and_then(|()| run(command, &args)) {
         Ok(code) => code,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -328,61 +245,6 @@ fn minimize_request(args: &Args, f: &MultiOutputFn) -> Result<MinimizeRequest, S
     Ok(request)
 }
 
-/// Telemetry wiring shared by every subcommand: `--trace-out FILE` streams
-/// raw JSONL events, `--report-json FILE` aggregates them into a versioned
-/// [`RunReport`], `--progress` renders every point event on stderr as a
-/// progress frame, the way `client --progress` renders the daemon's.
-struct TelemetrySetup {
-    telemetry: Telemetry,
-    memory: Option<Arc<MemorySink>>,
-    report_path: Option<String>,
-}
-
-fn telemetry_from(args: &Args, command: &str) -> Result<TelemetrySetup, String> {
-    let report_path = args.get("report-json").map(str::to_string);
-    let mut sinks: Vec<Arc<dyn TelemetrySink>> = Vec::new();
-    let mut memory = None;
-    if let Some(path) = args.get("trace-out") {
-        let sink =
-            JsonlSink::create(Path::new(path)).map_err(|e| format!("creating {path}: {e}"))?;
-        sinks.push(Arc::new(sink));
-    }
-    if report_path.is_some() {
-        let m = Arc::new(MemorySink::new());
-        memory = Some(m.clone());
-        sinks.push(m);
-    }
-    if args.has("progress") {
-        let ticker = ProgressFrameSink::new(command, None, |frame| render_progress_frame(&frame));
-        sinks.push(Arc::new(ticker));
-    }
-    let telemetry = match sinks.len() {
-        0 => Telemetry::disabled(),
-        1 => Telemetry::new(sinks.pop().expect("length checked")),
-        _ => Telemetry::new(Arc::new(MultiSink::new(sinks))),
-    };
-    telemetry.meta_event(command);
-    Ok(TelemetrySetup {
-        telemetry,
-        memory,
-        report_path,
-    })
-}
-
-impl TelemetrySetup {
-    /// Flushes sinks and writes the aggregated run report, if requested.
-    fn finish(&self) -> Result<(), String> {
-        self.telemetry.flush();
-        if let (Some(path), Some(memory)) = (&self.report_path, &self.memory) {
-            let report = RunReport::from_events(&memory.snapshot());
-            let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-            atomic_write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("run report written to {path}");
-        }
-        Ok(())
-    }
-}
-
 /// Version of the `--stats-json` sidecar schema. Version 2 dropped
 /// `solver_stats.eliminated_vars` and added `solver_stats.inprocess_visits`;
 /// version 3 dropped the top-level `incremental` key and added `conflicts`
@@ -403,7 +265,7 @@ fn write_stats_json(dest: &str, value: &Value) -> Result<(), String> {
 }
 
 fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
-    let tel = telemetry_from(args, command)?;
+    let tel = TelemetrySetup::from_args(args, command)?;
     let result = dispatch(command, args, &tel);
     tel.finish()?;
     result
@@ -634,7 +496,7 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
             print_minimized(
                 report.best.as_ref(),
                 report.proven_optimal,
-                args.has("certify"),
+                certified > 0,
                 degraded,
                 args,
             )
@@ -716,8 +578,10 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
 }
 
 /// Prints a minimize answer: the circuit with its `optimality:` line, or
-/// why there is none. `certified` says whether the optimality claim rests
-/// on checked DRAT proofs. Degraded runs exit 2.
+/// why there is none. A circuit at the ladder's first point (`N_R = 0,
+/// N_VS = 1`; `N_R = 1` for `--r-only`) is optimal with no call below it;
+/// otherwise `certified` says whether checked DRAT proofs back the claim.
+/// Degraded runs exit 2.
 fn print_minimized(
     best: Option<&MmCircuit>,
     proven_optimal: bool,
@@ -728,9 +592,16 @@ fn print_minimized(
     match best {
         Some(circuit) => {
             emit_circuit(circuit, args)?;
+            let m = circuit.metrics();
+            let lattice_minimum = if args.has("r-only") {
+                m.n_rops == 1
+            } else {
+                (m.n_rops, m.n_vsteps) == (0, 1)
+            };
             println!(
                 "optimality: {}",
                 match (proven_optimal, certified, degraded) {
+                    (true, ..) if lattice_minimum => "proven (lattice minimum)",
                     (true, true, _) => "proven (UNSAT below, DRAT-certified)",
                     (true, false, _) => "proven (UNSAT below)",
                     (false, _, true) => "upper bound only (degraded run)",
@@ -791,21 +662,12 @@ fn minimize_cached(
             .with_cache(cache.with_paranoid(args.has("paranoid")))
             .with_telemetry(tel.telemetry.clone()),
     );
-    let attempt = Attempt {
-        index: 0,
-        max_conflicts: request.max_conflicts,
-        backoff: Duration::ZERO,
-    };
     let op = Op::Minimize {
         tables: f.outputs().iter().map(TruthTable::to_bitstring).collect(),
         request,
         no_cache: false,
     };
-    let resp = match engine.run_attempt("cli", &op, &attempt) {
-        AttemptResult::Done(resp) => resp,
-        // A retryable attempt is a degraded answer: the CLI does not retry.
-        AttemptResult::Retry { partial, reason } => partial.ok_or(reason)?,
-    };
+    let resp = engine.run("cli", &op);
     if let Some(error) = resp.error {
         return Err(error);
     }
@@ -821,7 +683,8 @@ fn minimize_cached(
         cache.stats().stores
     );
     // Only a certified request is answered with the stored proof, as a
-    // cold solve of the same request would be.
+    // cold solve of the same request would be, and only a proof makes the
+    // claim DRAT-certified.
     print_minimized(
         resp.circuit.as_ref(),
         resp.proven_optimal == Some(true),
@@ -961,31 +824,6 @@ fn client_exchange<S: std::io::Read + std::io::Write>(
             _ => return Ok(trimmed.to_string()),
         }
     }
-}
-
-/// One stderr line per frame: `mmsynth: progress <event> k=v ...`.
-fn render_progress_frame(frame: &Value) {
-    let Value::Object(fields) = frame else { return };
-    let mut event = String::new();
-    let mut rest = String::new();
-    for (key, value) in fields {
-        match key.as_str() {
-            "frame" | "id" => {}
-            "event" => {
-                if let Value::Str(s) = value {
-                    event = s.clone();
-                }
-            }
-            _ => {
-                let rendered = match value {
-                    Value::Str(s) => s.clone(),
-                    other => serde_json::to_string(other).unwrap_or_default(),
-                };
-                rest.push_str(&format!(" {key}={rendered}"));
-            }
-        }
-    }
-    eprintln!("mmsynth: progress {event}{rest}");
 }
 
 /// `mmsynth fuzz`: run seeded end-to-end scenarios, archive shrunk failures.

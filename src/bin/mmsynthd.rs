@@ -16,53 +16,17 @@
 //! SIGTERM (or the `shutdown` op, or stdin EOF) drains: queued jobs
 //! finish, the cache index is flushed, telemetry is checkpointed.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 
-use memristive_mm::service::{Daemon, DaemonConfig, RetryPolicy};
-use memristive_mm::telemetry::{
-    atomic_write, JsonlSink, MemorySink, MultiSink, RunReport, Telemetry, TelemetrySink,
-};
+use memristive_mm::service::{Daemon, DaemonConfig};
 
-struct Args {
-    flags: HashMap<String, String>,
-}
+mod cli;
+use cli::{Args, TelemetrySetup};
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut flags = HashMap::new();
-    let mut it = argv.iter().peekable();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            let value = match it.peek() {
-                Some(v) if !v.starts_with("--") => it.next().expect("peeked").clone(),
-                _ => String::from("true"),
-            };
-            flags.insert(name.to_string(), value);
-        } else {
-            return Err(format!("unexpected argument {a:?} (flags only)"));
-        }
-    }
-    Ok(Args { flags })
-}
-
-impl Args {
-    fn get(&self, name: &str) -> Option<&str> {
-        self.flags.get(name).map(String::as_str)
-    }
-
-    fn get_usize(&self, name: &str, default: usize) -> Result<usize, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|e| format!("bad --{name}: {e}")),
-        }
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.flags.contains_key(name)
-    }
-}
+/// Every flag `mmsynthd` reads.
+const FLAGS: &str = "help cache-dir paranoid workers queue-depth jobs socket tcp metrics-addr \
+                     trace-out report-json";
 
 const USAGE: &str = "\
 mmsynthd — synthesis daemon (JSON-lines protocol)
@@ -74,7 +38,6 @@ usage: mmsynthd [options]
   --workers N        concurrent jobs (default 2)
   --queue-depth N    queued jobs before shedding `overloaded` (default 16)
   --jobs N           portfolio width per solve (default 2)
-  --retries N        max attempts per job (default 3)
   --socket PATH      serve a Unix socket instead of stdio
   --tcp ADDR:PORT    serve TCP instead of stdio
   --metrics-addr A:P serve Prometheus text on GET http://A:P/metrics
@@ -94,30 +57,16 @@ fn main() -> ExitCode {
 }
 
 fn run(argv: &[String]) -> Result<ExitCode, String> {
-    let args = parse_args(argv)?;
+    let args = Args::parse(argv);
+    if let Some(word) = args.bare.first() {
+        return Err(format!("unexpected argument {word:?} (flags only)"));
+    }
+    args.check_flags(&[FLAGS], "mmsynthd")?;
     if args.has("help") {
         print!("{USAGE}");
         return Ok(ExitCode::SUCCESS);
     }
-    let mut sinks: Vec<Arc<dyn TelemetrySink>> = Vec::new();
-    let mut memory = None;
-    if let Some(path) = args.get("trace-out") {
-        let sink = JsonlSink::create(std::path::Path::new(path))
-            .map_err(|e| format!("creating {path}: {e}"))?;
-        sinks.push(Arc::new(sink));
-    }
-    let report_path = args.get("report-json").map(str::to_string);
-    if report_path.is_some() {
-        let m = Arc::new(MemorySink::new());
-        memory = Some(m.clone());
-        sinks.push(m);
-    }
-    let telemetry = match sinks.len() {
-        0 => Telemetry::disabled(),
-        1 => Telemetry::new(sinks.pop().expect("length checked")),
-        _ => Telemetry::new(Arc::new(MultiSink::new(sinks))),
-    };
-    telemetry.meta_event("mmsynthd");
+    let tel = TelemetrySetup::from_args(&args, "mmsynthd")?;
 
     let config = DaemonConfig {
         cache_dir: args.get("cache-dir").map(PathBuf::from),
@@ -125,15 +74,11 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
         workers: args.get_usize("workers", 2)?.max(1),
         queue_depth: args.get_usize("queue-depth", 16)?.max(1),
         solve_jobs: args.get_usize("jobs", 2)?.max(1),
-        retry: RetryPolicy {
-            max_attempts: args.get_usize("retries", 3)? as u32,
-            ..RetryPolicy::default()
-        },
         metrics_addr: args.get("metrics-addr").map(str::to_string),
     };
     let cache_dir = config.cache_dir.clone();
-    let daemon =
-        Daemon::start(config, telemetry.clone()).map_err(|e| format!("starting daemon: {e}"))?;
+    let daemon = Daemon::start(config, tel.telemetry.clone())
+        .map_err(|e| format!("starting daemon: {e}"))?;
     if let Some(addr) = daemon.metrics_local_addr() {
         eprintln!("mmsynthd: metrics on http://{addr}/metrics");
     }
@@ -160,12 +105,7 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
     };
     served.map_err(|e| format!("serve loop: {e}"))?;
 
-    if let (Some(path), Some(memory)) = (&report_path, &memory) {
-        let report = RunReport::from_events(&memory.snapshot());
-        let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-        atomic_write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("mmsynthd: run report written to {path}");
-    }
+    tel.finish()?;
     eprintln!("mmsynthd: drained");
     Ok(ExitCode::SUCCESS)
 }

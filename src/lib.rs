@@ -17,8 +17,9 @@
 //!   from every layer above, JSONL sinks, and the [`telemetry::RunReport`]
 //!   per-phase timing aggregator.
 //! * [`service`] — the crash-safe synthesis service behind `mmsynthd`: a
-//!   persistent NPN-canonical result cache, supervised jobs with retry
-//!   and overload shedding, and the JSON-lines daemon loops.
+//!   persistent NPN-canonical result cache, supervised one-attempt jobs
+//!   with panic isolation and overload shedding, and the JSON-lines
+//!   daemon loops.
 //!
 //! # Quickstart
 //!

@@ -1,7 +1,7 @@
-//! `mmsynth` rejects what it cannot read: a subcommand it does not have, a
-//! flag its subcommand does not know, or a count that is missing, does not
-//! parse or does not fit, exits 1 with an error naming the word, flag (and
-//! value) instead of running with a default.
+//! `mmsynth` and `mmsynthd` reject what they cannot read: a subcommand
+//! `mmsynth` does not have, a flag the command does not know, or a count
+//! that is missing, does not parse or does not fit, exits 1 with an error
+//! naming the word, flag (and value) instead of running with a default.
 
 use std::process::{Command, Output};
 
@@ -143,4 +143,56 @@ fn cache_dir_refuses_flags_it_cannot_honour() {
         !std::path::Path::new(dir).exists(),
         "a refused run opens no cache"
     );
+}
+
+#[test]
+fn the_daemon_rejects_flags_it_does_not_read() {
+    let dir = std::env::temp_dir().join(format!("cli_flags_daemon_{}", std::process::id()));
+    let dir = dir.to_str().expect("temp path is UTF-8");
+    let daemon = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_mmsynthd"))
+            .args(args)
+            .output()
+            .expect("mmsynthd runs")
+    };
+    // A misspelt flag used to serve stdio with no cache and exit 0.
+    let out = daemon(&["--cache-dirr", dir, "--workerz", "9"]);
+    assert_rejected(&out, &["--cache-dirr", "mmsynthd"]);
+    assert!(!std::path::Path::new(dir).exists(), "nothing ran");
+    // Every job runs once; there is no retry count to set.
+    assert_rejected(&daemon(&["--retries", "3"]), &["--retries", "mmsynthd"]);
+    assert_rejected(&daemon(&["--workers", "two"]), &["--workers", "\"two\""]);
+}
+
+#[test]
+fn a_circuit_at_the_ladder_floor_is_proven_without_a_call_below() {
+    let dir = std::env::temp_dir().join(format!("cli_flags_floor_{}", std::process::id()));
+    let dir = dir.to_str().expect("temp path is UTF-8");
+    let _ = std::fs::remove_dir_all(dir);
+    let base = [
+        "minimize",
+        "--function",
+        "0011",
+        "--max-rops",
+        "3",
+        "--max-steps",
+        "3",
+        "--jobs",
+        "1",
+        "--certify",
+    ];
+    // The plain path and the cached one answer the same claim: N_R = 0,
+    // N_VS = 1 is the first point, so no UNSAT call (and no proof) backs it.
+    for extra in [&[][..], &["--cache-dir", dir]] {
+        let args: Vec<&str> = base.iter().chain(extra).copied().collect();
+        let out = mmsynth(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stdout}");
+        assert!(
+            stdout.contains("N_R=0 N_L=1 N_VS=1")
+                && stdout.contains("optimality: proven (lattice minimum)\n"),
+            "{args:?}: {stdout}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }

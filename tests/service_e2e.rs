@@ -132,17 +132,22 @@ fn mixed_batch_over_stdio() {
         // never served from or stored into the cache.
         minimize_line("late", "0111", r#","deadline_secs":0.000001"#),
         r#"{"op":"stats","id":"s"}"#.to_string(),
+        // Five conflicts cannot settle XOR3's ladder: one attempt at the
+        // request's own budget, answered degraded with its best circuit.
+        minimize_line("capped", "10010110", r#","max_conflicts":5"#),
+        // Snapshotted after every job above has answered.
+        r#"{"op":"metrics","id":"m"}"#.to_string(),
     ];
     // --workers 1 serializes the jobs so cold/npn ordering is deterministic.
     let (responses, _) = run_batch(&cache, &["--workers", "1"], &lines);
-    assert_eq!(responses.len(), 5, "one response line per request");
+    assert_eq!(responses.len(), 7, "one response line per request");
     let by_id: Vec<(&str, &Value)> = responses
         .iter()
         .map(|r| (str_field(r, "id").expect("id"), r))
         .collect();
     assert_eq!(
         by_id.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
-        vec!["p", "cold", "npn", "late", "s"],
+        vec!["p", "cold", "npn", "late", "s", "capped", "m"],
         "responses come back in submission order"
     );
     assert_eq!(str_field(by_id[0].1, "status"), Some("ok"));
@@ -173,6 +178,22 @@ fn mixed_batch_over_stdio() {
             "missing counter {counter}: {stats:?}"
         );
     }
+    let capped = by_id[5].1;
+    assert_eq!(str_field(capped, "status"), Some("degraded"), "{capped:?}");
+    assert_eq!(
+        str_field(capped, "degraded_reason"),
+        Some("budget exhausted")
+    );
+    assert_circuit_implements(capped, "10010110", "capped best-known");
+    let scrape = str_field(by_id[6].1, "metrics_text").expect("metrics text");
+    assert!(
+        scrape.contains(r#"mmsynth_jobs_total{op="minimize",status="degraded"}"#),
+        "{scrape}"
+    );
+    assert!(
+        !scrape.contains(r#"status="retry""#),
+        "a capped job is answered once, never retried: {scrape}"
+    );
     let _ = std::fs::remove_dir_all(&cache);
 }
 
