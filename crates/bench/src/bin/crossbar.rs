@@ -37,7 +37,9 @@ fn main() {
                 .expect("valid")
                 .with_options(mm_synth::EncodeOptions::recommended());
                 let outcome = mm_synth::Synthesizer::new()
-                    .with_budget(mm_sat::Budget::new().with_max_time(budget))
+                    .with_budget(
+                        mm_sat::Budget::new().with_deadline(mm_sat::Deadline::after(budget)),
+                    )
                     .run(&spec)
                     .expect("runs");
                 match outcome.result {

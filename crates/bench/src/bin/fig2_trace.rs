@@ -12,7 +12,7 @@
 use mm_boolfn::generators;
 use mm_circuit::Schedule;
 use mm_device::{ElectricalParams, LineArray, Variability};
-use mm_sat::Budget;
+use mm_sat::{Budget, Deadline};
 use mm_synth::{EncodeOptions, SynthSpec, Synthesizer};
 
 fn main() {
@@ -24,7 +24,8 @@ fn main() {
     let spec = SynthSpec::mixed_mode(&f, 4, 6, 3)
         .expect("Fig. 1 budgets are valid")
         .with_options(EncodeOptions::recommended());
-    let synth = Synthesizer::new().with_budget(Budget::new().with_max_time(budget));
+    let synth =
+        Synthesizer::new().with_budget(Budget::new().with_deadline(Deadline::after(budget)));
     let outcome = synth.run(&spec).expect("encoding never fails here");
     let Some(circuit) = outcome.circuit() else {
         eprintln!("budget exhausted — rerun with a larger --budget");

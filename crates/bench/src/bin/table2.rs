@@ -7,7 +7,7 @@
 //! every leg is printed in the paper's format.
 
 use mm_boolfn::{generators, MultiOutputFn};
-use mm_sat::Budget;
+use mm_sat::{Budget, Deadline};
 use mm_synth::{EncodeOptions, SynthSpec, Synthesizer};
 
 fn main() {
@@ -44,7 +44,8 @@ fn main() {
     let spec = SynthSpec::mixed_mode(&f, 0, 4, 5)
         .expect("valid spec")
         .with_options(EncodeOptions::recommended());
-    let synth = Synthesizer::new().with_budget(Budget::new().with_max_time(budget));
+    let synth =
+        Synthesizer::new().with_budget(Budget::new().with_deadline(Deadline::after(budget)));
     let outcome = synth
         .run(&spec)
         .expect("encoding Table II spec never fails");

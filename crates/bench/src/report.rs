@@ -82,11 +82,6 @@ impl BenchReport {
         });
     }
 
-    /// Looks a metric up by name.
-    pub fn metric(&self, name: &str) -> Option<&BenchMetric> {
-        self.metrics.iter().find(|m| m.name == name)
-    }
-
     /// Sorts metrics by name and serializes to pretty JSON.
     ///
     /// # Errors
@@ -119,8 +114,13 @@ mod tests {
         assert_eq!(back.pr, 7);
         assert_eq!(back.metrics.len(), 2);
         // to_json sorts by name; first metric out is alpha_conflicts.
-        assert_eq!(back.metrics[0].name, "alpha_conflicts");
-        assert_eq!(back.metric("zeta_time_us").unwrap().value, 123.0);
-        assert!(back.metric("alpha_conflicts").unwrap().deterministic);
+        let [alpha, zeta] = &back.metrics[..] else {
+            unreachable!("two metrics")
+        };
+        assert_eq!(
+            (alpha.name.as_str(), alpha.deterministic),
+            ("alpha_conflicts", true)
+        );
+        assert_eq!((zeta.name.as_str(), zeta.value), ("zeta_time_us", 123.0));
     }
 }

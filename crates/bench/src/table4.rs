@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use mm_boolfn::{generators, MultiOutputFn};
-use mm_sat::Budget;
+use mm_sat::{Budget, Deadline};
 use mm_synth::{EncodeOptions, SynthResult, SynthSpec, Synthesizer};
 
 /// The paper's reference values for one Table IV row.
@@ -202,7 +202,8 @@ pub fn run_row(bench: &Benchmark, r_only: bool, budget: Duration) -> RowResult {
     }
     .expect("paper budgets are structurally valid")
     .with_options(EncodeOptions::recommended());
-    let synth = Synthesizer::new().with_budget(Budget::new().with_max_time(budget));
+    let synth =
+        Synthesizer::new().with_budget(Budget::new().with_deadline(Deadline::after(budget)));
     let outcome = synth.run(&spec).expect("paper specs never fail to encode");
     RowResult {
         status: match outcome.result {
@@ -221,11 +222,13 @@ pub fn run_row(bench: &Benchmark, r_only: bool, budget: Duration) -> RowResult {
 /// `N_VS − 1` and (for `N_R > 0`) at `N_R − 1`.
 pub fn check_optimality(bench: &Benchmark, budget: Duration) -> (RowStatus, RowStatus) {
     let paper = &bench.paper_mm;
-    let synth = Synthesizer::new().with_budget(Budget::new().with_max_time(budget));
+    // Each probe gets the whole budget, anchored where it starts.
     let probe = |n_r: usize, n_l: usize, n_vs: usize| -> RowStatus {
         let spec = SynthSpec::mixed_mode(&bench.function, n_r, n_l, n_vs)
             .expect("probe budgets are valid")
             .with_options(EncodeOptions::recommended());
+        let synth =
+            Synthesizer::new().with_budget(Budget::new().with_deadline(Deadline::after(budget)));
         match synth.run(&spec).expect("probe specs encode").result {
             SynthResult::Unrealizable => RowStatus::Reproduced,
             SynthResult::Realizable(_) => RowStatus::Contradiction,

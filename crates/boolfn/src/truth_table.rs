@@ -223,39 +223,6 @@ impl TruthTable {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Whether the function is constant 0.
-    pub fn is_false(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// The cofactor of the function with `x_i` fixed to `value`.
-    ///
-    /// The result still has `n` inputs (with `x_i` now irrelevant), which
-    /// keeps cofactors composable with the original inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoolFnError::VariableOutOfRange`] when `var` is zero or
-    /// exceeds `n`.
-    pub fn cofactor(&self, var: u8, value: bool) -> Result<Self, BoolFnError> {
-        if var == 0 || var > self.n_inputs {
-            return Err(BoolFnError::VariableOutOfRange {
-                var: var.into(),
-                n_inputs: self.n_inputs,
-            });
-        }
-        let shift = self.n_inputs - var;
-        Self::from_index_fn(self.n_inputs, |q| {
-            let q = q as usize;
-            let fixed = if value {
-                q | (1 << shift)
-            } else {
-                q & !(1 << shift)
-            };
-            self.get(fixed)
-        })
-    }
-
     /// The NOR of two functions — the logical behaviour of the paper's
     /// MAGIC R-op on BiFeO₃ devices.
     ///
@@ -525,21 +492,8 @@ mod tests {
         assert!(x7.get(127));
         let neg = !&x7;
         assert_eq!(neg.count_ones(), 64);
-        assert!((&x7 & &neg).is_false());
+        assert_eq!((&x7 & &neg).count_ones(), 0);
         assert_eq!((&x7 | &neg).count_ones(), 128);
-    }
-
-    #[test]
-    fn cofactors_fix_one_variable() {
-        let x1 = TruthTable::var(3, 1).unwrap();
-        let x2 = TruthTable::var(3, 2).unwrap();
-        let f = &x1 ^ &x2;
-        let f0 = f.cofactor(1, false).unwrap();
-        assert_eq!(f0, x2);
-        let f1 = f.cofactor(1, true).unwrap();
-        assert_eq!(f1, !&x2);
-        assert!(f.cofactor(0, false).is_err());
-        assert!(f.cofactor(4, false).is_err());
     }
 
     #[test]

@@ -41,7 +41,8 @@
 //! let report = run_campaign(&schedule, &plans, &CampaignConfig::default())?;
 //! assert_eq!(report.plans[0].failures, 0);
 //! assert!(report.plans[1].failures > 0);
-//! assert_eq!(report.plans[1].implicated_cells(), vec![2]);
+//! let implicated: Vec<usize> = report.plans[1].attribution.iter().map(|a| a.cell).collect();
+//! assert_eq!(implicated, vec![2]);
 //! # Ok(())
 //! # }
 //! ```
@@ -138,14 +139,6 @@ pub struct PlanReport {
     pub variability_failures: u32,
     /// Per-cell attribution, most-implicated cells first.
     pub attribution: Vec<CellAttribution>,
-}
-
-impl PlanReport {
-    /// The implicated cells, most frequently divergent first — the input
-    /// to the repair loop's avoidance constraints.
-    pub fn implicated_cells(&self) -> Vec<usize> {
-        self.attribution.iter().map(|a| a.cell).collect()
-    }
 }
 
 /// The structured result of a campaign: one [`PlanReport`] per plan.
@@ -438,7 +431,8 @@ mod tests {
         assert_eq!(p.failures, 3 * report.trials);
         assert_eq!(p.stuck_failures, p.failures);
         assert_eq!(p.transient_failures, 0);
-        assert_eq!(p.implicated_cells(), vec![2]);
+        assert_eq!(p.attribution.len(), 1, "only the stuck cell");
+        assert_eq!(p.attribution[0].cell, 2);
         assert_eq!(p.attribution[0].class, FaultClass::Stuck);
         // The output cell is pre-set to 1 but stuck cells match that until
         // the R-op tries to RESET it — or diverge at cycle 0 if their init
@@ -635,10 +629,13 @@ mod tests {
                         continue; // `expected` already pinned the empty report
                     }
                     assert_eq!(p.first_divergence_cycle, o.first_divergence_cycle);
-                    assert_eq!(p.implicated_cells(), o.implicated_cells());
+                    assert_eq!(p.attribution.len(), o.attribution.len());
                     for (a, b) in p.attribution.iter().zip(&o.attribution) {
                         assert_eq!(a.divergences, trials * b.divergences);
-                        assert_eq!((a.class, a.first_cycle), (b.class, b.first_cycle));
+                        assert_eq!(
+                            (a.cell, a.class, a.first_cycle),
+                            (b.cell, b.class, b.first_cycle)
+                        );
                     }
                 }
             }

@@ -1,6 +1,6 @@
 //! Long-running probe of the heavier Table IV rows (run in background).
 use mm_boolfn::generators;
-use mm_sat::Budget;
+use mm_sat::{Budget, Deadline};
 use mm_synth::{SynthResult, SynthSpec, Synthesizer};
 use std::time::{Duration, Instant};
 
@@ -16,8 +16,8 @@ fn probe(
         (0, 0) => SynthSpec::r_only(f, n_r).unwrap(),
         _ => SynthSpec::mixed_mode(f, n_r, n_l, n_vs).unwrap(),
     };
-    let synth =
-        Synthesizer::new().with_budget(Budget::new().with_max_time(Duration::from_secs(budget_s)));
+    let synth = Synthesizer::new()
+        .with_budget(Budget::new().with_deadline(Deadline::after(Duration::from_secs(budget_s))));
     let t = Instant::now();
     let out = synth.run(&spec).unwrap();
     let kind = match out.result {

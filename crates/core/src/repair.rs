@@ -11,9 +11,9 @@
 //! 2. adds the implicated cells (stuck or transiently upset — the
 //!    avoidable fault classes) to the spec's
 //!    [cell-avoidance constraint](crate::SynthSpec::with_cell_avoidance),
-//! 3. resynthesizes with an escalating budget — the avoidance is enforced
-//!    *inside the CNF formula*, so the new schedule provably never touches
-//!    the diagnosed cells — and repeats, up to a retry bound.
+//! 3. resynthesizes under the synthesizer's own budget — the avoidance is
+//!    enforced *inside the CNF formula*, so the new schedule provably never
+//!    touches the diagnosed cells — and repeats, up to a retry bound.
 //!
 //! Certification ([`Synthesizer::with_certification`]) applies to every
 //! retry: each resynthesis re-verifies its circuit on the device model and
@@ -26,7 +26,6 @@
 
 use mm_circuit::campaign::{run_campaign_traced, CampaignConfig, CampaignReport, FaultClass};
 use mm_circuit::{FaultPlan, MmCircuit, ROpKind, Schedule};
-use mm_sat::Budget;
 use mm_telemetry::kv;
 
 use crate::{SynthError, SynthResult, SynthSpec, Synthesizer};
@@ -38,23 +37,17 @@ pub struct RepairConfig {
     pub array_size: usize,
     /// Maximum number of *re*-synthesis rounds after the initial one.
     pub max_retries: usize,
-    /// Conflict-budget multiplier applied per retry (resynthesis under
-    /// fresh constraints may be harder than the original problem). Only
-    /// affects budgets with a conflict limit; unlimited budgets stay
-    /// unlimited and deadlines are shared, not scaled.
-    pub budget_escalation: u32,
     /// The fault campaign each candidate schedule is validated against.
     pub campaign: CampaignConfig,
 }
 
 impl RepairConfig {
-    /// A repair loop on an `array_size`-cell array with 4 retries, 2×
-    /// budget escalation and the default campaign configuration.
+    /// A repair loop on an `array_size`-cell array with 4 retries and the
+    /// default campaign configuration.
     pub fn new(array_size: usize) -> Self {
         Self {
             array_size,
             max_retries: 4,
-            budget_escalation: 2,
             campaign: CampaignConfig::default(),
         }
     }
@@ -172,10 +165,6 @@ pub fn synthesize_with_repair(
     let mut last: Option<(MmCircuit, Schedule, CampaignReport)> = None;
 
     for round in 0..=config.max_retries {
-        let round_synth =
-            synth
-                .clone()
-                .with_budget(escalate(synth.budget(), round, config.budget_escalation));
         let round_spec = spec
             .clone()
             .with_cell_avoidance(config.array_size, avoided.clone());
@@ -205,7 +194,7 @@ pub fn synthesize_with_repair(
                 status: RepairStatus::Unrepairable { reason },
             })
         };
-        let outcome = match round_synth.run(&round_spec) {
+        let outcome = match synth.run(&round_spec) {
             Ok(o) => o,
             // Avoidance added by *diagnosis* can shrink the working array
             // below the schedule's footprint; that is a repair dead end,
@@ -357,18 +346,6 @@ pub fn synthesize_with_repair(
     unreachable!("the loop always returns from its final round");
 }
 
-/// Scales a conflict-limited budget by `factor^round`; other limits (and
-/// the deadline, which is deliberately shared across rounds) pass through.
-fn escalate(budget: Budget, round: usize, factor: u32) -> Budget {
-    match (budget.max_conflicts(), round) {
-        (Some(c), r) if r > 0 => {
-            let scale = u64::from(factor.max(1)).saturating_pow(r as u32);
-            budget.with_max_conflicts(c.saturating_mul(scale))
-        }
-        _ => budget,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use mm_boolfn::generators;
@@ -452,14 +429,5 @@ mod tests {
         let err = synthesize_with_repair(&Synthesizer::new(), &spec, &plans, &RepairConfig::new(8))
             .unwrap_err();
         assert!(matches!(err, SynthError::InvalidConstraint { .. }));
-    }
-
-    #[test]
-    fn escalate_scales_conflict_budgets_only() {
-        let b = Budget::new().with_max_conflicts(100);
-        assert_eq!(escalate(b.clone(), 0, 2).max_conflicts(), Some(100));
-        assert_eq!(escalate(b.clone(), 1, 2).max_conflicts(), Some(200));
-        assert_eq!(escalate(b, 3, 2).max_conflicts(), Some(800));
-        assert!(escalate(Budget::new(), 3, 2).is_unlimited());
     }
 }

@@ -60,9 +60,10 @@ pub struct MinimizeRequest {
     /// portfolio verdicts deterministic across worker counts.
     pub max_conflicts: Option<u64>,
     /// Wall-clock deadline for the whole run, applied relative to the
-    /// moment [`run`](Self::run) starts. Deadline runs are *not*
-    /// deterministic across machines or worker counts, so they are never
-    /// admitted to the result cache.
+    /// moment [`run`](Self::run) starts (the daemon passes what a job's
+    /// queue wait left of it). Deadline runs are *not* deterministic
+    /// across machines or worker counts, so they are never admitted to
+    /// the result cache.
     pub deadline: Option<Duration>,
     /// Whether UNSAT rungs must carry checker-accepted DRAT proofs.
     pub certify: bool,

@@ -45,21 +45,16 @@ impl CancellationToken {
     pub fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// Whether `self` and `other` share one underlying flag.
-    pub fn same_token(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
 }
 
-/// A wall-clock deadline shared by every call of one run.
+/// A wall-clock deadline: the one time bound a solve can carry.
 ///
-/// Unlike [`Budget::with_max_time`], which is a *per-call* duration measured
-/// from the start of each solve, a deadline is an *absolute* instant: one
-/// `Deadline` threaded through many sequential or parallel solver calls
-/// bounds the whole minimization run. The solver polls it in the same hot
-/// loop as the [`CancellationToken`], so an expired deadline aborts
-/// in-flight calls promptly with
+/// A deadline is an *absolute* instant, anchored once where the work is
+/// admitted: one `Deadline` threaded through many sequential or parallel
+/// solver calls bounds the whole run, and a caller that wants a per-call
+/// bound attaches `Deadline::after(d)` where that call starts. The solver
+/// polls it in the same hot loop as the [`CancellationToken`], so an
+/// expired deadline aborts in-flight calls promptly with
 /// [`SatResult::Unknown`](crate::SatResult::Unknown), and callers can check
 /// [`expired`](Self::expired) to skip launching work that could never
 /// finish.
@@ -118,17 +113,16 @@ fn far_future() -> Instant {
 ///
 /// ```
 /// use std::time::Duration;
-/// use mm_sat::Budget;
+/// use mm_sat::{Budget, Deadline};
 ///
 /// let b = Budget::new()
 ///     .with_max_conflicts(100_000)
-///     .with_max_time(Duration::from_secs(60));
+///     .with_deadline(Deadline::after(Duration::from_secs(60)));
 /// assert_eq!(b.max_conflicts(), Some(100_000));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Budget {
     max_conflicts: Option<u64>,
-    max_time: Option<Duration>,
     deadline: Option<Deadline>,
     cancel: Option<CancellationToken>,
     inprocess: bool,
@@ -138,30 +132,12 @@ impl Default for Budget {
     fn default() -> Self {
         Self {
             max_conflicts: None,
-            max_time: None,
             deadline: None,
             cancel: None,
             inprocess: true,
         }
     }
 }
-
-impl PartialEq for Budget {
-    fn eq(&self, other: &Self) -> bool {
-        let tokens_match = match (&self.cancel, &other.cancel) {
-            (None, None) => true,
-            (Some(a), Some(b)) => a.same_token(b),
-            _ => false,
-        };
-        self.max_conflicts == other.max_conflicts
-            && self.max_time == other.max_time
-            && self.deadline == other.deadline
-            && self.inprocess == other.inprocess
-            && tokens_match
-    }
-}
-
-impl Eq for Budget {}
 
 impl Budget {
     /// An unlimited budget: the solver runs to completion.
@@ -175,22 +151,12 @@ impl Budget {
         self
     }
 
-    /// Limits the wall-clock time before giving up.
-    ///
-    /// The limit is checked between restarts, so the overshoot is bounded by
-    /// one restart interval.
-    pub fn with_max_time(mut self, time: Duration) -> Self {
-        self.max_time = Some(time);
-        self
-    }
-
     /// Attaches an absolute wall-clock [`Deadline`].
     ///
-    /// Unlike [`with_max_time`](Self::with_max_time) the deadline does not
-    /// reset between calls, so one deadline shared by many calls bounds the
-    /// whole run. It is polled in the solver's hot loop (like a
-    /// [`CancellationToken`]), so expiry aborts promptly rather than waiting
-    /// for a restart boundary.
+    /// The deadline does not reset between calls, so one deadline shared by
+    /// many calls bounds the whole run. It is polled in the solver's hot
+    /// loop (like a [`CancellationToken`]), so expiry aborts promptly rather
+    /// than waiting for a restart boundary.
     pub fn with_deadline(mut self, deadline: Deadline) -> Self {
         self.deadline = Some(deadline);
         self
@@ -219,11 +185,6 @@ impl Budget {
         self.max_conflicts
     }
 
-    /// The time limit, if any.
-    pub fn max_time(&self) -> Option<Duration> {
-        self.max_time
-    }
-
     /// The attached deadline, if any.
     pub fn deadline(&self) -> Option<Deadline> {
         self.deadline
@@ -238,14 +199,6 @@ impl Budget {
     pub fn inprocess(&self) -> bool {
         self.inprocess
     }
-
-    /// Whether no limit is set and no cancellation token is attached.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_conflicts.is_none()
-            && self.max_time.is_none()
-            && self.deadline.is_none()
-            && self.cancel.is_none()
-    }
 }
 
 #[cfg(test)]
@@ -259,21 +212,10 @@ mod tests {
         assert!(!t.is_cancelled());
         c.cancel();
         assert!(t.is_cancelled());
-        assert!(t.same_token(&c));
-        assert!(!t.same_token(&CancellationToken::new()));
-    }
-
-    #[test]
-    fn budget_equality_is_token_identity() {
-        let t = CancellationToken::new();
-        let a = Budget::new().with_cancellation(t.clone());
-        let b = Budget::new().with_cancellation(t);
-        assert_eq!(a, b);
-        let c = Budget::new().with_cancellation(CancellationToken::new());
-        assert_ne!(a, c);
-        assert_eq!(Budget::new(), Budget::new());
-        assert!(!a.is_unlimited());
-        assert!(Budget::new().is_unlimited());
+        assert!(
+            !CancellationToken::new().is_cancelled(),
+            "a fresh token is its own"
+        );
     }
 
     #[test]
@@ -292,23 +234,27 @@ mod tests {
     }
 
     #[test]
-    fn inprocess_knob_defaults_on_and_round_trips() {
-        assert!(Budget::new().inprocess());
-        let off = Budget::new().with_inprocess(false);
-        assert!(!off.inprocess());
-        assert!(off.is_unlimited(), "the knob is not a resource limit");
-        assert_ne!(off, Budget::new());
-        assert_eq!(off.clone(), off);
-        assert!(off.with_inprocess(true).inprocess());
-    }
+    fn budget_limits_round_trip() {
+        let b = Budget::new();
+        assert!(b.inprocess(), "inprocessing defaults on");
+        assert_eq!(b.max_conflicts(), None);
+        assert_eq!(b.deadline(), None);
+        assert!(b.cancellation().is_none());
 
-    #[test]
-    fn budget_deadline_round_trips() {
+        let token = CancellationToken::new();
         let d = Deadline::after(Duration::from_secs(10));
-        let b = Budget::new().with_deadline(d);
+        let b = Budget::new()
+            .with_inprocess(false)
+            .with_max_conflicts(7)
+            .with_deadline(d)
+            .with_cancellation(token.clone());
+        assert!(!b.inprocess());
+        assert_eq!(b.max_conflicts(), Some(7));
         assert_eq!(b.deadline(), Some(d));
-        assert!(!b.is_unlimited());
-        assert_eq!(b.clone(), b);
-        assert_ne!(b, Budget::new());
+        token.cancel();
+        assert!(b
+            .cancellation()
+            .is_some_and(CancellationToken::is_cancelled));
+        assert!(b.with_inprocess(true).inprocess());
     }
 }

@@ -271,7 +271,7 @@ impl Solver {
     /// deltas, concludes the proof log on UNSAT and records the wall time.
     fn run(&mut self, budget: Budget) -> SatResult {
         let start = Instant::now();
-        let result = self.search(budget, start);
+        let result = self.search(budget);
         self.emit_counter_deltas();
         if result.is_unsat() {
             if let Some(w) = self.proof.as_mut() {
@@ -821,7 +821,7 @@ impl Solver {
         Model::new(self.vals.iter().step_by(2).map(|&x| x == 1).collect())
     }
 
-    fn search(&mut self, budget: Budget, start: Instant) -> SatResult {
+    fn search(&mut self, budget: Budget) -> SatResult {
         if !self.ok || self.propagate().is_some() {
             return SatResult::Unsat;
         }
@@ -884,11 +884,6 @@ impl Solver {
                     // Budget checks piggyback on restarts.
                     if let Some(max) = budget.max_conflicts() {
                         if self.stats.conflicts >= max {
-                            return SatResult::Unknown;
-                        }
-                    }
-                    if let Some(max) = budget.max_time() {
-                        if start.elapsed() >= max {
                             return SatResult::Unknown;
                         }
                     }
@@ -1164,17 +1159,17 @@ mod tests {
 
     #[test]
     fn cancellation_aborts_promptly() {
-        use crate::CancellationToken;
+        use crate::{CancellationToken, Deadline};
         use std::time::Duration;
 
         // php(11, 10) takes a CDCL solver far longer than the test's
         // tolerance, so finishing under it proves the abort worked. The
-        // generous time budget exists only to bound the test if cancellation
+        // generous deadline exists only to bound the test if cancellation
         // were broken.
         let cnf = pigeonhole(11, 10);
         let token = CancellationToken::new();
         let budget = Budget::new()
-            .with_max_time(Duration::from_secs(120))
+            .with_deadline(Deadline::after(Duration::from_secs(120)))
             .with_cancellation(token.clone());
 
         let handle = std::thread::spawn(move || {

@@ -10,7 +10,9 @@
 use std::time::Duration;
 
 use mm_sat::drat::{check, DratError, ProofStep};
-use mm_sat::{Budget, CancellationToken, CnfFormula, DratProof, Lit, SatResult, Solver, Var};
+use mm_sat::{
+    Budget, CancellationToken, CnfFormula, Deadline, DratProof, Lit, SatResult, Solver, Var,
+};
 
 /// Pigeonhole `pigeons` into `holes` — UNSAT for pigeons > holes, with no
 /// unit clauses, so the empty clause is never RUP of the bare formula.
@@ -136,7 +138,7 @@ fn mid_run_cancellation_never_concludes_a_proof() {
     let cnf = pigeonhole(11, 10);
     let token = CancellationToken::new();
     let budget = Budget::new()
-        .with_max_time(Duration::from_secs(120))
+        .with_deadline(Deadline::after(Duration::from_secs(120)))
         .with_cancellation(token.clone());
     let solver_cnf = cnf.clone();
     let handle = std::thread::spawn(move || Solver::new(solver_cnf).solve_certified(budget));

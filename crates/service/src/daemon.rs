@@ -26,7 +26,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -141,9 +141,7 @@ impl Daemon {
         let telemetry =
             telemetry.with_extra_sink(Arc::new(MetricsBridgeSink::new(registry.clone())));
         let mut recovery = RecoveryReport::default();
-        let mut engine = Engine::new(config.solve_jobs)
-            .with_telemetry(telemetry.clone())
-            .with_metrics(metrics.clone());
+        let mut engine = Engine::new(config.solve_jobs).with_telemetry(telemetry.clone());
         let mut lifetime_path = None;
         if let Some(dir) = &config.cache_dir {
             let (cache, report) = ResultCache::open(dir)?;
@@ -237,37 +235,37 @@ impl Daemon {
                 signal::request_termination();
                 Some(Pending::Ready(JobResponse::new(&id, "ok").to_line()))
             }
-            Op::Minimize { request: min, .. } => {
-                let deadline = min.deadline.map(|d| Instant::now() + d);
-                self.submit(request.clone(), deadline, n, conn)
-            }
-            Op::Synthesize { .. } | Op::Faultsim { .. } => {
-                self.submit(request.clone(), None, n, conn)
+            Op::Minimize { .. } | Op::Synthesize { .. } | Op::Faultsim { .. } => {
+                self.submit(request, n, conn)
             }
         }
     }
 
-    fn submit(
-        &self,
-        request: JobRequest,
-        deadline: Option<Instant>,
-        n: u64,
-        conn: &Sender<Out>,
-    ) -> Option<Pending> {
+    /// Queues a solve op. A minimize's `deadline_secs` runs from here, its
+    /// admission: the job solves only for what its queue wait left of it,
+    /// and one that waited past it degrades without launching a rung.
+    fn submit(&self, request: JobRequest, n: u64, conn: &Sender<Out>) -> Option<Pending> {
         let id = request.id.clone();
         let engine = self.engine.clone();
         let progress = request.subscribe.then(|| -> Arc<dyn TelemetrySink> {
             let emitted = self.metrics.progress_frames.clone();
             Arc::new(progress::channel_sink(&id, conn.clone(), emitted))
         });
+        let admitted = Instant::now();
+        let started = Arc::new(OnceLock::new());
+        let reply = reply_to(conn, n, &id, request.op.name(), &self.metrics, &started);
         let job = {
             let id = id.clone();
-            move || engine.run_with(&id, &request.op, progress)
+            let mut op = request.op;
+            move || {
+                let waited = started.get_or_init(Instant::now).duration_since(admitted);
+                if let Op::Minimize { request, .. } = &mut op {
+                    request.deadline = request.deadline.map(|d| d.saturating_sub(waited));
+                }
+                engine.run_with(&id, &op, progress)
+            }
         };
-        match self
-            .supervisor
-            .submit(deadline, job, reply_to(conn, n, &id))
-        {
+        match self.supervisor.submit(job, reply) {
             Submission::Queued => None,
             Submission::Overloaded => {
                 self.telemetry
@@ -504,27 +502,34 @@ fn persist_lifetime_totals(
     atomic_write(path, serde_json::to_string(&doc).expect("totals serialize"))
 }
 
-/// The supervisor reply for request `n`, job `id`: sends its verdict on
-/// the connection's channel, to be rendered as the final line when its
-/// turn comes.
+/// The supervisor reply for request `n`, job `id` of kind `op`. Every
+/// verdict (an answer, a panic or a job lost with its worker) passes here
+/// exactly once, so this is where it is counted in `mmsynth_jobs_total`,
+/// with the time since its worker `started` the job. The verdict is then
+/// sent on the connection's channel, to be rendered as the final line
+/// when its turn comes.
 fn reply_to(
     conn: &Sender<Out>,
     n: u64,
     id: &str,
+    op: &'static str,
+    metrics: &Arc<ServiceMetrics>,
+    started: &Arc<OnceLock<Instant>>,
 ) -> impl FnOnce(JobVerdict<JobResponse>) + Send + 'static {
     let (conn, id) = (conn.clone(), id.to_string());
+    let (metrics, started) = (metrics.clone(), started.clone());
     move |verdict| {
-        let render = move || match verdict {
-            JobVerdict::Done(resp) => resp.to_line(),
+        let response = match verdict {
+            JobVerdict::Done(resp) => resp,
             JobVerdict::Degraded { reason } => JobResponse {
                 degraded_reason: Some(reason),
                 ..JobResponse::new(&id, "degraded")
-            }
-            .to_line(),
-            JobVerdict::Dropped => {
-                JobResponse::error(&id, "job was dropped during shutdown").to_line()
-            }
+            },
+            JobVerdict::Dropped => JobResponse::error(&id, "job was dropped during shutdown"),
         };
+        let ran = started.get().map_or(Duration::ZERO, Instant::elapsed);
+        metrics.observe_job(op, &response.status, ran.as_micros() as u64);
+        let render = move || response.to_line();
         // A gone writer means the client hung up; the job still ran.
         let _ = conn.send(Out::Final(n, Pending::Lazy(Box::new(render))));
     }
@@ -924,24 +929,84 @@ mod tests {
     }
 
     #[test]
-    fn a_dropped_job_still_gets_exactly_one_line() {
-        let buf = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    fn a_queued_jobs_deadline_runs_from_its_admission() {
+        // One worker: `late` waits in the queue for all of `slow`'s 2 s,
+        // so it may solve for only 1 s more. GF(2²) multiplication's
+        // ladder outlasts both deadlines. Measured from when `late`
+        // started instead, its final would come 5 s after admission.
+        let gf22 = mm_boolfn::generators::gf22_multiplier();
+        let tables: Vec<String> = gf22.outputs().iter().map(|t| t.to_bitstring()).collect();
+        let line = |id: &str, secs: f64| {
+            format!(
+                r#"{{"op":"minimize","id":"{id}","tables":{tables:?},"max_rops":4,"max_steps":3,"deadline_secs":{secs}}}"#
+            )
+        };
+        let config = DaemonConfig {
+            workers: 1,
+            solve_jobs: 1,
+            ..DaemonConfig::default()
+        };
+        let admitted = Instant::now();
+        let lines = run_lines(
+            config,
+            format!("{}\n{}\n", line("slow", 2.0), line("late", 3.0)),
+        );
+        let elapsed = admitted.elapsed();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        for line in &lines {
+            assert!(
+                line.contains(r#""degraded_reason":"deadline expired""#),
+                "{line}"
+            );
+        }
+        assert!(
+            elapsed < Duration::from_secs(4),
+            "`late` answered {elapsed:?} after admission, past its 3 s deadline plus 1 s of slack"
+        );
+    }
+
+    #[test]
+    fn every_verdict_is_counted_and_answered_once() {
+        // An answer, a job its worker lost and a panic each pass through
+        // `reply_to` once: one final line and one `mmsynth_jobs_total`
+        // sample apiece, and a lost job's final does not stall the next.
+        let metrics = ServiceMetrics::detached();
+        let supervisor = Supervisor::start(SupervisorConfig {
+            workers: 1,
+            queue_depth: 4,
+            metrics: metrics.clone(),
+        });
         let (tx, rx) = channel();
-        // The supervisor answers a job its worker lost with `Dropped`;
-        // the finals behind it must not stall.
-        reply_to(&tx, 0, "lost")(JobVerdict::Dropped);
-        tx.send(Out::Final(1, Pending::Ready("final 1".into())))
-            .unwrap();
+        let reply = |n, id| reply_to(&tx, n, id, "minimize", &metrics, &Arc::default());
+        let done = supervisor.submit(|| JobResponse::new("done", "ok"), reply(0, "done"));
+        reply(1, "lost")(JobVerdict::Dropped);
+        let boom = supervisor.submit(
+            || -> JobResponse { panic!("it explodes") },
+            reply(2, "boom"),
+        );
+        assert!(matches!(
+            (done, boom),
+            (Submission::Queued, Submission::Queued)
+        ));
+        supervisor.shutdown();
         drop(tx);
+        let buf = Arc::new(std::sync::Mutex::new(Vec::new()));
         write_loop(rx, Shared(buf.clone())).unwrap();
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "{text}");
-        assert!(lines[0].contains(r#""id":"lost""#), "{text}");
+        assert_eq!(lines.len(), 3, "{text}");
+        assert!(lines[1].contains(r#""id":"lost""#), "{text}");
         assert!(
-            lines[0].contains("job was dropped during shutdown"),
+            lines[1].contains("job was dropped during shutdown"),
             "{text}"
         );
-        assert_eq!(lines[1], "final 1");
+        assert!(lines[2].contains("worker panicked: it explodes"), "{text}");
+        let scrape = metrics.registry().render_prometheus();
+        for status in ["ok", "error", "degraded"] {
+            let sample = format!(r#"mmsynth_jobs_total{{op="minimize",status="{status}"}} 1"#);
+            assert!(scrape.contains(&sample), "{sample} in {scrape}");
+        }
+        assert!(scrape.contains(r#"mmsynth_job_duration_us_count{op="minimize"} 3"#));
+        assert_eq!((metrics.admissions.get(), metrics.panics.get()), (2, 1));
     }
 }

@@ -44,7 +44,6 @@ use mm_synth::{EncodeOptions, SynthResult, Synthesizer};
 use mm_telemetry::{kv, Telemetry, TelemetrySink};
 
 use crate::cache::{CacheEntry, ResultCache, Rung, RungEntry};
-use crate::metrics::ServiceMetrics;
 use crate::proto::{function_from_tables, CacheOutcome, JobResponse, Op, PROTO_VERSION};
 
 /// The attempt a job used to run at, kept so callers written against the
@@ -82,8 +81,6 @@ pub struct Engine {
     pub solve_jobs: usize,
     /// Telemetry handle for job spans/points.
     pub telemetry: Telemetry,
-    /// Live-metrics handles: per-op job latency and outcome counts.
-    pub metrics: Arc<ServiceMetrics>,
     /// Encoding options for every solve.
     pub options: EncodeOptions,
 }
@@ -95,7 +92,6 @@ impl Engine {
             cache: None,
             solve_jobs: solve_jobs.max(1),
             telemetry: Telemetry::disabled(),
-            metrics: ServiceMetrics::detached(),
             options: EncodeOptions::recommended(),
         }
     }
@@ -109,12 +105,6 @@ impl Engine {
     /// Attaches telemetry.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Attaches the daemon's shared metrics bundle.
-    pub fn with_metrics(mut self, metrics: Arc<ServiceMetrics>) -> Self {
-        self.metrics = metrics;
         self
     }
 
@@ -138,14 +128,7 @@ impl Engine {
             Some(sink) => self.telemetry.with_extra_sink(sink),
             None => self.telemetry.clone(),
         };
-        let started = std::time::Instant::now();
-        let resp = self.dispatch(id, op, &telemetry);
-        self.metrics.observe_job(
-            op.name(),
-            &resp.status,
-            started.elapsed().as_micros() as u64,
-        );
-        resp
+        self.dispatch(id, op, &telemetry)
     }
 
     /// [`run`](Self::run) under the signature of the deleted retry

@@ -8,10 +8,10 @@
 //!   ([`mm_boolfn::npn`]). Entries are written atomically with a
 //!   checksum and schema version; a startup recovery scan quarantines
 //!   anything torn or corrupt instead of serving it.
-//! - [`supervisor`] — a bounded worker pool with per-job deadlines,
-//!   panic isolation (`catch_unwind`), and an explicit `overloaded` shed
-//!   when the admission queue is full. Every job runs once, at the budget
-//!   its request states.
+//! - [`supervisor`] — a bounded worker pool with panic isolation
+//!   (`catch_unwind`) and an explicit `overloaded` shed when the
+//!   admission queue is full. Every job runs once, at the budget its
+//!   request states; a request's deadline runs from its admission.
 //! - [`engine`] — the job executor: canonicalize → cache lookup → solve
 //!   miss on the portfolio → store → de-canonicalize, so a cache hit is
 //!   bit-identical to a cold solve.

@@ -10,9 +10,6 @@
 //!   own `degraded` reply, never a reason to run it again.
 //! * **Isolation** — the job runs under [`catch_unwind`]; a panic
 //!   resolves it [`JobVerdict::Degraded`] and never costs a worker thread.
-//! * **Deadlines** — a job whose deadline has already passed when a
-//!   worker picks it up degrades immediately instead of launching a
-//!   doomed solve. Mid-run expiry is the solver's own deadline handling.
 //! * **Drain** — [`shutdown`](Supervisor::shutdown) stops admission,
 //!   lets every accepted job finish, and joins the workers, so an
 //!   accepted job always gets exactly one verdict: its reply callback is
@@ -24,7 +21,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use crate::metrics::ServiceMetrics;
 
@@ -33,8 +29,7 @@ use crate::metrics::ServiceMetrics;
 pub enum JobVerdict<R> {
     /// The job ran and answered.
     Done(R),
-    /// The job gave no answer: its deadline passed while it was queued,
-    /// or it panicked.
+    /// The job gave no answer: it panicked.
     Degraded {
         /// Why there is no answer.
         reason: String,
@@ -50,8 +45,6 @@ type JobFn<R> = Box<dyn FnOnce() -> R + Send>;
 struct QueuedJob<R> {
     /// Taken when a worker runs the job.
     job: Option<JobFn<R>>,
-    /// Absolute deadline; jobs past it degrade without launching.
-    deadline: Option<Instant>,
     /// Taken when the verdict is sent; still here when the job is
     /// dropped unresolved, so [`Drop`] answers [`JobVerdict::Dropped`].
     reply: Option<ReplyFn<R>>,
@@ -135,13 +128,12 @@ impl<R: Send + 'static> Supervisor<R> {
         Self { shared, handles }
     }
 
-    /// Offers a job to the queue. `deadline`, when given, degrades the
-    /// job if it is still queued past that instant. An accepted job's
-    /// `reply` is called exactly once, on the worker thread, with its
-    /// verdict; a refused job's `reply` is dropped uncalled.
+    /// Offers a job to the queue. An accepted job's `reply` is called
+    /// exactly once, on the worker thread, with its verdict; a refused
+    /// job's `reply` is dropped uncalled. The supervisor keeps no
+    /// deadlines: a job that has one measures it from its own admission.
     pub fn submit(
         &self,
-        deadline: Option<Instant>,
         job: impl FnOnce() -> R + Send + 'static,
         reply: impl FnOnce(JobVerdict<R>) + Send + 'static,
     ) -> Submission {
@@ -155,7 +147,6 @@ impl<R: Send + 'static> Supervisor<R> {
         }
         queue.push_back(QueuedJob {
             job: Some(Box::new(job)),
-            deadline,
             reply: Some(Box::new(reply)),
         });
         self.shared.config.metrics.admissions.inc();
@@ -214,7 +205,7 @@ fn worker_loop<R: Send + 'static>(shared: &Shared<R>) {
         };
         shared.config.metrics.jobs_inflight.add(1);
         let run = job.job.take().expect("a queued job runs once");
-        let verdict = run_job(shared, run, job.deadline);
+        let verdict = run_job(shared, run);
         shared.config.metrics.jobs_inflight.sub(1);
         if let Some(reply) = job.reply.take() {
             reply(verdict);
@@ -222,12 +213,7 @@ fn worker_loop<R: Send + 'static>(shared: &Shared<R>) {
     }
 }
 
-fn run_job<R>(shared: &Shared<R>, job: JobFn<R>, deadline: Option<Instant>) -> JobVerdict<R> {
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return JobVerdict::Degraded {
-            reason: "deadline expired".into(),
-        };
-    }
+fn run_job<R>(shared: &Shared<R>, job: JobFn<R>) -> JobVerdict<R> {
     match catch_unwind(AssertUnwindSafe(job)) {
         Ok(r) => JobVerdict::Done(r),
         Err(payload) => {
@@ -248,7 +234,6 @@ fn run_job<R>(shared: &Shared<R>, job: JobFn<R>, deadline: Option<Instant>) -> J
 mod tests {
     use std::sync::atomic::AtomicU32;
     use std::sync::mpsc::{channel, Receiver};
-    use std::time::Duration;
 
     use super::*;
 
@@ -263,11 +248,10 @@ mod tests {
     /// Submits with a reply that forwards the verdict into a channel.
     fn submit<R: Send + 'static>(
         sup: &Supervisor<R>,
-        deadline: Option<Instant>,
         job: impl FnOnce() -> R + Send + 'static,
     ) -> (Submission, Receiver<JobVerdict<R>>) {
         let (tx, rx) = channel();
-        let submission = sup.submit(deadline, job, move |v| {
+        let submission = sup.submit(job, move |v| {
             tx.send(v).expect("test holds the receiver");
         });
         (submission, rx)
@@ -281,7 +265,7 @@ mod tests {
     #[test]
     fn jobs_complete_and_report() {
         let sup = Supervisor::start(config(2, 4));
-        let v = recv(submit(&sup, None, || 7));
+        let v = recv(submit(&sup, || 7));
         assert_eq!(v, JobVerdict::Done(7));
         sup.shutdown();
     }
@@ -293,7 +277,7 @@ mod tests {
         let sup = Supervisor::start(config);
         let runs = Arc::new(AtomicU32::new(0));
         let r = runs.clone();
-        let v = recv(submit(&sup, None, move || -> u8 {
+        let v = recv(submit(&sup, move || -> u8 {
             r.fetch_add(1, Ordering::SeqCst);
             panic!("the job explodes");
         }));
@@ -305,7 +289,7 @@ mod tests {
             }
         );
         // The pool's only worker still serves after the panic.
-        assert_eq!(recv(submit(&sup, None, || 1)), JobVerdict::Done(1));
+        assert_eq!(recv(submit(&sup, || 1)), JobVerdict::Done(1));
         sup.shutdown();
         assert_eq!(metrics.admissions.get(), 2);
         assert_eq!(metrics.panics.get(), 1);
@@ -332,7 +316,7 @@ mod tests {
         let opener = OpenOnDrop(gate.clone());
         let started = Arc::new(AtomicU32::new(0));
         let (g, st) = (gate.clone(), started.clone());
-        let busy = submit(&sup, None, move || {
+        let busy = submit(&sup, move || {
             st.store(1, Ordering::SeqCst);
             let (lock, cv) = &*g;
             let mut open = lock.lock().unwrap();
@@ -346,9 +330,9 @@ mod tests {
         while started.load(Ordering::SeqCst) == 0 {
             std::thread::yield_now();
         }
-        let queued = submit(&sup, None, || 1);
+        let queued = submit(&sup, || 1);
         assert!(matches!(queued.0, Submission::Queued));
-        let shed = submit(&sup, None, || 2);
+        let shed = submit(&sup, || 2);
         assert!(matches!(shed.0, Submission::Overloaded));
         drop(opener);
         assert_eq!(recv(busy), JobVerdict::Done(0));
@@ -357,27 +341,11 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_degrades_without_running() {
-        let sup: Supervisor<u8> = Supervisor::start(config(2, 4));
-        let past = Instant::now() - Duration::from_secs(1);
-        let v = recv(submit(&sup, Some(past), || {
-            panic!("must not launch");
-        }));
-        assert_eq!(
-            v,
-            JobVerdict::Degraded {
-                reason: "deadline expired".into()
-            }
-        );
-        sup.shutdown();
-    }
-
-    #[test]
     fn shutdown_drains_accepted_jobs() {
         let sup = Supervisor::start(config(1, 8));
         let receivers: Vec<_> = (0..4)
             .map(|i| {
-                let (s, rx) = submit(&sup, None, move || i);
+                let (s, rx) = submit(&sup, move || i);
                 assert!(matches!(s, Submission::Queued), "admission");
                 rx
             })
@@ -402,7 +370,7 @@ mod tests {
             }
         }
         let sup: Supervisor<u8> = Supervisor::start(config(1, 4));
-        let (s, rx) = submit(&sup, None, || std::panic::panic_any(PanicsOnDrop));
+        let (s, rx) = submit(&sup, || std::panic::panic_any(PanicsOnDrop));
         assert!(matches!(s, Submission::Queued));
         assert_eq!(rx.recv().expect("one verdict"), JobVerdict::Dropped);
         sup.shutdown();

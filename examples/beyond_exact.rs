@@ -9,7 +9,7 @@
 
 use memristive_mm::boolfn::{generators, Gf2m};
 use memristive_mm::circuit::Schedule;
-use memristive_mm::sat::Budget;
+use memristive_mm::sat::{Budget, Deadline};
 use memristive_mm::synth::optimize::minimize_mixed_mode;
 use memristive_mm::synth::{heuristic, EncodeOptions, Synthesizer};
 use std::time::{Duration, Instant};
@@ -42,9 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Optimality gap on small functions.
-    println!("\nheuristic vs optimal on small functions (60 s budget per SAT call):");
-    let synth =
-        Synthesizer::new().with_budget(Budget::new().with_max_time(Duration::from_secs(60)));
+    println!("\nheuristic vs optimal on small functions (60 s deadline per ladder):");
     for f in [
         generators::xor_gate(2),
         generators::majority_gate(3),
@@ -53,6 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let h = heuristic::map(&f)?;
         let hm = h.metrics();
+        let synth = Synthesizer::new()
+            .with_budget(Budget::new().with_deadline(Deadline::after(Duration::from_secs(60))));
         let report =
             minimize_mixed_mode(&synth, &f, 3, 3, false, &EncodeOptions::recommended(), 1)?;
         match report.best {

@@ -8,7 +8,7 @@
 //! ```
 
 use memristive_mm::boolfn::generators;
-use memristive_mm::sat::Budget;
+use memristive_mm::sat::{Budget, Deadline};
 use memristive_mm::synth::optimize::{minimize_mixed_mode, minimize_r_only};
 use memristive_mm::synth::{heuristic, EncodeOptions, SynthSpec, Synthesizer};
 use std::time::Duration;
@@ -17,12 +17,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let f = generators::xor_gate(3); // 3-input parity: hostile to V-ops
     println!("function: {f} ({})", f.output(0).expect("one output"));
 
-    let synth =
-        Synthesizer::new().with_budget(Budget::new().with_max_time(Duration::from_secs(60)));
+    // A 60 s deadline anchored where each search below starts.
+    let synth = || {
+        Synthesizer::new()
+            .with_budget(Budget::new().with_deadline(Deadline::after(Duration::from_secs(60))))
+    };
     let options = EncodeOptions::recommended();
 
     // 1. Optimal mixed-mode: smallest N_R, then smallest N_VS.
-    let mm = minimize_mixed_mode(&synth, &f, 4, 4, false, &options, 1)?;
+    let mm = minimize_mixed_mode(&synth(), &f, 4, 4, false, &options, 1)?;
     let mm_best = mm.best.as_ref().expect("XOR3 is MM-realizable");
     let m = mm_best.metrics();
     println!(
@@ -40,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Conventional stateful-only baseline.
-    let r_only = minimize_r_only(&synth, &f, 8, &options, 1)?;
+    let r_only = minimize_r_only(&synth(), &f, 8, &options, 1)?;
     let r_best = r_only.best.as_ref().expect("NOR logic is universal");
     let rm = r_best.metrics();
     println!(
@@ -62,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             forbid_rop_cascade: true,
             ..options.clone()
         });
-    let constrained = synth.run(&spec)?;
+    let constrained = synth().run(&spec)?;
     println!(
         "no-cascade variant at the same budgets: {}",
         match constrained.circuit() {

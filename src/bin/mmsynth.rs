@@ -1,8 +1,8 @@
 //! `mmsynth` — command-line front end for memristive mixed-mode synthesis.
 //!
 //! ```text
-//! mmsynth synth    --function gf22_mul --rops 4 --legs 6 --steps 3 [--budget 300]
-//!                  [--avoid-cells 0,3 --array-size 16] [--deadline SECS]
+//! mmsynth synth    --function gf22_mul --rops 4 --legs 6 --steps 3 [--deadline 300]
+//!                  [--avoid-cells 0,3 --array-size 16] [--conflicts N]
 //!                  [--certify] [--proof FILE] [--dot | --json | --dimacs | --schedule]
 //! mmsynth minimize --function gf22_mul [--max-rops N] [--max-steps N] [--r-only]
 //!                  [--jobs N] [--conflicts N] [--deadline SECS] [--certify]
@@ -47,6 +47,9 @@
 //! `synth` and `minimize` additionally accept `--stats-json [FILE]` for a
 //! machine-readable summary (solver statistics, per-rung call records) on
 //! stdout or in FILE.
+//!
+//! `synth` and `minimize` have one wall-clock bound, `--deadline SECS`,
+//! anchored when the command starts; `synth` defaults it to 120 s.
 //!
 //! `faultsim` synthesizes a circuit, places its schedule on a physical
 //! array, and runs a fault-injection campaign against it; `--repair` closes
@@ -94,6 +97,9 @@ use serde::{Serialize, Value};
 
 mod cli;
 use cli::{render_progress_frame, Args, TelemetrySetup};
+
+/// `synth`'s wall-clock bound when `--deadline` is not given.
+const SYNTH_DEADLINE: Duration = Duration::from_secs(120);
 
 /// Exit code for inconclusive answers: a budget/deadline expired before the
 /// search finished, or a repair loop gave up. Distinct from 1 (errors) so
@@ -149,7 +155,7 @@ const TELEMETRY_FLAGS: &str = "trace-out report-json progress";
 fn command_flags(command: &str) -> Option<&'static str> {
     Some(match command {
         "synth" => {
-            "function rops r-only legs steps avoid-cells array-size budget conflicts deadline \
+            "function rops r-only legs steps avoid-cells array-size conflicts deadline \
              no-inprocess certify proof stats-json dimacs dot json schedule"
         }
         "minimize" => {
@@ -211,8 +217,9 @@ fn parse_cells(spec: &str) -> Result<Vec<usize>, String> {
 }
 
 /// The run limits shared by `synth` and `minimize`: `--conflicts` keeps
-/// portfolio results deterministic across `--jobs`; `--deadline` adds a
-/// wall-clock bound under which minimization degrades gracefully.
+/// portfolio results deterministic across `--jobs`; `--deadline` is the
+/// one wall-clock bound, for the whole run, under which minimization
+/// degrades gracefully (`synth` defaults it to [`SYNTH_DEADLINE`]).
 fn limits_from(args: &Args) -> Result<(Option<u64>, Option<Duration>), String> {
     let conflicts = match args.get("conflicts") {
         Some(c) => Some(c.parse().map_err(|e| format!("bad --conflicts: {e}"))?),
@@ -324,14 +331,12 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
                 spec = spec.with_cell_avoidance(args.get_usize("array-size", 16)?, avoid);
             }
             let (conflicts, deadline) = limits_from(args)?;
+            let deadline = deadline.unwrap_or(SYNTH_DEADLINE);
             let mut budget = Budget::new()
-                .with_max_time(Duration::from_secs(args.get_usize("budget", 120)? as u64))
+                .with_deadline(Deadline::after(deadline))
                 .with_inprocess(!args.has("no-inprocess"));
             if let Some(c) = conflicts {
                 budget = budget.with_max_conflicts(c);
-            }
-            if let Some(d) = deadline {
-                budget = budget.with_deadline(Deadline::after(d));
             }
             let synth = Synthesizer::new()
                 .with_budget(budget)
@@ -407,7 +412,14 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
                     Ok(ExitCode::SUCCESS)
                 }
                 SynthResult::Unknown => {
-                    eprintln!("inconclusive: budget exhausted; raise --budget or --deadline");
+                    if outcome.solver_stats.deadline_expired {
+                        eprintln!(
+                            "inconclusive: the {}s deadline expired; raise --deadline",
+                            deadline.as_secs_f64()
+                        );
+                    } else {
+                        eprintln!("inconclusive: conflict budget exhausted; raise --conflicts");
+                    }
                     Ok(ExitCode::from(EXIT_INCONCLUSIVE))
                 }
             }
@@ -530,8 +542,9 @@ fn dispatch(command: &str, args: &Args, tel: &TelemetrySetup) -> Result<ExitCode
         _ => {
             println!(
                 "usage: mmsynth <synth|minimize|faultsim|fuzz|map|run|census|list|client> [--function NAME|BITS,...]\n\
-                 \x20      synth:    --rops N [--legs N] [--steps N] [--r-only N] [--budget s]\n\
-                 \x20                [--avoid-cells 0,3 --array-size N] [--deadline SECS]\n\
+                 \x20      synth:    --rops N [--legs N] [--steps N] [--r-only N]\n\
+                 \x20                [--deadline SECS (default 120)] [--conflicts N]\n\
+                 \x20                [--avoid-cells 0,3 --array-size N]\n\
                  \x20                [--certify] [--proof FILE]\n\
                  \x20                [--dot | --json | --dimacs | --schedule]\n\
                  \x20      minimize: [--max-rops N] [--max-steps N] [--r-only] [--adder]\n\
@@ -1018,7 +1031,6 @@ fn faultsim(args: &Args, tel: &TelemetrySetup) -> Result<ExitCode, String> {
         let config = RepairConfig {
             array_size,
             max_retries: args.get_usize("retries", 4)?,
-            budget_escalation: 2,
             campaign,
         };
         let outcome =

@@ -196,3 +196,34 @@ fn a_circuit_at_the_ladder_floor_is_proven_without_a_call_below() {
     }
     let _ = std::fs::remove_dir_all(dir);
 }
+
+#[test]
+fn synth_is_bounded_by_its_deadline_alone() {
+    let base = [
+        "synth",
+        "--function",
+        "xor2",
+        "--rops",
+        "1",
+        "--legs",
+        "2",
+        "--steps",
+        "2",
+    ];
+    let synth = |extra: &[&str]| {
+        let args: Vec<&str> = base.iter().chain(extra).copied().collect();
+        mmsynth(&args)
+    };
+    // `--budget` was a second, per-call time limit that a longer
+    // `--deadline` could not extend.
+    assert_rejected(&synth(&["--budget", "5"]), &["--budget", "synth"]);
+
+    let out = synth(&["--deadline", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "inconclusive: {stderr}");
+    let flags: Vec<&str> = stderr
+        .split_whitespace()
+        .filter(|w| w.starts_with("--"))
+        .collect();
+    assert_eq!(flags, ["--deadline"], "{stderr}");
+}

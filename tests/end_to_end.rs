@@ -5,7 +5,7 @@
 use memristive_mm::boolfn::{generators, MultiOutputFn};
 use memristive_mm::circuit::Schedule;
 use memristive_mm::device::{ElectricalParams, LineArray};
-use memristive_mm::sat::Budget;
+use memristive_mm::sat::{Budget, Deadline};
 use memristive_mm::synth::{SynthSpec, Synthesizer};
 use std::time::Duration;
 
@@ -16,8 +16,8 @@ fn synthesize(
     n_vs: usize,
 ) -> memristive_mm::circuit::MmCircuit {
     let spec = SynthSpec::mixed_mode(f, n_r, n_l, n_vs).expect("valid spec");
-    let synth =
-        Synthesizer::new().with_budget(Budget::new().with_max_time(Duration::from_secs(300)));
+    let synth = Synthesizer::new()
+        .with_budget(Budget::new().with_deadline(Deadline::after(Duration::from_secs(300))));
     let outcome = synth.run(&spec).expect("encode/solve never errors here");
     outcome
         .circuit()

@@ -2,13 +2,14 @@
 //! per-crate unit tests.
 
 use memristive_mm::boolfn::{generators, Literal, TruthTable};
-use memristive_mm::sat::Budget;
+use memristive_mm::sat::{Budget, Deadline};
 use memristive_mm::synth::universality::{census, CensusConfig};
 use memristive_mm::synth::{heuristic, SynthSpec, Synthesizer};
 use std::time::Duration;
 
 fn synth() -> Synthesizer {
-    Synthesizer::new().with_budget(Budget::new().with_max_time(Duration::from_secs(300)))
+    Synthesizer::new()
+        .with_budget(Budget::new().with_deadline(Deadline::after(Duration::from_secs(300))))
 }
 
 /// §II-C: "all functions of shape x1x2 + x3x4 with pairwise different

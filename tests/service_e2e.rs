@@ -128,8 +128,9 @@ fn mixed_batch_over_stdio() {
         minimize_line("cold", "0110", ""),
         // XNOR canonicalizes onto XOR's representative: NPN hit.
         minimize_line("npn", "1001", ""),
-        // A microscopic deadline: degraded, and (being timing-dependent)
-        // never served from or stored into the cache.
+        // A microscopic deadline, run from admission: degraded with the
+        // heuristic upper bound, and (being timing-dependent) never
+        // served from or stored into the cache.
         minimize_line("late", "0111", r#","deadline_secs":0.000001"#),
         r#"{"op":"stats","id":"s"}"#.to_string(),
         // Five conflicts cannot settle XOR3's ladder: one attempt at the
@@ -168,7 +169,12 @@ fn mixed_batch_over_stdio() {
         "deadline-expired job must degrade, not lie: {:?}",
         by_id[3].1
     );
-    assert!(str_field(by_id[3].1, "degraded_reason").is_some());
+    assert_eq!(
+        str_field(by_id[3].1, "degraded_reason"),
+        Some("deadline expired")
+    );
+    assert_circuit_implements(by_id[3].1, "0111", "expired upper bound");
+    assert_eq!(field(by_id[3].1, "solver_calls"), Some(&Value::UInt(0)));
     // Stats are answered inline at read time (pipelined requests may not
     // have executed yet), so assert the counter shape, not the counts.
     let stats = field(by_id[4].1, "cache_stats").expect("stats response carries counters");
@@ -194,6 +200,17 @@ fn mixed_batch_over_stdio() {
         !scrape.contains(r#"status="retry""#),
         "a capped job is answered once, never retried: {scrape}"
     );
+    // Every admitted job is counted in `mmsynth_jobs_total`, the one
+    // whose deadline expired before it ran a rung included.
+    let sum = |prefix: &str| -> u64 {
+        scrape
+            .lines()
+            .filter(|l| l.starts_with(prefix))
+            .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+            .sum()
+    };
+    assert_eq!(sum("mmsynth_admissions_total "), 4, "{scrape}");
+    assert_eq!(sum("mmsynth_jobs_total{"), 4, "{scrape}");
     let _ = std::fs::remove_dir_all(&cache);
 }
 
